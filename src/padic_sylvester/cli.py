@@ -65,6 +65,8 @@ def _quad_input(ns, p: Prime) -> "QuadElement | None":
     given = [f for f in QUAD_FLAGS if getattr(ns, f) is not None]
     if not given:
         return None
+    if ns.value is not None:
+        raise UsageError("--value cannot be combined with the quadratic flags")
     if len(given) != len(QUAD_FLAGS):
         missing = sorted(set(QUAD_FLAGS) - set(given))
         raise UsageError(
@@ -86,11 +88,13 @@ def _quad_input(ns, p: Prime) -> "QuadElement | None":
         raise UsageError(f"quadratic input: {exc}")
 
 
-def _emit(ns, text: str, payload: dict) -> None:
+def _emit(ns, text, payload) -> None:
+    """Print the report in the requested format. text and payload are
+    zero-argument renderers; only the requested one runs."""
     if ns.output == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print(text)
+        print(text())
 
 
 def _cmd_expand(ns) -> int:
@@ -99,9 +103,13 @@ def _cmd_expand(ns) -> int:
     if max_terms <= 0:
         raise UsageError("--max-terms must be positive")
     alg = ns.alg
+    if explicit_cap and alg not in ("knopf", "sylvester"):
+        raise UsageError(f"--max-terms does not apply to --alg {alg}")
     if alg == "fs":
         if ns.p is not None or ns.k is not None:
             raise UsageError("--p/--k do not apply to --alg fs")
+        if any(getattr(ns, f) is not None for f in QUAD_FLAGS):
+            raise UsageError("quadratic input requires --alg sylvester, not fs")
         if ns.value is None:
             raise UsageError("--value is required for --alg fs")
         a, b = value_operands(_parse_fraction(ns.value, "--value"))
@@ -134,7 +142,8 @@ def _cmd_expand(ns) -> int:
             value = quad if quad is not None else _parse_fraction(ns.value, "--value")
             e = modified_sylvester(p, k, value, max_terms=max_terms)
     verification = verify_expansion(p, value, e)
-    _emit(ns, report.expansion_text(e, verification), report.expansion_json(e, verification))
+    _emit(ns, lambda: report.expansion_text(e, verification),
+          lambda: report.expansion_json(e, verification))
     if e.status == CAP_REACHED and not explicit_cap:
         return 2
     return 0
@@ -148,7 +157,8 @@ def _cmd_divide(ns) -> int:
     value = _parse_fraction(ns.value, "--value")
     a, b = value_operands(value)
     step = pk_divide_rational(p, k, Fraction(a), Fraction(b))
-    _emit(ns, report.rational_division_text(step), report.rational_division_json(step))
+    _emit(ns, lambda: report.rational_division_text(step),
+          lambda: report.rational_division_json(step))
     return 0
 
 
@@ -167,16 +177,16 @@ def _cmd_digits(ns) -> int:
         value = _parse_fraction(ns.value, "--value")
         d = digits_of(p, value, count)
         shown = report.frac_str(value)
-    text = f"value: {shown}\nstart: {d.start}\ndigits: {' '.join(str(c) for c in d.digits)}"
-    payload = {
-        "schema": report.SCHEMA,
-        "command": "digits",
-        "p": str(int(p)),
-        "value": shown,
-        "start": str(d.start),
-        "digits": [str(c) for c in d.digits],
-    }
-    _emit(ns, text, payload)
+    _emit(ns, lambda: f"value: {shown}\nstart: {d.start}\n"
+                      f"digits: {' '.join(str(c) for c in d.digits)}",
+          lambda: {
+              "schema": report.SCHEMA,
+              "command": "digits",
+              "p": str(int(p)),
+              "value": shown,
+              "start": str(d.start),
+              "digits": [str(c) for c in d.digits],
+          })
     return 0
 
 
@@ -184,46 +194,48 @@ def _cmd_compare(ns) -> int:
     p = _prime(ns)
     k = _need_k(ns)
     if ns.which == "scaling":
+        if ns.value is not None:
+            raise UsageError("--value does not apply to --which scaling; use --a and --b")
         if ns.a is None or ns.b is None:
             raise UsageError("--a and --b are required for --which scaling")
         ok = check_scaling_correspondence(p, k, ns.a, ns.b)
-        text = f"scaling correspondence: {'holds' if ok else 'FAILS'}"
-        payload = {
-            "schema": report.SCHEMA,
-            "command": "compare",
-            "which": "scaling",
-            "p": str(int(p)),
-            "k": str(k),
-            "a": str(ns.a),
-            "b": str(ns.b),
-            "holds": ok,
-        }
-        _emit(ns, text, payload)
+        _emit(ns, lambda: f"scaling correspondence: {'holds' if ok else 'FAILS'}",
+              lambda: {
+                  "schema": report.SCHEMA,
+                  "command": "compare",
+                  "which": "scaling",
+                  "p": str(int(p)),
+                  "k": str(k),
+                  "a": str(ns.a),
+                  "b": str(ns.b),
+                  "holds": ok,
+              })
         return 0
+    if ns.a is not None or ns.b is not None:
+        raise UsageError("--a/--b do not apply to --which nojump; use --value")
     if ns.value is None:
         raise UsageError("--value is required for --which nojump")
     value = _parse_fraction(ns.value, "--value")
     a, b = value_operands(value)
     res = check_nojump_correspondence(p, k, a, b)
-    lines = [
-        f"verdict: {res.verdict}",
-        f"jumps at steps: {', '.join(map(str, res.jumps)) if res.jumps else 'none'}",
-        f"padic terms:     {report.expansion_sum_text(res.padic)}",
-        f"classical terms: {report.expansion_sum_text(res.classical)}",
-    ]
-    payload = {
-        "schema": report.SCHEMA,
-        "command": "compare",
-        "which": "nojump",
-        "p": str(int(p)),
-        "k": str(k),
-        "value": report.frac_str(value),
-        "verdict": res.verdict,
-        "jumps": [str(i) for i in res.jumps],
-        "padic": report.expansion_json(res.padic),
-        "classical": report.expansion_json(res.classical),
-    }
-    _emit(ns, "\n".join(lines), payload)
+    _emit(ns, lambda: "\n".join([
+              f"verdict: {res.verdict}",
+              f"jumps at steps: {', '.join(map(str, res.jumps)) if res.jumps else 'none'}",
+              f"padic terms:     {report.expansion_sum_text(res.padic)}",
+              f"classical terms: {report.expansion_sum_text(res.classical)}",
+          ]),
+          lambda: {
+              "schema": report.SCHEMA,
+              "command": "compare",
+              "which": "nojump",
+              "p": str(int(p)),
+              "k": str(k),
+              "value": report.frac_str(value),
+              "verdict": res.verdict,
+              "jumps": [str(i) for i in res.jumps],
+              "padic": report.expansion_json(res.padic),
+              "classical": report.expansion_json(res.classical),
+          })
     return 0
 
 
@@ -242,13 +254,12 @@ def _cmd_verify(ns) -> int:
     except (ValueError, KeyError, TypeError, PadicSylvesterError) as exc:
         raise UsageError(f"report: not a valid expand report ({exc})")
     v = verify_expansion(p, value, e)
-    text = "verification: " + report.verification_text(v)
-    payload = {
-        "schema": report.SCHEMA,
-        "command": "verify",
-        "verification": report.verification_json(v),
-    }
-    _emit(ns, text, payload)
+    _emit(ns, lambda: "verification: " + report.verification_text(v),
+          lambda: {
+              "schema": report.SCHEMA,
+              "command": "verify",
+              "verification": report.verification_json(v),
+          })
     return 0 if v.ok else 1
 
 

@@ -1,8 +1,9 @@
 """Base-p digit windows of rational values and square-root lifting mod p**m.
 
-Digits of a rational are computed by repeated exact modular arithmetic
-(multiply by the inverse of the denominator mod p, subtract, divide by p),
-never through floating point.
+A rational r = (num/den) * p**start, with p dividing neither num nor den,
+has as its first w base-p digits the base-p digits of the single integer
+num * den**-1 mod p**w: one modular inverse per window, then divmod by p
+to read the digits off. No floating point is used.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvenPrime, NotAResidue
-from .valuation import PLocal, Prime, ord_p
+from .valuation import PLocal, Prime, _strip, ord_p
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,11 @@ def digits_of(p: Prime, r, count: int) -> DigitExpansion:
     if r == 0:
         return DigitExpansion(p, 0, ())
     start = ord_p(p, r)
-    x = r / Fraction(p) ** start
+    n = frac_part_k(p, start + count, r).unit
     digits = []
     for _ in range(count):
-        c = x.numerator * pow(x.denominator, -1, p) % p
+        n, c = divmod(n, p)
         digits.append(c)
-        x = (x - c) / p
     return DigitExpansion(p, start, tuple(digits))
 
 
@@ -66,19 +66,19 @@ def frac_part_k(p: Prime, k: int, r) -> PLocal:
 
     This is the mod-p**k projection into Z[1/p]: the result lies in
     [0, p**k) as a real number and r minus the result has order >= k.
-    k may be any integer; an empty window gives zero.
+    k may be any integer; an empty window gives zero. A nonempty window
+    starts with a nonzero digit, so the result's exponent is ord_p(r).
     """
     r = Fraction(r)
     if r == 0:
         return PLocal.zero(p)
-    start = ord_p(p, r)
+    v_num, num = _strip(p, r.numerator)
+    v_den, den = _strip(p, r.denominator)
+    start = v_num - v_den
     if start >= k:
         return PLocal.zero(p)
-    window = digits_of(p, r, k - start)
-    n = 0
-    for c in reversed(window.digits):
-        n = n * p + c
-    return PLocal(p, n, start)
+    modulus = p ** (k - start)
+    return PLocal(p, num * pow(den, -1, modulus) % modulus, start)
 
 
 def frac_part(p: Prime, r) -> PLocal:
@@ -86,7 +86,7 @@ def frac_part(p: Prime, r) -> PLocal:
     return frac_part_k(p, 1, r)
 
 
-def _residue(p: Prime, d, modulus: int) -> int:
+def _residue(d, modulus: int) -> int:
     d = Fraction(d)
     return d.numerator * pow(d.denominator, -1, modulus) % modulus
 
@@ -99,7 +99,7 @@ def sqrt_mod_p(p: Prime, d) -> int:
     """
     if p == 2:
         raise EvenPrime("square roots mod 2 are not supported")
-    a = _residue(p, d, p)
+    a = _residue(d, p)
     if a == 0:
         return 0
     if pow(a, (p - 1) // 2, p) != 1:
@@ -146,7 +146,7 @@ def hensel_sqrt(p: Prime, d, r0: int, m: int) -> int:
     if ord_p(p, d) != 0:
         raise ValueError(f"ord_{int(p)}({d}) must be 0")
     r0 = int(r0) % p
-    if (r0 * r0 - _residue(p, d, p)) % p != 0:
+    if (r0 * r0 - _residue(d, p)) % p != 0:
         raise NotAResidue(f"{r0}**2 is not {d} mod {int(p)}")
     if r0 == 0:
         raise NotAResidue("root 0 is not simple; ord of d would be positive")
@@ -155,6 +155,6 @@ def hensel_sqrt(p: Prime, d, r0: int, m: int) -> int:
     while prec < m:
         prec = min(2 * prec, m)
         modulus = p**prec
-        dm = _residue(p, d, modulus)
+        dm = _residue(d, modulus)
         s = (s - (s * s - dm) * pow(2 * s, -1, modulus)) % modulus
     return s

@@ -63,14 +63,6 @@ def classical_divide(a: int, b: int) -> tuple[int, int]:
     return q, a * q - b
 
 
-def _as_plocal(p: Prime, value) -> PLocal:
-    if isinstance(value, PLocal):
-        if value.p != p:
-            raise ValueError(f"operand has prime {value.p}, expected {p}")
-        return value
-    return PLocal.from_fraction(p, value)
-
-
 def pk_divide(p: Prime, k: int, a, b) -> DivisionStep:
     """The unique division step b = a*q - r with 0 <= r < a*p**k and
     |r|_p <= |a*p**k|_p, computed constructively.
@@ -80,8 +72,8 @@ def pk_divide(p: Prime, k: int, a, b) -> DivisionStep:
     unit(a) through a modular inverse when the exponent is negative. Then
     r = rbar * p**(alpha+k) and q follows from exact cancellation.
     """
-    a = _as_plocal(p, a)
-    b = _as_plocal(p, b)
+    a = PLocal.from_fraction(p, a)
+    b = PLocal.from_fraction(p, b)
     if a.unit <= 0:
         raise NonPositiveDivisor(f"divisor must be positive, got {a}")
     if b.is_zero():
@@ -98,8 +90,10 @@ def pk_divide(p: Prime, k: int, a, b) -> DivisionStep:
         num = rbar + bhat * p ** (beta - alpha - k)
         case = CASE_2
         q_exp = k
-    assert num % ahat == 0
-    q = PLocal(p, num // ahat, q_exp)
+    q_unit, rem = divmod(num, ahat)
+    if rem:
+        raise RuntimeError("division step did not cancel exactly")
+    q = PLocal(p, q_unit, q_exp)
     r = PLocal(p, rbar, alpha + k)
     jumped = rbar != 0 and rbar % p == 0
     return DivisionStep(p, k, a, b, q, r, rbar, jumped, case)
@@ -131,8 +125,8 @@ def brute_force_divide(p: Prime, k: int, a, b, budget: int = 10**6) -> DivisionS
     unique j for which (b + r)/a stays in Z[1/p]. Independent of the
     constructive path: no modular inverses, just divisibility tests.
     """
-    a = _as_plocal(p, a)
-    b = _as_plocal(p, b)
+    a = PLocal.from_fraction(p, a)
+    b = PLocal.from_fraction(p, b)
     if a.unit <= 0:
         raise NonPositiveDivisor(f"divisor must be positive, got {a}")
     ahat, alpha = a.unit, a.exp
@@ -145,7 +139,8 @@ def brute_force_divide(p: Prime, k: int, a, b, budget: int = 10**6) -> DivisionS
         base = b.unit * p ** (b.exp - mu) % ahat
         step = pow(p, alpha + k - mu, ahat)
     hits = [j for j in range(ahat) if (base + j * step) % ahat == 0]
-    assert len(hits) == 1, f"expected a unique remainder, found {len(hits)}"
+    if len(hits) != 1:
+        raise RuntimeError(f"expected a unique remainder, found {len(hits)}")
     j = hits[0]
     r = PLocal(p, j, alpha + k)
     q = (b + r) / a

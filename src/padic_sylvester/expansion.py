@@ -169,8 +169,8 @@ def pk_greedy(p: Prime, k: int, a, b) -> Expansion:
     parts of successive remainders forming a strictly decreasing sequence
     of positive integers.
     """
-    a = a if isinstance(a, PLocal) else PLocal.from_fraction(p, a)
-    b = b if isinstance(b, PLocal) else PLocal.from_fraction(p, b)
+    a = PLocal.from_fraction(p, a)
+    b = PLocal.from_fraction(p, b)
     if a.unit <= 0:
         raise PreconditionViolated(f"a must be positive, got {a}")
     if b.is_zero():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
-from .digits import DigitExpansion, frac_part_k, hensel_sqrt
+from .digits import DigitExpansion, _residue, frac_part_k, hensel_sqrt
 from .errors import DivByZero, EmbeddingMismatch, EvenPrime, PrecisionExhausted
 from .valuation import PLocal, POS_INF, Prime, ord_p
 
@@ -221,7 +221,8 @@ def real_compare(u: QuadElement, q) -> int:
     lhs = t * t
     rhs = w * w * u.D
     # Equality would make sqrt(D) rational, impossible for squarefree D >= 2.
-    assert lhs != rhs
+    if lhs == rhs:
+        raise RuntimeError(f"sqrt({u.D}) compared equal to a rational")
     if t > 0:
         return 1 if lhs > rhs else -1
     return 1 if rhs > lhs else -1
@@ -249,11 +250,20 @@ def real_ceil(u: QuadElement) -> int:
     return real_floor(u) + 1
 
 
-def _image_mod(u: QuadElement, modulus: int, root: int) -> int:
-    """p-adic image of a p-integral element modulo p**m, given sqrt(D) mod p**m."""
-    xi = u.x.numerator * pow(u.x.denominator, -1, modulus) % modulus
-    yi = u.y.numerator * pow(u.y.denominator, -1, modulus) % modulus
-    return (xi + yi * root) % modulus
+def _image_mod(u: QuadElement, mu: int, width: int) -> int:
+    """p-adic image of u * p**(-mu) modulo p**width.
+
+    mu must keep both scaled coefficients p-integral; sqrt(D) is lifted to
+    the same width. Widths beyond PRECISION_CAP raise PrecisionExhausted.
+    """
+    if width > PRECISION_CAP:
+        raise PrecisionExhausted(
+            f"digit window of {width} exceeds the {PRECISION_CAP}-digit cap"
+        )
+    modulus = u.p**width
+    root = hensel_sqrt(u.p, Fraction(u.D), u.residue, width)
+    scale = Fraction(u.p) ** (-mu)
+    return (_residue(u.x * scale, modulus) + _residue(u.y * scale, modulus) * root) % modulus
 
 
 def quad_ord(u: QuadElement) -> int:
@@ -273,16 +283,11 @@ def quad_ord(u: QuadElement) -> int:
     oy = ord_p(u.p, u.y)
     if ox != oy:
         return min(ox, oy)
-    mu = ox
-    scale = Fraction(u.p) ** (-mu)
-    scaled = u._wrap(u.x * scale, u.y * scale)
     m = 8
     while True:
-        modulus = u.p**m
-        root = hensel_sqrt(u.p, Fraction(u.D), u.residue, m)
-        n = _image_mod(scaled, modulus, root)
+        n = _image_mod(u, ox, m)
         if n:
-            return mu + ord_p(u.p, n)
+            return ox + ord_p(u.p, n)
         if m >= PRECISION_CAP:
             raise PrecisionExhausted(
                 f"no nonzero digit within {m} working digits for {u!r}"
@@ -314,18 +319,8 @@ def quad_frac_part_k(u: QuadElement, k: int) -> PLocal:
     if o >= k:
         return PLocal.zero(u.p)
     mu = _coeff_min_ord(u)
-    width = k - mu
-    if width > PRECISION_CAP:
-        raise PrecisionExhausted(
-            f"digit window of {width} exceeds the {PRECISION_CAP}-digit cap"
-        )
-    modulus = u.p**width
-    root = hensel_sqrt(u.p, Fraction(u.D), u.residue, width)
-    scale = Fraction(u.p) ** (-mu)
-    scaled = u._wrap(u.x * scale, u.y * scale)
-    n = _image_mod(scaled, modulus, root)
-    # Digits of u in [mu, o) are zero, so n carries exactly the [o, k) window.
-    return PLocal(u.p, n, mu)
+    # Digits of u in [mu, o) are zero, so the image carries exactly the [o, k) window.
+    return PLocal(u.p, _image_mod(u, mu, k - mu), mu)
 
 
 def quad_digits(u: QuadElement, count: int) -> DigitExpansion:
@@ -335,17 +330,8 @@ def quad_digits(u: QuadElement, count: int) -> DigitExpansion:
     if u.is_zero():
         return DigitExpansion(u.p, 0, ())
     o = quad_ord(u)
-    mu = _coeff_min_ord(u) if u.y != 0 else o
-    width = count + (o - mu)
-    if width > PRECISION_CAP:
-        raise PrecisionExhausted(
-            f"digit window of {width} exceeds the {PRECISION_CAP}-digit cap"
-        )
-    modulus = u.p**width
-    root = hensel_sqrt(u.p, Fraction(u.D), u.residue, width)
-    scale = Fraction(u.p) ** (-mu)
-    n = _image_mod(u._wrap(u.x * scale, u.y * scale), modulus, root)
-    n //= u.p ** (o - mu)
+    mu = _coeff_min_ord(u)
+    n = _image_mod(u, mu, count + o - mu) // u.p ** (o - mu)
     digits = []
     for _ in range(count):
         n, c = divmod(n, u.p)

@@ -7,7 +7,6 @@ arithmetic; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import DivByZero, NotInRing, NotPrime, ZeroInput
 
@@ -82,13 +81,32 @@ class _PositiveInfinity:
 POS_INF = _PositiveInfinity()
 
 
-def _int_ord(p: int, n: int) -> int:
-    # n must be nonzero
+def _strip(p: int, n: int) -> tuple[int, int]:
+    """(v, u) with n = u * p**v and p not dividing u; n must be nonzero.
+
+    Divides by p, p**2, p**4, ... while they divide, then walks back down
+    the same powers, so order v costs O(log v) big divisions (the
+    binary-splitting valuation of Brent and Zimmermann, Modern Computer
+    Arithmetic, section 1.7).
+    """
+    if n % p:
+        return 0, n
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    powers = [p]
+    q, rem = divmod(n, p)
+    while rem == 0:
+        n = q
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+        q, rem = divmod(n, powers[-1])
+    # The order left in n is now below 2**(len(powers) - 1), so each smaller
+    # power divides at most once.
+    for i in range(len(powers) - 2, -1, -1):
+        q, rem = divmod(n, powers[i])
+        if rem == 0:
+            n = q
+            v += 1 << i
+    return v, n
 
 
 def ord_p(p: Prime, r) -> "int | _PositiveInfinity":
@@ -100,7 +118,7 @@ def ord_p(p: Prime, r) -> "int | _PositiveInfinity":
     r = Fraction(r)
     if r == 0:
         return POS_INF
-    return _int_ord(p, r.numerator) - _int_ord(p, r.denominator)
+    return _strip(p, r.numerator)[0] - _strip(p, r.denominator)[0]
 
 
 def unit_part(p: Prime, r) -> Fraction:
@@ -108,7 +126,7 @@ def unit_part(p: Prime, r) -> Fraction:
     r = Fraction(r)
     if r == 0:
         raise ZeroInput("zero has no unit part")
-    return r / Fraction(p) ** ord_p(p, r)
+    return Fraction(_strip(p, r.numerator)[1], _strip(p, r.denominator)[1])
 
 
 def p_abs(p: Prime, r) -> Fraction:
@@ -135,9 +153,8 @@ class PLocal:
         if unit == 0:
             exp = 0
         else:
-            while unit % p == 0:
-                unit //= p
-                exp += 1
+            v, unit = _strip(p, unit)
+            exp += v
         self.p = p
         self.unit = unit
         self.exp = exp
@@ -153,15 +170,15 @@ class PLocal:
     @classmethod
     def from_fraction(cls, p: Prime, r) -> "PLocal":
         """Exact conversion from a rational; raises NotInRing if the reduced
-        denominator is not a power of p."""
+        denominator is not a power of p. A PLocal over p is returned as is."""
+        if isinstance(r, PLocal):
+            if r.p != p:
+                raise ValueError(f"operand has prime {r.p}, expected {p}")
+            return r
         r = Fraction(r)
         if r == 0:
             return cls(p, 0, 0)
-        den = r.denominator
-        e = 0
-        while den % p == 0:
-            den //= p
-            e += 1
+        e, den = _strip(p, r.denominator)
         if den != 1:
             raise NotInRing(f"{r} is not in Z[1/{int(p)}]")
         return cls(p, r.numerator, -e)
@@ -286,12 +303,3 @@ class PLocal:
 
     def __repr__(self) -> str:
         return f"PLocal(p={int(self.p)}, unit={self.unit}, exp={self.exp})"
-
-
-def as_plocal(p: Prime, r) -> PLocal:
-    """Canonical PLocal form of a rational, NotInRing if r is not in Z[1/p]."""
-    return PLocal.from_fraction(p, r)
-
-
-def coprime_units(a: PLocal, b: PLocal) -> bool:
-    return gcd(abs(a.unit), abs(b.unit)) == 1

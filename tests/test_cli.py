@@ -13,6 +13,7 @@ from padic_sylvester import (
     modified_sylvester,
     pk_greedy,
 )
+from padic_sylvester import report
 from padic_sylvester.cli import main
 from padic_sylvester.report import expansion_from_json, expansion_json
 
@@ -91,6 +92,53 @@ class TestExpandCommand:
                            "--sqrt", "11", "--x", "0", "--y", "1/11", "--real-sign", "+")
         assert code == 1
         assert "--padic-residue" in err
+
+
+QUAD_XI = ("--sqrt", "11", "--x", "0", "--y", "1/11", "--real-sign", "+",
+           "--padic-residue", "2")
+
+
+class TestIgnoredFlagsRejected:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("expand", "--alg", "pk", "--p", "3", "--k", "1", "--value", "473/25",
+              "--max-terms", "1"), "--max-terms"),
+            (("expand", "--alg", "adaptive", "--p", "3", "--k", "1", "--value", "473/25",
+              "--max-terms", "1"), "--max-terms"),
+            (("expand", "--alg", "fs", "--value", "5/11", "--max-terms", "1"), "--max-terms"),
+            (("expand", "--alg", "fs", "--value", "5/11") + QUAD_XI, "quadratic"),
+            (("expand", "--alg", "sylvester", "--p", "7", "--k", "1", "--value", "1/2")
+             + QUAD_XI, "--value"),
+            (("digits", "--p", "7", "--value", "1/2") + QUAD_XI, "--value"),
+            (("compare", "--which", "scaling", "--p", "11", "--k", "1", "--a", "5",
+              "--b", "121", "--value", "5/121"), "--value"),
+            (("compare", "--p", "11", "--k", "1", "--value", "5/121", "--a", "5"), "--a"),
+            (("compare", "--p", "11", "--k", "1", "--value", "5/121", "--b", "121"), "--b"),
+        ],
+        ids=["pk-max-terms", "adaptive-max-terms", "fs-max-terms", "fs-quad",
+             "expand-value-quad", "digits-value-quad", "scaling-value", "nojump-a",
+             "nojump-b"],
+    )
+    def test_rejected(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert flag in err
+
+
+class TestRendersOnlyRequestedFormat:
+    def test_text_skips_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(report, "expansion_json", None)
+        code, out, _ = run(capsys, "expand", "--alg", "pk", "--p", "3", "--k", "1",
+                           "--value", "473/25")
+        assert code == 0 and "status: terminated" in out
+
+    def test_json_skips_text(self, capsys, monkeypatch):
+        monkeypatch.setattr(report, "expansion_text", None)
+        code, out, _ = run(capsys, "expand", "--alg", "pk", "--p", "3", "--k", "1",
+                           "--value", "473/25", "--output", "json")
+        assert code == 0 and json.loads(out)["status"] == "terminated"
 
 
 class TestDivideCommand:

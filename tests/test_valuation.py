@@ -10,7 +10,6 @@ from padic_sylvester import (
     POS_INF,
     Prime,
     ZeroInput,
-    as_plocal,
     ord_p,
     p_abs,
     unit_part,
@@ -102,14 +101,17 @@ class TestPAbs:
 
 
 class TestPLocal:
-    def test_as_plocal_examples(self):
+    def test_from_fraction_examples(self):
         p = Prime(3)
-        x = as_plocal(p, Fraction(115, 81))
+        x = PLocal.from_fraction(p, Fraction(115, 81))
         assert (x.unit, x.exp) == (115, -4)
         with pytest.raises(NotInRing):
-            as_plocal(p, Fraction(5, 7))
-        z = as_plocal(p, 0)
+            PLocal.from_fraction(p, Fraction(5, 7))
+        z = PLocal.from_fraction(p, 0)
         assert (z.unit, z.exp) == (0, 0) and z.is_zero()
+        assert PLocal.from_fraction(p, x) is x
+        with pytest.raises(ValueError):
+            PLocal.from_fraction(Prime(5), x)
 
     def test_canonical_form(self):
         p = Prime(3)
