@@ -254,6 +254,9 @@ def _cmd_verify(ns) -> int:
     except (ValueError, KeyError, TypeError, PadicSylvesterError) as exc:
         raise UsageError(f"report: not a valid expand report ({exc})")
     v = verify_expansion(p, value, e)
+    if data.get("expansion") != report.expansion_sum_text(e):
+        v.problems.append("expansion string differs from the terms")
+        v.ok = False
     _emit(ns, lambda: "verification: " + report.verification_text(v),
           lambda: {
               "schema": report.SCHEMA,

@@ -132,25 +132,28 @@ def sqrt_mod_p(p: Prime, d) -> int:
         rr = m
 
 
+def _simple_root(p: Prime, d, r0: int) -> int:
+    """r0 mod p, checked to be a simple root of x**2 = d (mod p) for odd p."""
+    if p == 2:
+        raise EvenPrime("Hensel square-root lifting requires odd p")
+    if ord_p(p, d) != 0:
+        raise ValueError(f"ord_{int(p)}({d}) must be 0")
+    r0 = int(r0) % p
+    # d is a unit, so this also rules out the non-simple root 0.
+    if (r0 * r0 - _residue(d, p)) % p != 0:
+        raise NotAResidue(f"{r0}**2 is not {d} mod {int(p)}")
+    return r0
+
+
 def hensel_sqrt(p: Prime, d, r0: int, m: int) -> int:
     """Newton-lift the simple root r0 of x**2 = d (mod p) to modulus p**m.
 
     Returns the unique s in [0, p**m) with s**2 = d (mod p**m) and
     s = r0 (mod p). Requires odd p, ord_p(d) = 0 and r0**2 = d (mod p).
     """
-    if p == 2:
-        raise EvenPrime("Hensel square-root lifting requires odd p")
+    s = _simple_root(p, d, r0)
     if m <= 0:
         raise ValueError("precision m must be positive")
-    d = Fraction(d)
-    if ord_p(p, d) != 0:
-        raise ValueError(f"ord_{int(p)}({d}) must be 0")
-    r0 = int(r0) % p
-    if (r0 * r0 - _residue(d, p)) % p != 0:
-        raise NotAResidue(f"{r0}**2 is not {d} mod {int(p)}")
-    if r0 == 0:
-        raise NotAResidue("root 0 is not simple; ord of d would be positive")
-    s = r0
     prec = 1
     while prec < m:
         prec = min(2 * prec, m)

@@ -364,14 +364,17 @@ def _order_of(p, v):
 
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
-    """Recompute the remainders of an expansion and check its claims:
-    exact sum on termination, strictly increasing remainder orders, and the
-    per-step growth bound ord(z_{i+1}) >= k_i + 2*ord(z_i).
+    """Recompute the remainders of an expansion and check its claims: terms
+    equal to the trace's q values, exact sum on termination, strictly
+    increasing remainder orders, and the per-step growth bound
+    ord(z_{i+1}) >= k_i + 2*ord(z_i).
 
-    For expansions without a prime (classical greedy) only the sum identity
-    is checked. The orders use the per-step k recorded in the trace.
+    For expansions without a prime (classical greedy) only the first two
+    are checked. The orders use the per-step k recorded in the trace.
     """
     problems: list[str] = []
+    if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
+        problems.append("terms differ from the trace's q values")
     quad = isinstance(value, QuadElement)
     cur = value if quad else Fraction(value)
     padic = p is not None

@@ -4,7 +4,8 @@ A QuadElement is x + y*sqrt(D) together with two embedding choices fixed at
 construction: which real square root of D the real embedding uses, and which
 residue mod p the p-adic square root reduces to. All comparisons against
 rationals are decided by integer arithmetic (isqrt and sign bookkeeping);
-p-adic digits come from Hensel-lifted roots at a managed working precision.
+p-adic orders are read off the rational coefficients and the norm, and
+p-adic digits come from a root of D Hensel-lifted to the digit window.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor, isqrt
 
-from .digits import DigitExpansion, _residue, frac_part_k, hensel_sqrt
+from .digits import DigitExpansion, _simple_root, frac_part_k, hensel_sqrt
 from .errors import DivByZero, EmbeddingMismatch, EvenPrime, PrecisionExhausted
 from .valuation import PLocal, POS_INF, Prime, ord_p
 
-# Hard cap on the number of base-p working digits used while hunting for a
-# nonzero digit. Exact p-adic zero is impossible for a nonzero element, so
-# hitting the cap is reported as an error instead of looping forever.
+# Hard cap on the width, in base-p digits, of one digit window of a
+# quadratic element; wider requests raise PrecisionExhausted.
 PRECISION_CAP = 1 << 16
 
 
@@ -263,36 +263,28 @@ def _image_mod(u: QuadElement, mu: int, width: int) -> int:
     modulus = u.p**width
     root = hensel_sqrt(u.p, Fraction(u.D), u.residue, width)
     scale = Fraction(u.p) ** (-mu)
-    return (_residue(u.x * scale, modulus) + _residue(u.y * scale, modulus) * root) % modulus
+    x, y = u.x * scale, u.y * scale
+    num = x.numerator * y.denominator + y.numerator * x.denominator * root
+    return num * pow(x.denominator * y.denominator, -1, modulus) % modulus
 
 
 def quad_ord(u: QuadElement) -> int:
-    """p-adic order of the image of u, exact.
+    """p-adic order of the image of u, exact, with no working precision.
 
-    The ultrametric settles every case except equal coefficient orders,
-    where digits are extracted at doubling precision until one is nonzero;
-    beyond PRECISION_CAP digits a PrecisionExhausted error is raised.
+    The ultrametric settles every case except equal coefficient orders o.
+    There p is odd, so u and its conjugate x - y*sqrt(D) add up to 2x, of
+    order exactly o: at most one of the two has order above o, and their
+    orders add up to ord_p(x**2 - D*y**2). The digit at p**o decides which.
     """
     if u.is_zero():
         raise DivByZero("order of the zero element")
-    if u.y == 0:
-        return ord_p(u.p, u.x)
-    if u.x == 0:
-        return ord_p(u.p, u.y)
     ox = ord_p(u.p, u.x)
     oy = ord_p(u.p, u.y)
     if ox != oy:
         return min(ox, oy)
-    m = 8
-    while True:
-        n = _image_mod(u, ox, m)
-        if n:
-            return ox + ord_p(u.p, n)
-        if m >= PRECISION_CAP:
-            raise PrecisionExhausted(
-                f"no nonzero digit within {m} working digits for {u!r}"
-            )
-        m *= 2
+    if ord_p(u.p, u.x + u.y * _simple_root(u.p, u.D, u.residue)) == ox:
+        return ox
+    return ord_p(u.p, u.x * u.x - u.D * u.y * u.y) - ox
 
 
 def _coeff_min_ord(u: QuadElement) -> int:
@@ -301,8 +293,7 @@ def _coeff_min_ord(u: QuadElement) -> int:
     Scaling by p to this power keeps both coefficients p-integral, which the
     image order may not: cancellation can push quad_ord(u) above it.
     """
-    ords = [ord_p(u.p, c) for c in (u.x, u.y) if c != 0]
-    return min(ords)
+    return min(ord_p(u.p, u.x), ord_p(u.p, u.y))
 
 
 def quad_frac_part_k(u: QuadElement, k: int) -> PLocal:

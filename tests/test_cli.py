@@ -170,6 +170,13 @@ class TestDigitsCommand:
         assert "start: 0" in out
         assert out.splitlines()[-1].startswith("digits: 2")
 
+    def test_precision_exhausted_exits_2(self, capsys):
+        code, _, err = run(capsys, "digits", "--p", "7", "--count", "70000", "--sqrt", "11",
+                           "--x", "0", "--y", "1/11", "--real-sign", "+",
+                           "--padic-residue", "2")
+        assert code == 2
+        assert "precision exhausted" in err
+
 
 class TestCompareCommand:
     def test_nojump(self, capsys):
@@ -224,6 +231,22 @@ class TestVerifyCommand:
         path.write_text(json.dumps(data))
         code, out2, _ = run(capsys, "verify", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("tamper, problem", [
+        (lambda d: d["terms"][0].update(unit=str(int(d["terms"][0]["unit"]) + 1)),
+         "terms differ from the trace's q values"),
+        (lambda d: d.update(expansion="1/2 + 3/5"), "expansion string differs from the terms"),
+    ], ids=["term", "expansion"])
+    def test_tampered_claim_fails(self, capsys, tmp_path, tamper, problem):
+        code, out, _ = run(capsys, "expand", "--alg", "pk", "--p", "3", "--k", "1",
+                           "--value", "473/25", "--output", "json")
+        data = json.loads(out)
+        tamper(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out2, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert problem in out2
 
     def test_garbage_report(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
