@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import ceil, gcd
 
 from .digits import frac_part, frac_part_k
-from .division import DivisionStep, classical_divide, pk_divide
+from .division import CASE_1, CASE_2, DivisionStep, classical_divide, pk_divide
 from .errors import HypothesisViolated, KTooSmall, PreconditionViolated
 from .quadratic import QuadElement, quad_frac_part_k, quad_order_or_inf, real_ceil
 from .valuation import PLocal, POS_INF, Prime, ord_p
@@ -363,11 +363,30 @@ def _order_of(p, v):
     return ord_p(p, v)
 
 
+def _division_record_problems(rec: StepRecord) -> list[str]:
+    """Recompute a division record's rbar, jump flag and case from its
+    recorded a, b, r and the step's k."""
+    d, k = rec.division, rec.k
+    a, b, r = d.a, d.b, d.r
+    if k is None or d.k != k:
+        return [f"step {rec.index}: division record has k {d.k}, the step has k {k}"]
+    problems = []
+    # r = rbar * p**(ord(a) + k); comparing canonical forms needs no power of p.
+    if PLocal(d.p, d.rbar, a.exp + k) != r:
+        problems.append(f"step {rec.index}: rbar {d.rbar} does not match r")
+    if d.jumped != (not r.is_zero() and r.exp > a.exp + k):
+        problems.append(f"step {rec.index}: jump flag does not match r")
+    if d.case != (CASE_1 if not b.is_zero() and k > b.exp - a.exp else CASE_2):
+        problems.append(f"step {rec.index}: case does not match a, b and k")
+    return problems
+
+
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
     """Recompute the remainders of an expansion and check its claims: terms
     equal to the trace's q values, exact sum on termination, strictly
     increasing remainder orders, and the per-step growth bound
-    ord(z_{i+1}) >= k_i + 2*ord(z_i).
+    ord(z_{i+1}) >= k_i + 2*ord(z_i). Each division record's rbar, jump
+    flag and case are recomputed from its a, b, r and k.
 
     For expansions without a prime (classical greedy) only the first two
     are checked. The orders use the per-step k recorded in the trace.
@@ -389,6 +408,8 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         if padic:
             orders.append(_order_of(p, cur))
             ks.append(None if rec.initial else rec.k)
+        if rec.division is not None:
+            problems.extend(_division_record_problems(rec))
 
     sum_exact = None
     if e.status == TERMINATED:

@@ -30,28 +30,47 @@ def _ord_str(o):
     return str(o)
 
 
+def _plocal_str(x: PLocal) -> str:
+    """The value of x in lowest terms. Its unit is prime to p, so no gcd is
+    needed; zero is unit 0, exp 0 and renders as "0"."""
+    if x.exp >= 0:
+        return str(x.unit * x.p ** x.exp)
+    return f"{x.unit}/{x.p ** -x.exp}"
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num/den for coprime integers, with the sign moved to the numerator and
+    no "/1"."""
+    if den == 0:
+        raise ZeroDivisionError("a term of 0 has no reciprocal")
+    if den < 0:
+        num, den = -num, -den
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def term_display(q, initial: bool = False) -> str:
     """Paper-style rendering of one term: p^j/m when the reciprocal has that
     shape with j >= 0, otherwise the exact rational."""
+    if not isinstance(q, PLocal):
+        return str(q) if initial else _ratio_str(1, q)
     if initial:
-        f = q.to_fraction() if isinstance(q, PLocal) else Fraction(q)
-        return frac_str(f)
-    if isinstance(q, PLocal):
-        if q.unit > 0 and q.exp <= 0:
-            j = -q.exp
-            if j == 0:
-                return f"1/{q.unit}"
-            if j == 1:
-                return f"{int(q.p)}/{q.unit}"
-            return f"{int(q.p)}^{j}/{q.unit}"
-        return frac_str(1 / q.to_fraction())
-    return frac_str(Fraction(1) / Fraction(q))
+        return _plocal_str(q)
+    if q.unit > 0 and q.exp <= 0:
+        j = -q.exp
+        if j == 0:
+            return f"1/{q.unit}"
+        if j == 1:
+            return f"{int(q.p)}/{q.unit}"
+        return f"{int(q.p)}^{j}/{q.unit}"
+    if q.exp >= 0:
+        return _ratio_str(1, q.unit * q.p ** q.exp)
+    return _ratio_str(q.p ** -q.exp, q.unit)
 
 
 def value_display(value) -> str:
     if isinstance(value, QuadElement):
         return str(value)
-    return frac_str(Fraction(value))
+    return frac_str(value)
 
 
 def expansion_sum_text(e: Expansion) -> str:
@@ -94,7 +113,7 @@ def _step_text(rec: StepRecord, e: Expansion) -> str:
         bits.append(f"k={rec.k}")
     if rec.division is not None:
         d = rec.division
-        bits.append(f"r={frac_str(d.r.to_fraction())}")
+        bits.append(f"r={_plocal_str(d.r)}")
         bits.append(f"rbar={d.rbar}")
         bits.append(f"jump={'yes' if d.jumped else 'no'}")
         bits.append(d.case)
@@ -124,7 +143,7 @@ def verification_text(v: VerificationReport) -> str:
 def _plocal_json(x: "PLocal | None"):
     if x is None:
         return None
-    return {"unit": str(x.unit), "exp": str(x.exp), "value": frac_str(x.to_fraction())}
+    return {"unit": str(x.unit), "exp": str(x.exp), "value": _plocal_str(x)}
 
 
 def _plocal_from_json(p: Prime, d) -> "PLocal | None":
@@ -173,7 +192,7 @@ def _input_json(value):
             "real_sign": "+" if value.real_sign > 0 else "-",
             "padic_residue": str(value.residue),
         }
-    return {"type": "rational", "value": frac_str(Fraction(value))}
+    return {"type": "rational", "value": frac_str(value)}
 
 
 def _input_from_json(p: "Prime | None", d):
@@ -197,7 +216,7 @@ def expansion_json(e: Expansion, verification: "VerificationReport | None" = Non
         if isinstance(q, PLocal):
             entry["unit"] = str(q.unit)
             entry["exp"] = str(q.exp)
-            entry["value"] = frac_str(q.to_fraction())
+            entry["value"] = _plocal_str(q)
         else:
             entry["q"] = str(q)
         terms.append(entry)
@@ -221,7 +240,7 @@ def expansion_json(e: Expansion, verification: "VerificationReport | None" = Non
         "p": None if e.p is None else str(int(e.p)),
         "k": None if e.k is None else str(e.k),
         "input": _input_json(e.value),
-        "expansion": expansion_sum_text(e),
+        "expansion": " + ".join(entry["display"] for entry in terms),
         "terms": terms,
         "status": e.status,
         "certificate": None if e.certificate is None else frac_str(e.certificate),
@@ -294,7 +313,7 @@ def rational_division_text(step: RationalDivisionStep) -> str:
     d = step.inner
     lines = [
         "b = a*q - r",
-        f"{frac_str(step.b)} = {frac_str(step.a)} * {frac_str(step.q.to_fraction())}"
+        f"{frac_str(step.b)} = {frac_str(step.a)} * {_plocal_str(step.q)}"
         f" - {frac_str(step.r)}",
         f"q: {step.q} (term {term_display(step.q)})",
         f"r: {frac_str(step.r)}",

@@ -184,7 +184,10 @@ class PLocal:
         return cls(p, r.numerator, -e)
 
     def to_fraction(self) -> Fraction:
-        return Fraction(self.unit) * Fraction(self.p) ** self.exp
+        # unit is prime to p, so only the denominator form pays a gcd.
+        if self.exp >= 0:
+            return Fraction(self.unit * self.p ** self.exp)
+        return Fraction(self.unit, self.p ** -self.exp)
 
     def is_zero(self) -> bool:
         return self.unit == 0

@@ -236,7 +236,13 @@ class TestVerifyCommand:
         (lambda d: d["terms"][0].update(unit=str(int(d["terms"][0]["unit"]) + 1)),
          "terms differ from the trace's q values"),
         (lambda d: d.update(expansion="1/2 + 3/5"), "expansion string differs from the terms"),
-    ], ids=["term", "expansion"])
+        (lambda d: d["trace"][0]["division"].update(jumped=True),
+         "step 0: jump flag does not match r"),
+        (lambda d: d["trace"][0]["division"].update(case="case2"),
+         "step 0: case does not match a, b and k"),
+        (lambda d: d["trace"][0]["division"].update(rbar="308"),
+         "step 0: rbar 308 does not match r"),
+    ], ids=["term", "expansion", "jumped", "case", "rbar"])
     def test_tampered_claim_fails(self, capsys, tmp_path, tamper, problem):
         code, out, _ = run(capsys, "expand", "--alg", "pk", "--p", "3", "--k", "1",
                            "--value", "473/25", "--output", "json")

@@ -336,6 +336,14 @@ class TestVerifyExpansion:
         assert v.tail_orders == [0, 1, 3, 7, 16]
         assert v.strictly_increasing and v.growth_ok
 
+    @pytest.mark.parametrize("p, k, a, b", [(P11, 1, 5, 121), (P3, 1, 22, 45), (P3, 2, 2, 9)])
+    def test_case2_and_jump_records_recompute(self, p, k, a, b):
+        # k <= -ord(a/b) makes every step case 2, 2/9 with k = ord(b) - ord(a)
+        # at step 0, and 22/45 jumps; no division record may be flagged.
+        e = check_nojump_correspondence(p, k, a, b).padic
+        v = verify_expansion(p, Fraction(a, b), e)
+        assert not [prob for prob in v.problems if prob.startswith("step ")]
+
     def test_fs_checks_sum_only(self):
         e = fs_greedy(5, 11)
         v = verify_expansion(None, Fraction(5, 11), e)

@@ -1,9 +1,13 @@
-"""Property tests pinning the valuation and digit-window kernel to
-independent oracles: exact powers for _strip, the per-digit Fraction loop
-that digits_of and frac_part_k used to run, and the doubling-precision digit
-search that quad_ord used to run, all kept here as references.
+"""Property tests pinning the valuation and digit-window kernel, and the
+report renderers, to independent oracles: exact powers for _strip, the
+per-digit Fraction loop that digits_of and frac_part_k used to run, the
+doubling-precision digit search that quad_ord used to run, and the
+Fraction-based report renderers, all kept here as references.
 """
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,15 +22,24 @@ from padic_sylvester import (
     PrecisionExhausted,
     Prime,
     QuadElement,
+    adaptive_pk_greedy,
     digits_of,
     frac_part_k,
+    fs_greedy,
     hensel_sqrt,
+    knopfmacher_sylvester,
+    modified_sylvester,
     ord_p,
+    pk_greedy,
     quad_digits,
     quad_frac_part_k,
     quad_ord,
     sqrt_mod_p,
+    value_operands,
+    verify_expansion,
 )
+from padic_sylvester import report
+from padic_sylvester.cli import main
 from padic_sylvester.digits import _residue
 from padic_sylvester.quadratic import PRECISION_CAP
 from padic_sylvester.valuation import _strip
@@ -246,3 +259,228 @@ class TestQuadFracPartK:
         want = PLocal.zero(u.p) if o >= k else PLocal(u.p, reference_image_mod(u, mu, k - mu), mu)
         got = quad_frac_part_k(u, k)
         assert (got.unit, got.exp) == (want.unit, want.exp)
+
+
+# --- Report rendering ----------------------------------------------------
+# The Fraction-based renderers that report.py used before it rendered from
+# PLocal integers, kept verbatim (apart from names) as references.
+
+
+def reference_to_fraction(x):
+    return Fraction(x.unit) * Fraction(x.p) ** x.exp
+
+
+def reference_frac_str(f):
+    f = Fraction(f)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def reference_term_display(q, initial=False):
+    if initial:
+        f = reference_to_fraction(q) if isinstance(q, PLocal) else Fraction(q)
+        return reference_frac_str(f)
+    if isinstance(q, PLocal):
+        if q.unit > 0 and q.exp <= 0:
+            j = -q.exp
+            if j == 0:
+                return f"1/{q.unit}"
+            if j == 1:
+                return f"{int(q.p)}/{q.unit}"
+            return f"{int(q.p)}^{j}/{q.unit}"
+        return reference_frac_str(1 / reference_to_fraction(q))
+    return reference_frac_str(Fraction(1) / Fraction(q))
+
+
+def reference_plocal_json(x):
+    if x is None:
+        return None
+    return {"unit": str(x.unit), "exp": str(x.exp),
+            "value": reference_frac_str(reference_to_fraction(x))}
+
+
+def reference_division_json(d):
+    if d is None:
+        return None
+    return {
+        "a": reference_plocal_json(d.a),
+        "b": reference_plocal_json(d.b),
+        "q": reference_plocal_json(d.q),
+        "r": reference_plocal_json(d.r),
+        "rbar": str(d.rbar),
+        "jumped": d.jumped,
+        "case": d.case,
+    }
+
+
+def reference_sum_text(e):
+    return " + ".join(
+        reference_term_display(q, initial=(e.initial and i == 0)) for i, q in enumerate(e.terms)
+    )
+
+
+def reference_expansion_json(e, verification=None):
+    terms = []
+    for i, q in enumerate(e.terms):
+        initial = e.initial and i == 0
+        entry = {"initial": initial, "display": reference_term_display(q, initial=initial)}
+        if isinstance(q, PLocal):
+            entry["unit"] = str(q.unit)
+            entry["exp"] = str(q.exp)
+            entry["value"] = reference_frac_str(reference_to_fraction(q))
+        else:
+            entry["q"] = str(q)
+        terms.append(entry)
+    trace = []
+    for rec in e.trace:
+        trace.append({
+            "index": str(rec.index),
+            "k": None if rec.k is None else str(rec.k),
+            "initial": rec.initial,
+            "tail_ord": report._ord_str(rec.tail_ord),
+            "q": reference_plocal_json(rec.q) if isinstance(rec.q, PLocal) else str(rec.q),
+            "division": reference_division_json(rec.division),
+            "lhs": reference_plocal_json(rec.lhs),
+            "remainder": None if rec.remainder is None else str(rec.remainder),
+        })
+    out = {
+        "schema": report.SCHEMA,
+        "command": "expand",
+        "algorithm": e.algorithm,
+        "p": None if e.p is None else str(int(e.p)),
+        "k": None if e.k is None else str(e.k),
+        "input": (report._input_json(e.value) if isinstance(e.value, QuadElement)
+                  else {"type": "rational", "value": reference_frac_str(Fraction(e.value))}),
+        "expansion": reference_sum_text(e),
+        "terms": terms,
+        "status": e.status,
+        "certificate": None if e.certificate is None else reference_frac_str(e.certificate),
+        "trace": trace,
+    }
+    if verification is not None:
+        out["verification"] = report.verification_json(verification)
+    return out
+
+
+def reference_step_text(rec):
+    bits = [f"step {rec.index}:"]
+    if rec.initial:
+        bits.append(f"a0={reference_term_display(rec.q, initial=True)}")
+    else:
+        bits.append(f"q={rec.q}")
+        bits.append(f"term={reference_term_display(rec.q)}")
+    if rec.k is not None and not rec.initial:
+        bits.append(f"k={rec.k}")
+    if rec.division is not None:
+        d = rec.division
+        bits.append(f"r={reference_frac_str(reference_to_fraction(d.r))}")
+        bits.append(f"rbar={d.rbar}")
+        bits.append(f"jump={'yes' if d.jumped else 'no'}")
+        bits.append(d.case)
+    if rec.remainder is not None:
+        bits.append(f"r={rec.remainder}")
+    if rec.tail_ord is not None:
+        bits.append(f"ord(tail)={rec.tail_ord}")
+    return " ".join(bits)
+
+
+def reference_expansion_text(e, verification=None):
+    shown = str(e.value) if isinstance(e.value, QuadElement) else reference_frac_str(e.value)
+    lines = [f"input: {shown}"]
+    head = f"algorithm: {e.algorithm}"
+    if e.p is not None:
+        head += f"  p: {int(e.p)}"
+    if e.k is not None:
+        head += f"  k: {e.k}"
+    lines.append(head)
+    lines.append(f"expansion: {reference_sum_text(e)}")
+    lines.append(f"status: {e.status}")
+    if e.certificate is not None:
+        lines.append(f"certificate: remainder {reference_frac_str(e.certificate)} is negative")
+    if e.trace:
+        lines.append("trace:")
+        for rec in e.trace:
+            lines.append("  " + reference_step_text(rec))
+    if verification is not None:
+        lines.append("verification: " + report.verification_text(verification))
+    return "\n".join(lines)
+
+
+@st.composite
+def plocals(draw):
+    """A PLocal of either sign, including 0 and +-1, with order -40..40."""
+    p = draw(st.sampled_from(PRIMES))
+    unit = draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**30), 10**30)))
+    return PLocal(p, unit, draw(st.integers(-40, 40)))
+
+
+class TestRenderers:
+    @PROPERTY
+    @given(plocals())
+    def test_to_fraction_matches_reference(self, x):
+        got, want = x.to_fraction(), reference_to_fraction(x)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @PROPERTY
+    @given(plocals())
+    def test_plocal_str_matches_reference(self, x):
+        assert report._plocal_str(x) == reference_frac_str(reference_to_fraction(x))
+
+    @PROPERTY
+    @given(st.one_of(plocals(), st.integers(-(10**30), 10**30), st.sampled_from([0, 1, -1])),
+           st.booleans())
+    def test_term_display_matches_reference(self, q, initial):
+        try:
+            want = reference_term_display(q, initial=initial)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                report.term_display(q, initial=initial)
+            return
+        assert report.term_display(q, initial=initial) == want
+
+
+def _seeded_expansions(seed, count):
+    """Every algorithm on `count` seeded rationals v of either sign: the
+    p-adic ones on v*p^e for e in -3..3, the classical greedy on v itself.
+    |v| <= 1 with a numerator below 10^4 keeps the classical greedy from
+    making the dozens of doubling terms that larger inputs can need."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice(PRIMES[:5])
+        num, den = sorted((rng.randint(1, 10**4), rng.randint(1, 10**4)))
+        v = Fraction(num, den) * rng.choice([1, 1, -1])
+        if v > -1:
+            yield fs_greedy(*value_operands(v))
+        value = v * Fraction(p) ** rng.randint(-3, 3)
+        k = max(1, 1 - ord_p(p, value))
+        yield pk_greedy(p, k, *value_operands(value))
+        yield adaptive_pk_greedy(p, 1, value)
+        yield modified_sylvester(p, k, value)
+        yield knopfmacher_sylvester(p, value, max_terms=8)
+
+
+class TestWholeReports:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_match_reference(self, seed):
+        for e in _seeded_expansions(seed, 40):
+            v = verify_expansion(None if e.algorithm == "fs" else e.p, e.value, e)
+            assert v.ok, v.problems
+            assert json.dumps(report.expansion_json(e, v), indent=2) == \
+                json.dumps(reference_expansion_json(e, v), indent=2)
+            assert json.dumps(report.expansion_json(e)) == json.dumps(reference_expansion_json(e))
+            assert report.expansion_text(e, v) == reference_expansion_text(e, v)
+            assert report.expansion_sum_text(e) == reference_sum_text(e)
+
+    @pytest.mark.parametrize("sign, expansion, sha256", [
+        ("+", "1/9 + 7/66 + 7^3/4709 + 7^7/72282453",
+         "0214bf638aa90d181c2240d9941fac6daa6b671612e24e1e155f590b7e002bcc"),
+        ("-", "1/2 + 7/12 + 7^3/617 + 7^7/1045103",
+         "f6cb542f8b0da31d5a7db3ea8515b6c0ad95ee28f079d864560fd23053ec466f"),
+    ])
+    def test_readme_xi_json_bytes(self, capsys, sign, expansion, sha256):
+        code = main(["expand", "--alg", "sylvester", "--p", "7", "--k", "1", "--sqrt", "11",
+                     "--x", "0", "--y", "1/11", "--real-sign", sign, "--padic-residue", "2",
+                     "--max-terms", "4", "--output", "json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out)["expansion"] == expansion
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
