@@ -254,9 +254,12 @@ def _cmd_verify(ns) -> int:
     except (ValueError, KeyError, TypeError, PadicSylvesterError) as exc:
         raise UsageError(f"report: not a valid expand report ({exc})")
     v = verify_expansion(p, value, e)
-    if data.get("expansion") != report.expansion_sum_text(e):
-        v.problems.append("expansion string differs from the terms")
-        v.ok = False
+    try:
+        if data.get("expansion") != report.expansion_sum_text(e):
+            v.problems.append("expansion string differs from the terms")
+    except ZeroDivisionError as exc:
+        v.problems.append(f"expansion string cannot be rendered: {exc}")
+    v.ok = not v.problems
     _emit(ns, lambda: "verification: " + report.verification_text(v),
           lambda: {
               "schema": report.SCHEMA,

@@ -13,14 +13,14 @@ verbatim, with exact arithmetic throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 
-from .digits import frac_part, frac_part_k
+from .digits import frac_part
 from .division import CASE_1, CASE_2, DivisionStep, classical_divide, pk_divide
 from .errors import HypothesisViolated, KTooSmall, PreconditionViolated
-from .quadratic import QuadElement, quad_frac_part_k, quad_order_or_inf, real_ceil
+from .quadratic import QuadElement, quad_frac_part_k, real_ceil
 from .valuation import PLocal, POS_INF, Prime, ord_p
 
 TERMINATED = "terminated"
@@ -135,6 +135,9 @@ def _division_expansion(
     trace: list[StepRecord] = []
     status = TERMINATED
     while True:
+        if max_steps is not None and len(terms) >= max_steps:
+            status = CAP_REACHED
+            break
         tail_ord = divisor.exp - lhs.exp
         k_i = choose_k(len(terms), tail_ord)
         step = pk_divide(p, k_i, divisor, lhs)
@@ -152,9 +155,6 @@ def _division_expansion(
             )
         )
         if step.r.is_zero():
-            break
-        if max_steps is not None and len(terms) >= max_steps:
-            status = CAP_REACHED
             break
         lhs = lhs * step.q
         divisor = step.r
@@ -250,47 +250,41 @@ def modified_sylvester(
     p: Prime, k: int, zeta, max_terms: int = DEFAULT_MAX_TERMS
 ) -> Expansion:
     """Ceiling-corrected Sylvester expansion for a rational or a real-embedded
-    quadratic p-adic element.
-
-    Each step takes t = <1/z>_k and corrects it into
-    q = t + ceil((1 - t*psi(z)) / (p**k * psi(z))) * p**k, where psi is the
-    real embedding (the identity on rationals) and the ceiling is the
-    standard one (least integer >= x). Requires k > -ord_p(zeta).
+    quadratic p-adic element; requires k > -ord_p(zeta). Each step corrects
+    t = <1/z>_k into q = t + ceil((1 - t*psi(z)) / (p**k * psi(z))) * p**k,
+    with psi the real embedding and the standard ceiling (least integer >= x).
+    On a rational these are the p**k division algorithm's terms, so a rational
+    runs that algorithm for at most max_terms steps; its trace keeps each
+    step's term, k and order, without the division records.
     """
-    quad = isinstance(zeta, QuadElement)
-    if not quad:
-        zeta = Fraction(zeta)
-    if (zeta.is_zero() if quad else zeta == 0):
+    if not isinstance(zeta, QuadElement):
+        a, b = value_operands(zeta)
+        a, b = PLocal(p, a), PLocal(p, b)
+        if k <= b.exp - a.exp:
+            raise KTooSmall(f"need k > {b.exp - a.exp} for this value, got k = {k}")
+        e = _division_expansion(p, a, b, "sylvester", k, lambda i, t: k, max_steps=max_terms)
+        return replace(e, trace=tuple(
+            StepRecord(rec.index, rec.q, rec.k, tail_ord=rec.tail_ord) for rec in e.trace
+        ))
+    if zeta.is_zero():
         raise PreconditionViolated("cannot expand zero")
-    pk = Fraction(p) ** k
-    start_ord = quad_order_or_inf(zeta) if quad else ord_p(p, zeta)
+    start_ord = zeta.ord()
     if k <= -start_ord:
         raise KTooSmall(f"need k > {-start_ord} for this value, got k = {k}")
+    pk = Fraction(p) ** k
     cur = zeta
     terms: list[PLocal] = []
     trace: list[StepRecord] = []
     status = TERMINATED
-    while True:
-        done = cur.is_zero() if quad else cur == 0
-        if done:
-            break
+    while not cur.is_zero():
         if len(terms) >= max_terms:
             status = CAP_REACHED
             break
-        if quad:
-            t = quad_frac_part_k(cur.inv(), k)
-            tf = t.to_fraction()
-            w = (1 - cur * tf) / (cur * pk)
-            c = real_ceil(w)
-            tail_ord = quad_order_or_inf(cur)
-        else:
-            t = frac_part_k(p, k, 1 / cur)
-            tf = t.to_fraction()
-            c = ceil((1 - tf * cur) / (pk * cur))
-            tail_ord = ord_p(p, cur)
+        tf = quad_frac_part_k(cur.inv(), k).to_fraction()
+        c = real_ceil((1 - cur * tf) / (cur * pk))
         q = PLocal.from_fraction(p, tf + c * pk)
         terms.append(q)
-        trace.append(StepRecord(index=len(terms) - 1, q=q, k=k, tail_ord=tail_ord))
+        trace.append(StepRecord(index=len(terms) - 1, q=q, k=k, tail_ord=cur.ord()))
         cur = cur - 1 / q.to_fraction()
     return Expansion("sylvester", zeta, p, k, tuple(terms), status, tuple(trace))
 
@@ -357,20 +351,22 @@ class VerificationReport:
     problems: list[str] = field(default_factory=list)
 
 
-def _order_of(p, v):
-    if isinstance(v, QuadElement):
-        return quad_order_or_inf(v)
-    return ord_p(p, v)
-
-
 def _division_record_problems(rec: StepRecord) -> list[str]:
-    """Recompute a division record's rbar, jump flag and case from its
-    recorded a, b, r and the step's k."""
+    """Check a division record against its own step: its q is the step's
+    term, the step's lhs is its b and 0 <= rbar < unit(a); then recompute
+    its rbar, jump flag and case from its recorded a, b, r and the step's k."""
     d, k = rec.division, rec.k
     a, b, r = d.a, d.b, d.r
-    if k is None or d.k != k:
-        return [f"step {rec.index}: division record has k {d.k}, the step has k {k}"]
     problems = []
+    if d.q != rec.q:
+        problems.append(f"step {rec.index}: division q differs from the term")
+    if rec.lhs != b:
+        problems.append(f"step {rec.index}: lhs differs from division b")
+    if not 0 <= d.rbar < a.unit:
+        problems.append(f"step {rec.index}: rbar {d.rbar} is outside [0, unit(a))")
+    if k is None or d.k != k:
+        problems.append(f"step {rec.index}: division record has k {d.k}, the step has k {k}")
+        return problems
     # r = rbar * p**(ord(a) + k); comparing canonical forms needs no power of p.
     if PLocal(d.p, d.rbar, a.exp + k) != r:
         problems.append(f"step {rec.index}: rbar {d.rbar} does not match r")
@@ -382,50 +378,91 @@ def _division_record_problems(rec: StepRecord) -> list[str]:
 
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
-    """Recompute the remainders of an expansion and check its claims: terms
-    equal to the trace's q values, exact sum on termination, strictly
-    increasing remainder orders, and the per-step growth bound
-    ord(z_{i+1}) >= k_i + 2*ord(z_i). Each division record's rbar, jump
-    flag and case are recomputed from its a, b, r and k.
+    """Replay an expansion from its input and check its claims: terms equal
+    to the trace's q values, exact sum on termination, strictly increasing
+    remainder orders with the growth bound ord(z_{i+1}) >= k_i + 2*ord(z_i)
+    (orders need a prime), each recorded ord(tail), and each division record.
+    A zero reciprocal term is reported and ends the replay. A quadratic tail
+    is re-summed; a rational one is an unreduced pair num/den over Z[1/p] (Z
+    without a prime), which a term q steps to (num*q - den)/(den*q), an
+    initial term to (num - den*q)/den, and whose orders are its exponents.
 
-    For expansions without a prime (classical greedy) only the first two
-    are checked. The orders use the per-step k recorded in the trace.
+    The first division record's a/b must be the input, and its a, b then seed
+    the pair; each later a, b must be the pair and each r the next num, which
+    gives b = a*q - r and the chain. A classical remainder must be the next
+    num too.
     """
     problems: list[str] = []
     if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
         problems.append("terms differ from the trace's q values")
-    quad = isinstance(value, QuadElement)
-    cur = value if quad else Fraction(value)
-    padic = p is not None
-    orders = [_order_of(p, cur)] if padic else []
-    ks: list["int | None"] = []
-    for rec in e.trace:
-        qf = rec.q.to_fraction() if isinstance(rec.q, PLocal) else Fraction(rec.q)
-        if rec.initial:
-            cur = cur - qf
-        else:
-            cur = cur - 1 / qf
-        if padic:
-            orders.append(_order_of(p, cur))
-            ks.append(None if rec.initial else rec.k)
+    zero = next((i for i, rec in enumerate(e.trace) if not rec.initial and not rec.q), None)
+    if zero is not None:
+        problems.append(f"step {e.trace[zero].index}: term is zero")
+    trace = e.trace[:zero]
+    for rec in trace:
         if rec.division is not None:
             problems.extend(_division_record_problems(rec))
 
+    if isinstance(value, QuadElement):
+        tail = value
+        orders = [tail.ord()]
+        for rec in trace:
+            q = PLocal.from_fraction(tail.p, rec.q).to_fraction()
+            tail = tail - q if rec.initial else tail - 1 / q
+            orders.append(tail.ord())
+    else:
+        num, den = Fraction(value).as_integer_ratio()
+        if num < 0:  # a > 0, as the division drivers take their operands
+            num, den = -num, -den
+        if p is not None:
+            num, den = PLocal(p, num), PLocal(p, den)
+        orders = []
+        for i, rec in enumerate(trace):
+            if p is not None:
+                orders.append(POS_INF if num.is_zero() else num.exp - den.exp)
+            q, d = rec.q, rec.division
+            if rec.initial:
+                num -= den * q
+                continue
+            if d is not None and i == 0:
+                if d.a * den == d.b * num:
+                    num, den = d.a, d.b
+                else:
+                    problems.append(f"step {rec.index}: a/b differs from the input")
+            elif d is not None:
+                if d.a != num:
+                    problems.append(f"step {rec.index}: a is not the previous step's r")
+                if d.b != den:
+                    problems.append(f"step {rec.index}: b is not the previous step's b*q")
+            num, den = num * q - den, den * q
+            if d is not None and d.r != num:
+                problems.append(f"step {rec.index}: r is not a*q - b")
+            if rec.remainder is not None and rec.remainder != num:
+                problems.append(f"step {rec.index}: remainder {rec.remainder} is not a*q - b")
+        if p is None:
+            tail = Fraction(num, den)
+        else:
+            orders.append(POS_INF if num.is_zero() else num.exp - den.exp)
+            # A zero tail needs no gcd with the huge den.
+            tail = num.to_fraction() / den.to_fraction() if num else Fraction(0)
+    for rec, o in zip(trace, orders):
+        if rec.tail_ord != (None if o == POS_INF else o):
+            problems.append(f"step {rec.index}: tail_ord {rec.tail_ord} is not the order {o}")
+
     sum_exact = None
     if e.status == TERMINATED:
-        final_zero = cur.is_zero() if quad else cur == 0
-        sum_exact = bool(final_zero)
-        if not final_zero:
-            problems.append(f"terminated run does not sum to its input (tail {cur})")
+        sum_exact = zero is None and tail == 0
+        if zero is None and not sum_exact:
+            problems.append(f"terminated run does not sum to its input (tail {tail})")
 
     strictly_increasing = None
     growth_ok = None
-    if padic:
+    if orders:
         strictly_increasing = True
         growth_ok = True
         for i in range(len(orders) - 1):
             s, nxt = orders[i], orders[i + 1]
-            k_i = ks[i]
+            k_i = None if trace[i].initial else trace[i].k
             if k_i is None:
                 # Additive initial term: only ord >= 1 is promised.
                 if not nxt >= 1:

@@ -127,6 +127,10 @@ class QuadElement:
     def is_rational(self) -> bool:
         return self.y == 0
 
+    def ord(self):
+        """p-adic order of the image, POS_INF for zero, as PLocal.ord()."""
+        return POS_INF if self.is_zero() else quad_ord(self)
+
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -328,8 +332,3 @@ def quad_digits(u: QuadElement, count: int) -> DigitExpansion:
         n, c = divmod(n, u.p)
         digits.append(c)
     return DigitExpansion(u.p, o, tuple(digits))
-
-
-def quad_order_or_inf(u: QuadElement):
-    """quad_ord extended to zero, which maps to POS_INF."""
-    return POS_INF if u.is_zero() else quad_ord(u)

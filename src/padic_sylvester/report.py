@@ -146,9 +146,9 @@ def _plocal_json(x: "PLocal | None"):
     return {"unit": str(x.unit), "exp": str(x.exp), "value": _plocal_str(x)}
 
 
-def _plocal_from_json(p: Prime, d) -> "PLocal | None":
-    if d is None:
-        return None
+def _plocal_from_json(p: "Prime | None", d) -> PLocal:
+    if p is None:
+        raise ValueError("a Z[1/p] value in a report without a prime")
     return PLocal(p, int(d["unit"]), int(d["exp"]))
 
 
@@ -264,7 +264,7 @@ def expansion_from_json(d: dict):
         if "q" in entry:
             terms.append(int(entry["q"]))
         else:
-            terms.append(PLocal(p, int(entry["unit"]), int(entry["exp"])))
+            terms.append(_plocal_from_json(p, entry))
     trace = []
     for entry in d["trace"]:
         rec_k = None if entry["k"] is None else int(entry["k"])
@@ -278,7 +278,7 @@ def expansion_from_json(d: dict):
                 initial=bool(entry["initial"]),
                 tail_ord=None if entry["tail_ord"] is None else int(entry["tail_ord"]),
                 division=_division_from_json(p, rec_k, entry["division"]),
-                lhs=_plocal_from_json(p, entry["lhs"]),
+                lhs=None if entry["lhs"] is None else _plocal_from_json(p, entry["lhs"]),
                 remainder=None if entry["remainder"] is None else int(entry["remainder"]),
             )
         )

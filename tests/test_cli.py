@@ -202,6 +202,13 @@ class TestCompareCommand:
         assert code == 1
 
 
+PK_473_25 = ("--alg", "pk", "--p", "3", "--k", "1", "--value", "473/25")
+
+
+def _bump(entry, key, by):
+    entry[key] = str(int(entry[key]) + by)
+
+
 class TestVerifyCommand:
     def test_roundtrip_file(self, capsys, tmp_path):
         code, out, _ = run(capsys, "expand", "--alg", "pk", "--p", "3", "--k", "1",
@@ -232,27 +239,71 @@ class TestVerifyCommand:
         code, out2, _ = run(capsys, "verify", str(path))
         assert code == 1
 
-    @pytest.mark.parametrize("tamper, problem", [
-        (lambda d: d["terms"][0].update(unit=str(int(d["terms"][0]["unit"]) + 1)),
+    @pytest.mark.parametrize("argv, tamper, problem", [
+        (PK_473_25, lambda d: d["terms"][0].update(unit=str(int(d["terms"][0]["unit"]) + 1)),
          "terms differ from the trace's q values"),
-        (lambda d: d.update(expansion="1/2 + 3/5"), "expansion string differs from the terms"),
-        (lambda d: d["trace"][0]["division"].update(jumped=True),
+        (PK_473_25, lambda d: d.update(expansion="1/2 + 3/5"),
+         "expansion string differs from the terms"),
+        (PK_473_25, lambda d: d["trace"][0]["division"].update(jumped=True),
          "step 0: jump flag does not match r"),
-        (lambda d: d["trace"][0]["division"].update(case="case2"),
+        (PK_473_25, lambda d: d["trace"][0]["division"].update(case="case2"),
          "step 0: case does not match a, b and k"),
-        (lambda d: d["trace"][0]["division"].update(rbar="308"),
+        (PK_473_25, lambda d: d["trace"][0]["division"].update(rbar="308"),
          "step 0: rbar 308 does not match r"),
-    ], ids=["term", "expansion", "jumped", "case", "rbar"])
-    def test_tampered_claim_fails(self, capsys, tmp_path, tamper, problem):
-        code, out, _ = run(capsys, "expand", "--alg", "pk", "--p", "3", "--k", "1",
-                           "--value", "473/25", "--output", "json")
+        (PK_473_25,
+         lambda d: (d["terms"][1].update(unit="0"), d["trace"][1]["q"].update(unit="0")),
+         "step 1: term is zero"),
+        (PK_473_25, lambda d: _bump(d["trace"][1]["lhs"], "unit", 3),
+         "step 1: lhs differs from division b"),
+        (PK_473_25, lambda d: _bump(d["trace"][1]["division"]["a"], "unit", 3),
+         "step 1: a is not the previous step's r"),
+        (PK_473_25, lambda d: _bump(d["trace"][1]["division"]["q"], "unit", 3),
+         "step 1: division q differs from the term"),
+        (PK_473_25, lambda d: _bump(d["trace"][1], "tail_ord", 1),
+         "step 1: tail_ord 2 is not the order 1"),
+        (PK_473_25, lambda d: _bump(d["trace"][0]["division"]["a"], "unit", 3),
+         "step 0: a/b differs from the input"),
+        (PK_473_25, lambda d: (_bump(d["trace"][2]["division"]["b"], "unit", 3),
+                               _bump(d["trace"][2]["lhs"], "unit", 3)),
+         "step 2: b is not the previous step's b*q"),
+        # rbar = 307 + unit(a) with r = rbar*3 still matches r, but not the bound.
+        (PK_473_25, lambda d: d["trace"][0]["division"].update(
+            rbar="780", r={"unit": "260", "exp": "2", "value": "2340"}),
+         "step 0: rbar 780 is outside [0, unit(a))"),
+        (PK_473_25, lambda d: d["trace"][0]["division"].update(
+            rbar="780", r={"unit": "260", "exp": "2", "value": "2340"}),
+         "step 0: r is not a*q - b"),
+        (("--alg", "fs", "--value", "5/11"), lambda d: _bump(d["trace"][0], "remainder", 1),
+         "step 0: remainder 5 is not a*q - b"),
+    ], ids=["term", "expansion", "jumped", "case", "rbar", "zero-term", "lhs", "a", "q",
+            "tail-ord", "first-a", "b", "rbar-bound", "r", "fs-remainder"])
+    def test_tampered_claim_fails(self, capsys, tmp_path, argv, tamper, problem):
+        code, out, _ = run(capsys, "expand", *argv, "--output", "json")
         data = json.loads(out)
         tamper(data)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        code, out2, _ = run(capsys, "verify", str(path))
+        code, out2, err = run(capsys, "verify", str(path))
         assert code == 1
         assert problem in out2
+        assert err == ""
+
+    @pytest.mark.parametrize("argv, tamper", [
+        (PK_473_25, lambda d: d["trace"][1]["division"].update(a=None)),
+        (PK_473_25, lambda d: d["trace"][1].update(q=None)),
+        # A Z[1/p] value in a report without a prime.
+        (("--alg", "fs", "--value", "5/11"),
+         lambda d: d["trace"][0].update(initial=True, q={"unit": "0", "exp": "0"})),
+    ], ids=["null-a", "null-q", "plocal-without-prime"])
+    def test_malformed_report_exits_1(self, capsys, tmp_path, argv, tamper):
+        code, out, _ = run(capsys, "expand", *argv, "--output", "json")
+        data = json.loads(out)
+        tamper(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "not a valid expand report" in err
 
     def test_garbage_report(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

@@ -251,6 +251,11 @@ class TestModifiedSylvester:
         with pytest.raises(PreconditionViolated):
             modified_sylvester(P3, 1, Fraction(0))
 
+    def test_max_terms_zero(self):
+        e = modified_sylvester(P3, 1, Fraction(473, 25), max_terms=0)
+        assert e.terms == () and e.trace == ()
+        assert e.status == CAP_REACHED
+
 
 class TestAdaptive:
     def test_5_121_k1(self):
@@ -344,6 +349,16 @@ class TestVerifyExpansion:
         v = verify_expansion(p, Fraction(a, b), e)
         assert not [prob for prob in v.problems if prob.startswith("step ")]
 
+    @pytest.mark.parametrize("k, a, b", [(2, PLocal(P3, 1, -1), PLocal(P3, 5)),
+                                         (4, PLocal(P3, 50, -3), PLocal(P3, 7))])
+    def test_unreduced_operands(self, k, a, b):
+        # a/b as a pair other than the input in lowest terms; the second run
+        # has nonzero remainders, which such a pair scales.
+        e = pk_greedy(P3, k, a, b)
+        assert (e.trace[0].division.a, e.trace[0].division.b) == (a, b)
+        v = verify_expansion(P3, a.to_fraction() / b.to_fraction(), e)
+        assert v.ok, v.problems
+
     def test_fs_checks_sum_only(self):
         e = fs_greedy(5, 11)
         v = verify_expansion(None, Fraction(5, 11), e)
@@ -363,6 +378,13 @@ class TestVerifyExpansion:
 
         e = Expansion("pk", Fraction(0), P3, 1, (), TERMINATED)
         v = verify_expansion(P3, Fraction(0), e)
+        assert v.ok and v.sum_exact
+
+    def test_knopfmacher_zero_initial_term(self):
+        # <3> = 0 for p = 3, so a_0 = 0; only a zero reciprocal term is an error.
+        e = knopfmacher_sylvester(P3, Fraction(3))
+        assert e.terms[0].is_zero() and len(e.terms) == 2
+        v = verify_expansion(P3, Fraction(3), e)
         assert v.ok and v.sum_exact
 
     def test_knopfmacher_certified_prefix(self):

@@ -1,27 +1,39 @@
-"""Property tests pinning the valuation and digit-window kernel, and the
-report renderers, to independent oracles: exact powers for _strip, the
-per-digit Fraction loop that digits_of and frac_part_k used to run, the
-doubling-precision digit search that quad_ord used to run, and the
-Fraction-based report renderers, all kept here as references.
+"""Property tests pinning the valuation and digit-window kernel, the
+report renderers, the Sylvester driver and the verifier to independent
+oracles: exact powers for _strip, the per-digit Fraction loop that digits_of
+and frac_part_k used to run, the doubling-precision digit search that
+quad_ord used to run, the Fraction-based report renderers, the ceiling step
+that modified_sylvester ran on rationals, and the Fraction re-sum that
+verify_expansion ran, all kept here as references.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from padic_sylvester import (
+    CAP_REACHED,
+    POS_INF,
+    TERMINATED,
     DigitExpansion,
     DivByZero,
     EvenPrime,
+    Expansion,
+    KTooSmall,
     NotAResidue,
     PLocal,
     PrecisionExhausted,
+    PreconditionViolated,
     Prime,
     QuadElement,
+    StepRecord,
+    VerificationReport,
     adaptive_pk_greedy,
     digits_of,
     frac_part_k,
@@ -41,6 +53,8 @@ from padic_sylvester import (
 from padic_sylvester import report
 from padic_sylvester.cli import main
 from padic_sylvester.digits import _residue
+from padic_sylvester.division import CASE_1, CASE_2
+from padic_sylvester.expansion import DEFAULT_MAX_TERMS
 from padic_sylvester.quadratic import PRECISION_CAP
 from padic_sylvester.valuation import _strip
 
@@ -484,3 +498,194 @@ class TestWholeReports:
         assert code == 0
         assert json.loads(out)["expansion"] == expansion
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# --- Sylvester driver and verifier ----------------------------------------
+# The rational branch of modified_sylvester (the ceiling step on Fractions)
+# and verify_expansion (the Fraction re-sum) as they were before rationals
+# ran the p**k division driver and the verifier replayed the division
+# chain, kept verbatim apart from names, the quadratic branches of the
+# driver, and quad_order_or_inf, which is inlined.
+
+
+def reference_rational_sylvester(p, k, zeta, max_terms=DEFAULT_MAX_TERMS):
+    zeta = Fraction(zeta)
+    if zeta == 0:
+        raise PreconditionViolated("cannot expand zero")
+    pk = Fraction(p) ** k
+    start_ord = ord_p(p, zeta)
+    if k <= -start_ord:
+        raise KTooSmall(f"need k > {-start_ord} for this value, got k = {k}")
+    cur = zeta
+    terms = []
+    trace = []
+    status = TERMINATED
+    while True:
+        if cur == 0:
+            break
+        if len(terms) >= max_terms:
+            status = CAP_REACHED
+            break
+        t = frac_part_k(p, k, 1 / cur)
+        tf = t.to_fraction()
+        c = ceil((1 - tf * cur) / (pk * cur))
+        tail_ord = ord_p(p, cur)
+        q = PLocal.from_fraction(p, tf + c * pk)
+        terms.append(q)
+        trace.append(StepRecord(index=len(terms) - 1, q=q, k=k, tail_ord=tail_ord))
+        cur = cur - 1 / q.to_fraction()
+    return Expansion("sylvester", zeta, p, k, tuple(terms), status, tuple(trace))
+
+
+def reference_order_of(p, v):
+    if isinstance(v, QuadElement):
+        return POS_INF if v.is_zero() else quad_ord(v)
+    return ord_p(p, v)
+
+
+def reference_division_record_problems(rec):
+    d, k = rec.division, rec.k
+    a, b, r = d.a, d.b, d.r
+    if k is None or d.k != k:
+        return [f"step {rec.index}: division record has k {d.k}, the step has k {k}"]
+    problems = []
+    if PLocal(d.p, d.rbar, a.exp + k) != r:
+        problems.append(f"step {rec.index}: rbar {d.rbar} does not match r")
+    if d.jumped != (not r.is_zero() and r.exp > a.exp + k):
+        problems.append(f"step {rec.index}: jump flag does not match r")
+    if d.case != (CASE_1 if not b.is_zero() and k > b.exp - a.exp else CASE_2):
+        problems.append(f"step {rec.index}: case does not match a, b and k")
+    return problems
+
+
+def reference_verify_expansion(p, value, e):
+    problems = []
+    if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
+        problems.append("terms differ from the trace's q values")
+    quad = isinstance(value, QuadElement)
+    cur = value if quad else Fraction(value)
+    padic = p is not None
+    orders = [reference_order_of(p, cur)] if padic else []
+    ks = []
+    for rec in e.trace:
+        qf = rec.q.to_fraction() if isinstance(rec.q, PLocal) else Fraction(rec.q)
+        if rec.initial:
+            cur = cur - qf
+        else:
+            cur = cur - 1 / qf
+        if padic:
+            orders.append(reference_order_of(p, cur))
+            ks.append(None if rec.initial else rec.k)
+        if rec.division is not None:
+            problems.extend(reference_division_record_problems(rec))
+
+    sum_exact = None
+    if e.status == TERMINATED:
+        final_zero = cur.is_zero() if quad else cur == 0
+        sum_exact = bool(final_zero)
+        if not final_zero:
+            problems.append(f"terminated run does not sum to its input (tail {cur})")
+
+    strictly_increasing = None
+    growth_ok = None
+    if padic:
+        strictly_increasing = True
+        growth_ok = True
+        for i in range(len(orders) - 1):
+            s, nxt = orders[i], orders[i + 1]
+            k_i = ks[i]
+            if k_i is None:
+                if not nxt >= 1:
+                    growth_ok = False
+                    problems.append(f"initial step left order {nxt} < 1")
+                continue
+            if not nxt > s:
+                strictly_increasing = False
+                problems.append(f"order not increasing at step {i}: {s} -> {nxt}")
+            if s != POS_INF and not nxt >= k_i + 2 * s:
+                growth_ok = False
+                problems.append(
+                    f"growth bound failed at step {i}: ord {nxt} < {k_i} + 2*{s}"
+                )
+
+    return VerificationReport(
+        ok=not problems,
+        sum_exact=sum_exact,
+        tail_orders=orders,
+        strictly_increasing=strictly_increasing,
+        growth_ok=growth_ok,
+        problems=problems,
+    )
+
+
+SYLVESTER_PRIMES = PRIMES[:5]
+
+
+@st.composite
+def sylvester_inputs(draw):
+    """p, a rational of either sign times p**(-3..3), and a k from one below
+    the least valid value to three above it."""
+    p = draw(st.sampled_from(SYLVESTER_PRIMES))
+    v = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
+    v *= draw(st.sampled_from([1, -1])) * Fraction(p) ** draw(st.integers(-3, 3))
+    k = 1 - ord_p(p, v) + draw(st.integers(-1, 3))
+    return p, k, v
+
+
+def _same_verification(p, value, e):
+    got, want = verify_expansion(p, value, e), reference_verify_expansion(p, value, e)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+
+
+def _check_verifiers_agree(p, value, e):
+    """The verifiers agree on a run and on the run cut one term short and
+    marked terminated, whose tail is left nonzero."""
+    _same_verification(p, value, e)
+    if e.terms:
+        cut = dataclasses.replace(e, terms=e.terms[:-1], trace=e.trace[:-1], status=TERMINATED)
+        assert not verify_expansion(p, value, cut).sum_exact
+        _same_verification(p, value, cut)
+
+
+class TestSylvesterDriver:
+    @PROPERTY
+    @given(sylvester_inputs(), st.sampled_from([0, 1, 2, 3, 64]))
+    def test_rational_matches_ceiling_reference(self, case, max_terms):
+        p, k, v = case
+        try:
+            want = reference_rational_sylvester(p, k, v, max_terms=max_terms)
+        except KTooSmall:
+            with pytest.raises(KTooSmall):
+                modified_sylvester(p, k, v, max_terms=max_terms)
+            return
+        got = modified_sylvester(p, k, v, max_terms=max_terms)
+        assert got == want
+        assert type(got.value) is Fraction
+
+
+class TestVerifier:
+    @PROPERTY
+    @given(sylvester_inputs(), st.integers(1, 6))
+    def test_rational_runs_match_reference(self, case, max_terms):
+        # A Knopfmacher run that is neither finished nor certified squares its
+        # term size at each step, so the caps stay small.
+        p, k, v = case
+        k = max(k, 1 - ord_p(p, v))
+        a, b = value_operands(v)
+        runs = [
+            (p, pk_greedy(p, k, a, b)),
+            (p, adaptive_pk_greedy(p, k - 1, v)),
+            (p, modified_sylvester(p, k, v, max_terms=max_terms)),
+            (p, knopfmacher_sylvester(p, v, max_terms=max_terms)),
+        ]
+        if -1 < v <= 1:  # the classical greedy takes about v steps on a large v
+            runs.append((None, fs_greedy(a, b)))
+        for prime, e in runs:
+            _check_verifiers_agree(prime, v, e)
+
+    @PROPERTY
+    @given(quad_elements(), st.integers(0, 2), st.integers(1, 4))
+    def test_quadratic_runs_match_reference(self, case, offset, max_terms):
+        u, _ = case
+        e = modified_sylvester(u.p, 1 - quad_ord(u) + offset, u, max_terms=max_terms)
+        _check_verifiers_agree(u.p, u, e)
