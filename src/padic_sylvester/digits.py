@@ -41,6 +41,14 @@ class DigitExpansion:
         return f"[{body}] from p^{self.start}"
 
 
+def _split(p: Prime, r: Fraction) -> tuple[int, int, int]:
+    """(start, num, den) with r = (num/den) * p**start, p dividing neither
+    num nor den; r must be nonzero."""
+    v_num, num = _strip(p, r.numerator)
+    v_den, den = _strip(p, r.denominator)
+    return v_num - v_den, num, den
+
+
 def digits_of(p: Prime, r, count: int) -> DigitExpansion:
     """First `count` base-p digits of a rational, starting at n = ord_p(r).
 
@@ -52,8 +60,9 @@ def digits_of(p: Prime, r, count: int) -> DigitExpansion:
     r = Fraction(r)
     if r == 0:
         return DigitExpansion(p, 0, ())
-    start = ord_p(p, r)
-    n = frac_part_k(p, start + count, r).unit
+    start, num, den = _split(p, r)
+    modulus = p**count
+    n = num * pow(den, -1, modulus) % modulus
     digits = []
     for _ in range(count):
         n, c = divmod(n, p)
@@ -72,9 +81,7 @@ def frac_part_k(p: Prime, k: int, r) -> PLocal:
     r = Fraction(r)
     if r == 0:
         return PLocal.zero(p)
-    v_num, num = _strip(p, r.numerator)
-    v_den, den = _strip(p, r.denominator)
-    start = v_num - v_den
+    start, num, den = _split(p, r)
     if start >= k:
         return PLocal.zero(p)
     modulus = p ** (k - start)
@@ -150,14 +157,41 @@ def hensel_sqrt(p: Prime, d, r0: int, m: int) -> int:
 
     Returns the unique s in [0, p**m) with s**2 = d (mod p**m) and
     s = r0 (mod p). Requires odd p, ord_p(d) = 0 and r0**2 = d (mod p).
+    The lift runs on 1/s, whose Newton step takes no inverse, and ends with
+    s = d * (1/s).
     """
     s = _simple_root(p, d, r0)
     if m <= 0:
         raise ValueError("precision m must be positive")
+    modulus = p**m
+    dm = _residue(d, modulus)
+    return dm * _lift_inv_sqrt(p, dm, pow(s, -1, p), 1, m) % modulus
+
+
+def _lift_inv_sqrt(p: Prime, d: int, r: int, prec: int, m: int) -> int:
+    """Lift r, with d*r*r = 1 (mod p**prec), to modulus p**m by the Newton
+    step r <- r*(3 - d*r*r)/2. Each step doubles the precision, up to m, and
+    takes two products: unlike a step on the root itself, no inverse."""
+    while prec < m:
+        prec = min(2 * prec, m)
+        modulus = p**prec
+        h = r * ((1 - d * r * r) % modulus) % modulus
+        # Halve h modulo the odd modulus.
+        r = (r + (h if h % 2 == 0 else h + modulus) // 2) % modulus
+    return r
+
+
+def _inv_mod(p: Prime, a: int, m: int) -> int:
+    """a**-1 modulo p**m for a prime to p, by the Newton step x <- x*(2 - a*x).
+
+    Each step doubles the precision with two products, which beats the
+    extended Euclid of pow(a, -1, p**m) on windows of thousands of digits.
+    """
+    a %= p**m
+    x = pow(a, -1, p)
     prec = 1
     while prec < m:
         prec = min(2 * prec, m)
         modulus = p**prec
-        dm = _residue(d, modulus)
-        s = (s - (s * s - dm) * pow(2 * s, -1, modulus)) % modulus
-    return s
+        x = x * (2 - a * x) % modulus
+    return x

@@ -17,10 +17,17 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
-from .digits import frac_part
+from .digits import _inv_mod, _lift_inv_sqrt, _simple_root, frac_part
 from .division import CASE_1, CASE_2, DivisionStep, classical_divide, pk_divide
 from .errors import HypothesisViolated, KTooSmall, PreconditionViolated
-from .quadratic import QuadElement, quad_frac_part_k, real_ceil
+from .quadratic import (
+    QuadElement,
+    _check_width,
+    _surd_floor,
+    _surd_image,
+    _surd_ord,
+    _surd_triple,
+)
 from .valuation import PLocal, POS_INF, Prime, ord_p
 
 TERMINATED = "terminated"
@@ -255,7 +262,9 @@ def modified_sylvester(
     with psi the real embedding and the standard ceiling (least integer >= x).
     On a rational these are the p**k division algorithm's terms, so a rational
     runs that algorithm for at most max_terms steps; its trace keeps each
-    step's term, k and order, without the division records.
+    step's term, k and order, without the division records. A quadratic
+    element runs the same chain num/den with an irrational part y*sqrt(D)/den
+    riding along (_surd_sylvester), in integer arithmetic throughout.
     """
     if not isinstance(zeta, QuadElement):
         a, b = value_operands(zeta)
@@ -271,21 +280,65 @@ def modified_sylvester(
     start_ord = zeta.ord()
     if k <= -start_ord:
         raise KTooSmall(f"need k > {-start_ord} for this value, got k = {k}")
-    pk = Fraction(p) ** k
-    cur = zeta
+    return _surd_sylvester(zeta, k, max_terms)
+
+
+def _surd_sylvester(zeta: QuadElement, k: int, max_terms: int) -> Expansion:
+    """modified_sylvester on a quadratic element, whose tail it carries as
+    z = (n + y*sqrt(D)) / m with n, y and m in Z[1/p]. A term q steps the
+    tail to (n*q - m + y*q*sqrt(D)) / (m*q): the rational chain num/den of
+    the division drivers, with y riding along.
+
+    Per step, the norm n**2 - D*y**2 gives ord(z); t = <1/z>_k takes one
+    inverse modulo p**w, w = k - ord(1/z), with sqrt(D) lifted from the
+    previous step's root (as 1/sqrt(D), whose Newton step needs no inverse);
+    and the ceiling is one floor of a real surd.
+    """
+    p, D, residue, sign = zeta.p, zeta.D, zeta.residue, zeta.real_sign
+    n, y, m = _surd_triple(zeta)
+    root, inv_root, prec = 0, 0, 0  # sqrt(D) and 1/sqrt(D) mod p**prec
     terms: list[PLocal] = []
     trace: list[StepRecord] = []
     status = TERMINATED
-    while not cur.is_zero():
+    while n or y:
         if len(terms) >= max_terms:
             status = CAP_REACHED
             break
-        tf = quad_frac_part_k(cur.inv(), k).to_fraction()
-        c = real_ceil((1 - cur * tf) / (cur * pk))
-        q = PLocal.from_fraction(p, tf + c * pk)
+        o, norm = _surd_ord(n, y, D, residue)
+        mu = min(n.ord(), y.ord())
+        te = m.exp - o  # ord(1/z), the exponent of t
+        w = k - te
+        modulus = p**w
+        if y:
+            # The cap applies to the window of 1/z's coefficients, as
+            # quad_frac_part_k(z.inv(), k) opens it.
+            _check_width(k - (m.exp + mu - norm.exp))
+            if not prec:
+                inv_root, prec = pow(_simple_root(p, D, residue), -1, p), 1
+            inv_root = _lift_inv_sqrt(p, D, inv_root, prec, w)
+            prec = max(prec, w)
+            root = D * inv_root % modulus
+        if o == mu:
+            # 1/z = m / (n + y*sqrt(D)), and p**mu divides n + y*sqrt(D) exactly.
+            t = m.unit * _inv_mod(p, _surd_image(n, y, root, mu, modulus), w)
+        else:
+            # 1/z = m * (n - y*sqrt(D)) / norm; the conjugate has order mu.
+            t = m.unit * _surd_image(n, -y, root, mu, modulus) * _inv_mod(p, norm.unit, w)
+        t %= modulus
+        # The ceiling of psi((1/z - t) / p**k), with 1/z as above and t*p**te
+        # the window's value, is that of (mn - t*norm - sign*my*sqrt(D)) / (norm*p**k).
+        mn_e, tn_e, my_e, g_e = m.exp + n.exp, te + norm.exp, m.exp + y.exp, norm.exp + k
+        e = min(mn_e, tn_e, my_e, g_e)
+        x = m.unit * n.unit * p ** (mn_e - e) - t * norm.unit * p ** (tn_e - e)
+        wy = -sign * m.unit * y.unit * p ** (my_e - e)
+        g = norm.unit * p ** (g_e - e)
+        if g < 0:
+            x, wy, g = -x, -wy, -g
+        c = -_surd_floor(-x, -wy, g, D)
+        q = PLocal(p, t + c * modulus, te)
         terms.append(q)
-        trace.append(StepRecord(index=len(terms) - 1, q=q, k=k, tail_ord=cur.ord()))
-        cur = cur - 1 / q.to_fraction()
+        trace.append(StepRecord(index=len(terms) - 1, q=q, k=k, tail_ord=-te))
+        n, y, m = n * q - m, y * q, m * q
     return Expansion("sylvester", zeta, p, k, tuple(terms), status, tuple(trace))
 
 
@@ -377,15 +430,39 @@ def _division_record_problems(rec: StepRecord) -> list[str]:
     return problems
 
 
+def _replay_ord(num, y, den, value):
+    """Order of a replayed tail (num + y*sqrt(D)) / den over Z[1/p]; y is
+    None on a rational."""
+    if y:
+        return _surd_ord(num, y, value.D, value.residue)[0] - den.exp
+    return POS_INF if num.is_zero() else num.exp - den.exp
+
+
+def _replay_tail(num, y, den, value) -> "Fraction | QuadElement":
+    """A replayed tail as a value, for problem texts and the certificate."""
+    def frac(a):
+        return a.to_fraction() if isinstance(a, PLocal) else Fraction(a)
+
+    x = frac(num) / frac(den) if num else Fraction(0)
+    if y is None:
+        return x
+    return QuadElement(x, frac(y) / frac(den), value.D, value.real_sign, value.p, value.residue)
+
+
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
     """Replay an expansion from its input and check its claims: terms equal
-    to the trace's q values, exact sum on termination, strictly increasing
-    remainder orders with the growth bound ord(z_{i+1}) >= k_i + 2*ord(z_i)
-    (orders need a prime), each recorded ord(tail), and each division record.
-    A zero reciprocal term is reported and ends the replay. A quadratic tail
-    is re-summed; a rational one is an unreduced pair num/den over Z[1/p] (Z
-    without a prime), which a term q steps to (num*q - den)/(den*q), an
-    initial term to (num - den*q)/den, and whose orders are its exponents.
+    to the trace's q values, trace indices equal to their positions, exact
+    sum on termination, strictly increasing remainder orders with the growth
+    bound ord(z_{i+1}) >= k_i + 2*ord(z_i) (orders need a prime), each
+    recorded ord(tail) and step k, each division record, and a certificate
+    only on a certified run, equal to the final tail and negative. A zero
+    reciprocal term is reported and ends the replay.
+
+    The tail is an unreduced pair num/den over Z[1/p] (Z without a prime),
+    which a term q steps to (num*q - den)/(den*q), an initial term to
+    (num - den*q)/den, and whose orders are its exponents. A quadratic tail
+    (num + y*sqrt(D))/den steps the same pair, with y stepped to y*q, and
+    reads its orders off the norm num**2 - D*y**2.
 
     The first division record's a/b must be the input, and its a, b then seed
     the pair; each later a, b must be the pair and each r the next num, which
@@ -395,6 +472,9 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     problems: list[str] = []
     if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
         problems.append("terms differ from the trace's q values")
+    for i, rec in enumerate(e.trace):
+        if rec.index != i:
+            problems.append(f"trace entry {i} has index {rec.index}")
     zero = next((i for i, rec in enumerate(e.trace) if not rec.initial and not rec.q), None)
     if zero is not None:
         problems.append(f"step {e.trace[zero].index}: term is zero")
@@ -403,57 +483,68 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         if rec.division is not None:
             problems.extend(_division_record_problems(rec))
 
+    y = None
     if isinstance(value, QuadElement):
-        tail = value
-        orders = [tail.ord()]
-        for rec in trace:
-            q = PLocal.from_fraction(tail.p, rec.q).to_fraction()
-            tail = tail - q if rec.initial else tail - 1 / q
-            orders.append(tail.ord())
+        p = value.p
+        num, y, den = _surd_triple(value)
     else:
         num, den = Fraction(value).as_integer_ratio()
         if num < 0:  # a > 0, as the division drivers take their operands
             num, den = -num, -den
         if p is not None:
             num, den = PLocal(p, num), PLocal(p, den)
-        orders = []
-        for i, rec in enumerate(trace):
-            if p is not None:
-                orders.append(POS_INF if num.is_zero() else num.exp - den.exp)
-            q, d = rec.q, rec.division
-            if rec.initial:
-                num -= den * q
-                continue
-            if d is not None and i == 0:
-                if d.a * den == d.b * num:
-                    num, den = d.a, d.b
-                else:
-                    problems.append(f"step {rec.index}: a/b differs from the input")
-            elif d is not None:
-                if d.a != num:
-                    problems.append(f"step {rec.index}: a is not the previous step's r")
-                if d.b != den:
-                    problems.append(f"step {rec.index}: b is not the previous step's b*q")
-            num, den = num * q - den, den * q
-            if d is not None and d.r != num:
-                problems.append(f"step {rec.index}: r is not a*q - b")
-            if rec.remainder is not None and rec.remainder != num:
-                problems.append(f"step {rec.index}: remainder {rec.remainder} is not a*q - b")
-        if p is None:
-            tail = Fraction(num, den)
-        else:
-            orders.append(POS_INF if num.is_zero() else num.exp - den.exp)
-            # A zero tail needs no gcd with the huge den.
-            tail = num.to_fraction() / den.to_fraction() if num else Fraction(0)
+    orders = []
+    for i, rec in enumerate(trace):
+        if p is not None:
+            orders.append(_replay_ord(num, y, den, value))
+        q, d = rec.q, rec.division
+        if rec.initial:
+            num -= den * q
+            continue
+        if d is not None and i == 0:
+            if d.a * den == d.b * num:
+                num, den = d.a, d.b
+            else:
+                problems.append(f"step {rec.index}: a/b differs from the input")
+        elif d is not None:
+            if d.a != num:
+                problems.append(f"step {rec.index}: a is not the previous step's r")
+            if d.b != den:
+                problems.append(f"step {rec.index}: b is not the previous step's b*q")
+        num, den = num * q - den, den * q
+        if y is not None:
+            y = y * q
+        if d is not None and d.r != num:
+            problems.append(f"step {rec.index}: r is not a*q - b")
+        if rec.remainder is not None and rec.remainder != num:
+            problems.append(f"step {rec.index}: remainder {rec.remainder} is not a*q - b")
+    if p is not None:
+        orders.append(_replay_ord(num, y, den, value))
     for rec, o in zip(trace, orders):
         if rec.tail_ord != (None if o == POS_INF else o):
             problems.append(f"step {rec.index}: tail_ord {rec.tail_ord} is not the order {o}")
+        if rec.initial or e.algorithm not in ("pk", "sylvester", "adaptive"):
+            continue
+        want = e.k
+        if e.algorithm == "adaptive" and e.k is not None and o != POS_INF and e.k <= -o:
+            want = 1 - o
+        if rec.k != want:
+            problems.append(f"step {rec.index}: k {rec.k} is not the {e.algorithm} k {want}")
 
     sum_exact = None
     if e.status == TERMINATED:
-        sum_exact = zero is None and tail == 0
+        sum_exact = zero is None and not num and not y
         if zero is None and not sum_exact:
+            tail = _replay_tail(num, y, den, value)
             problems.append(f"terminated run does not sum to its input (tail {tail})")
+    c = e.certificate
+    if c is not None:
+        if e.status != CERTIFIED_NONTERMINATING:
+            problems.append(f"certificate {c} on a run with status {e.status}")
+        if zero is None and c != _replay_tail(num, y, den, value):
+            problems.append(f"certificate {c} is not the final tail")
+        if not c < 0:
+            problems.append(f"certificate {c} is not negative")
 
     strictly_increasing = None
     growth_ok = None

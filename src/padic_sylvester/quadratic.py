@@ -2,16 +2,22 @@
 
 A QuadElement is x + y*sqrt(D) together with two embedding choices fixed at
 construction: which real square root of D the real embedding uses, and which
-residue mod p the p-adic square root reduces to. All comparisons against
-rationals are decided by integer arithmetic (isqrt and sign bookkeeping);
-p-adic orders are read off the rational coefficients and the norm, and
-p-adic digits come from a root of D Hensel-lifted to the digit window.
+residue mod p the p-adic square root reduces to.
+
+The public functions here are thin wrappers over three integer kernels on
+(n + y*sqrt(D)) / m with n, y and m in Z[1/p] (`_surd_triple`): its p-adic
+order, read off the orders of n and y and of the norm n**2 - D*y**2
+(`_surd_ord`); its image modulo a power of p, given a root of D lifted that
+far (`_surd_image`); and the floor of a real surd (x + w*sqrt(D)) / g, with
+one integer square root (`_surd_floor`). The quadratic Sylvester driver in
+expansion.py steps such a triple and calls the same kernels, so no Fraction
+or QuadElement arithmetic runs in its loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import gcd, isqrt
 
 from .digits import DigitExpansion, _simple_root, frac_part_k, hensel_sqrt
 from .errors import DivByZero, EmbeddingMismatch, EvenPrime, PrecisionExhausted
@@ -124,9 +130,6 @@ class QuadElement:
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def is_rational(self) -> bool:
-        return self.y == 0
-
     def ord(self):
         """p-adic order of the image, POS_INF for zero, as PLocal.ord()."""
         return POS_INF if self.is_zero() else quad_ord(self)
@@ -232,72 +235,111 @@ def real_compare(u: QuadElement, q) -> int:
     return 1 if rhs > lhs else -1
 
 
+def _surd_floor(x: int, w: int, g: int, D: int) -> int:
+    """floor((x + w*sqrt(D)) / g) for integers x, w and g > 0, D not a square."""
+    t = w * w * D
+    # w*sqrt(D) is irrational, so floor(sqrt(t)) never needs the exact case.
+    f = isqrt(t) if w >= 0 else -isqrt(t) - 1
+    return (x + f) // g
+
+
 def real_floor(u: QuadElement) -> int:
     """Exact floor of psi(u), via integer square roots."""
     w = u.y * u.real_sign
-    if w == 0:
-        return floor(u.x)
-    a = u.x.numerator * w.denominator
-    b = w.numerator * u.x.denominator
-    c = u.x.denominator * w.denominator
-    t = b * b * u.D
-    # b*sqrt(D) is irrational, so floor(sqrt(t)) never needs the exact case.
-    f = isqrt(t) if b > 0 else -isqrt(t) - 1
-    return (a + f) // c
+    return _surd_floor(
+        u.x.numerator * w.denominator,
+        w.numerator * u.x.denominator,
+        u.x.denominator * w.denominator,
+        u.D,
+    )
 
 
 def real_ceil(u: QuadElement) -> int:
     """Least integer n with n >= psi(u) (the standard ceiling)."""
-    w = u.y * u.real_sign
-    if w == 0:
-        return ceil(u.x)
-    return real_floor(u) + 1
+    return -real_floor(-u)
 
 
-def _image_mod(u: QuadElement, mu: int, width: int) -> int:
-    """p-adic image of u * p**(-mu) modulo p**width.
+def _surd_triple(u: QuadElement) -> tuple[PLocal, PLocal, PLocal]:
+    """(n, y, m) with u = (n + y*sqrt(D)) / m: the numerators of u's
+    coefficients over their least common denominator m, in Z[1/p]."""
+    x, y = u.x, u.y
+    m = x.denominator // gcd(x.denominator, y.denominator) * y.denominator
+    return (
+        PLocal(u.p, x.numerator * (m // x.denominator)),
+        PLocal(u.p, y.numerator * (m // y.denominator)),
+        PLocal(u.p, m),
+    )
 
-    mu must keep both scaled coefficients p-integral; sqrt(D) is lifted to
-    the same width. Widths beyond PRECISION_CAP raise PrecisionExhausted.
+
+def _surd_ord(n: PLocal, y: PLocal, D: int, residue: int) -> tuple[int, PLocal]:
+    """(o, norm): the p-adic order o of n + y*sqrt(D), for n and y in Z[1/p]
+    not both zero and sqrt(D) = residue (mod p), and the norm
+    n**2 - D*y**2 it is read off.
+
+    The ultrametric settles every case except equal orders e. There p is
+    odd, so n + y*sqrt(D) and its conjugate add up to 2n, of order exactly e:
+    at most one of the two has order above e, and their orders add up to the
+    norm's. The digit at p**e decides which.
     """
+    norm = n * n - D * (y * y)
+    e = n.ord()
+    if e != y.ord():
+        return min(e, y.ord()), norm
+    if (n.unit + y.unit * residue) % n.p:
+        return e, norm
+    return norm.exp - e, norm
+
+
+def _surd_image(n: PLocal, y: PLocal, root: int, shift: int, modulus: int) -> int:
+    """Image of (n + y*sqrt(D)) / p**shift modulo `modulus`, a power of p,
+    with root = sqrt(D) mod modulus. shift must keep both terms p-integral."""
+    p = n.p
+    image = n.unit * p ** (n.exp - shift) if n else 0
+    if y:
+        image += y.unit * p ** (y.exp - shift) * root
+    return image % modulus
+
+
+def _check_width(width: int) -> None:
     if width > PRECISION_CAP:
         raise PrecisionExhausted(
             f"digit window of {width} exceeds the {PRECISION_CAP}-digit cap"
         )
+
+
+def _image_mod(u: QuadElement, end: int) -> tuple[int, int]:
+    """(mu, image): the least order mu of u's coefficients and the p-adic
+    image of u * p**(-mu) modulo p**(end - mu), i.e. u's digits from mu up to
+    index end.
+
+    Scaling by p**(-mu) keeps both coefficients p-integral, which the image
+    order may not: cancellation can push quad_ord(u) above mu. sqrt(D) is
+    lifted to the same width; widths beyond PRECISION_CAP raise
+    PrecisionExhausted.
+    """
+    n, y, m = _surd_triple(u)
+    shift = min(n.ord(), y.ord())
+    mu = shift - m.exp
+    width = end - mu
+    _check_width(width)
     modulus = u.p**width
-    root = hensel_sqrt(u.p, Fraction(u.D), u.residue, width)
-    scale = Fraction(u.p) ** (-mu)
-    x, y = u.x * scale, u.y * scale
-    num = x.numerator * y.denominator + y.numerator * x.denominator * root
-    return num * pow(x.denominator * y.denominator, -1, modulus) % modulus
+    root = hensel_sqrt(u.p, u.D, u.residue, width)
+    image = _surd_image(n, y, root, shift, modulus)
+    return mu, image * pow(m.unit, -1, modulus) % modulus
 
 
 def quad_ord(u: QuadElement) -> int:
     """p-adic order of the image of u, exact, with no working precision.
 
-    The ultrametric settles every case except equal coefficient orders o.
-    There p is odd, so u and its conjugate x - y*sqrt(D) add up to 2x, of
-    order exactly o: at most one of the two has order above o, and their
-    orders add up to ord_p(x**2 - D*y**2). The digit at p**o decides which.
+    The coefficients' orders decide it unless they are equal; then the
+    norm x**2 - D*y**2 does (see _surd_ord).
     """
     if u.is_zero():
         raise DivByZero("order of the zero element")
-    ox = ord_p(u.p, u.x)
-    oy = ord_p(u.p, u.y)
-    if ox != oy:
-        return min(ox, oy)
-    if ord_p(u.p, u.x + u.y * _simple_root(u.p, u.D, u.residue)) == ox:
-        return ox
-    return ord_p(u.p, u.x * u.x - u.D * u.y * u.y) - ox
-
-
-def _coeff_min_ord(u: QuadElement) -> int:
-    """Least p-adic order among the nonzero coefficients of u.
-
-    Scaling by p to this power keeps both coefficients p-integral, which the
-    image order may not: cancellation can push quad_ord(u) above it.
-    """
-    return min(ord_p(u.p, u.x), ord_p(u.p, u.y))
+    n, y, m = _surd_triple(u)
+    if n.ord() == y.ord():
+        _simple_root(u.p, u.D, u.residue)
+    return _surd_ord(n, y, u.D, u.residue)[0] - m.exp
 
 
 def quad_frac_part_k(u: QuadElement, k: int) -> PLocal:
@@ -313,9 +355,9 @@ def quad_frac_part_k(u: QuadElement, k: int) -> PLocal:
     o = quad_ord(u)
     if o >= k:
         return PLocal.zero(u.p)
-    mu = _coeff_min_ord(u)
     # Digits of u in [mu, o) are zero, so the image carries exactly the [o, k) window.
-    return PLocal(u.p, _image_mod(u, mu, k - mu), mu)
+    mu, image = _image_mod(u, k)
+    return PLocal(u.p, image, mu)
 
 
 def quad_digits(u: QuadElement, count: int) -> DigitExpansion:
@@ -325,8 +367,8 @@ def quad_digits(u: QuadElement, count: int) -> DigitExpansion:
     if u.is_zero():
         return DigitExpansion(u.p, 0, ())
     o = quad_ord(u)
-    mu = _coeff_min_ord(u)
-    n = _image_mod(u, mu, count + o - mu) // u.p ** (o - mu)
+    mu, n = _image_mod(u, o + count)
+    n //= u.p ** (o - mu)
     digits = []
     for _ in range(count):
         n, c = divmod(n, u.p)

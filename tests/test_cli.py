@@ -203,6 +203,7 @@ class TestCompareCommand:
 
 
 PK_473_25 = ("--alg", "pk", "--p", "3", "--k", "1", "--value", "473/25")
+KNOPF_2_5 = ("--alg", "knopf", "--p", "3", "--value", "2/5")
 
 
 def _bump(entry, key, by):
@@ -275,8 +276,25 @@ class TestVerifyCommand:
          "step 0: r is not a*q - b"),
         (("--alg", "fs", "--value", "5/11"), lambda d: _bump(d["trace"][0], "remainder", 1),
          "step 0: remainder 5 is not a*q - b"),
+        (PK_473_25, lambda d: _bump(d["trace"][1], "index", 4),
+         "trace entry 1 has index 5"),
+        # A lower k only weakens the growth bound, which the run still meets.
+        (("--alg", "sylvester", "--p", "7", "--k", "1", "--max-terms", "4") + QUAD_XI,
+         lambda d: _bump(d["trace"][2], "k", -1),
+         "step 2: k 0 is not the sylvester k 1"),
+        (KNOPF_2_5, lambda d: d.update(certificate="7"),
+         "certificate 7 is not negative"),
+        (KNOPF_2_5, lambda d: d.update(certificate="-1"),
+         "certificate -1 is not the final tail"),
+        (PK_473_25, lambda d: d.update(certificate="-1"),
+         "certificate -1 on a run with status terminated"),
+        (("--alg", "adaptive", "--p", "11", "--k", "1", "--value", "5/121"),
+         lambda d: d.update(k=None),
+         "step 0: k 3 is not the adaptive k None"),
     ], ids=["term", "expansion", "jumped", "case", "rbar", "zero-term", "lhs", "a", "q",
-            "tail-ord", "first-a", "b", "rbar-bound", "r", "fs-remainder"])
+            "tail-ord", "first-a", "b", "rbar-bound", "r", "fs-remainder", "index",
+            "step-k", "certificate-sign", "certificate-tail", "certificate-status",
+            "adaptive-null-k"])
     def test_tampered_claim_fails(self, capsys, tmp_path, argv, tamper, problem):
         code, out, _ = run(capsys, "expand", *argv, "--output", "json")
         data = json.loads(out)

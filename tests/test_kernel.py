@@ -3,8 +3,9 @@ report renderers, the Sylvester driver and the verifier to independent
 oracles: exact powers for _strip, the per-digit Fraction loop that digits_of
 and frac_part_k used to run, the doubling-precision digit search that
 quad_ord used to run, the Fraction-based report renderers, the ceiling step
-that modified_sylvester ran on rationals, and the Fraction re-sum that
-verify_expansion ran, all kept here as references.
+that modified_sylvester ran on rationals and the QuadElement loop it ran on
+quadratic elements, and the Fraction re-sum that verify_expansion ran, all
+kept here as references.
 """
 
 import dataclasses
@@ -46,11 +47,12 @@ from padic_sylvester import (
     quad_digits,
     quad_frac_part_k,
     quad_ord,
+    real_ceil,
     sqrt_mod_p,
     value_operands,
     verify_expansion,
 )
-from padic_sylvester import report
+from padic_sylvester import quadratic, report
 from padic_sylvester.cli import main
 from padic_sylvester.digits import _residue
 from padic_sylvester.division import CASE_1, CASE_2
@@ -505,7 +507,9 @@ class TestWholeReports:
 # and verify_expansion (the Fraction re-sum) as they were before rationals
 # ran the p**k division driver and the verifier replayed the division
 # chain, kept verbatim apart from names, the quadratic branches of the
-# driver, and quad_order_or_inf, which is inlined.
+# driver, and quad_order_or_inf, which is inlined. The quadratic branch (the
+# same step in QuadElement arithmetic), as it was before quadratic runs
+# stepped an integer triple, is kept verbatim apart from its name and entry.
 
 
 def reference_rational_sylvester(p, k, zeta, max_terms=DEFAULT_MAX_TERMS):
@@ -533,6 +537,30 @@ def reference_rational_sylvester(p, k, zeta, max_terms=DEFAULT_MAX_TERMS):
         q = PLocal.from_fraction(p, tf + c * pk)
         terms.append(q)
         trace.append(StepRecord(index=len(terms) - 1, q=q, k=k, tail_ord=tail_ord))
+        cur = cur - 1 / q.to_fraction()
+    return Expansion("sylvester", zeta, p, k, tuple(terms), status, tuple(trace))
+
+
+def reference_quadratic_sylvester(p, k, zeta, max_terms=DEFAULT_MAX_TERMS):
+    if zeta.is_zero():
+        raise PreconditionViolated("cannot expand zero")
+    start_ord = zeta.ord()
+    if k <= -start_ord:
+        raise KTooSmall(f"need k > {-start_ord} for this value, got k = {k}")
+    pk = Fraction(p) ** k
+    cur = zeta
+    terms = []
+    trace = []
+    status = TERMINATED
+    while not cur.is_zero():
+        if len(terms) >= max_terms:
+            status = CAP_REACHED
+            break
+        tf = quad_frac_part_k(cur.inv(), k).to_fraction()
+        c = real_ceil((1 - cur * tf) / (cur * pk))
+        q = PLocal.from_fraction(p, tf + c * pk)
+        terms.append(q)
+        trace.append(StepRecord(index=len(terms) - 1, q=q, k=k, tail_ord=cur.ord()))
         cur = cur - 1 / q.to_fraction()
     return Expansion("sylvester", zeta, p, k, tuple(terms), status, tuple(trace))
 
@@ -639,10 +667,12 @@ def _same_verification(p, value, e):
 
 def _check_verifiers_agree(p, value, e):
     """The verifiers agree on a run and on the run cut one term short and
-    marked terminated, whose tail is left nonzero."""
+    marked terminated, whose tail is left nonzero. The cut run drops any
+    certificate, which only a certified run may carry."""
     _same_verification(p, value, e)
     if e.terms:
-        cut = dataclasses.replace(e, terms=e.terms[:-1], trace=e.trace[:-1], status=TERMINATED)
+        cut = dataclasses.replace(e, terms=e.terms[:-1], trace=e.trace[:-1],
+                                  status=TERMINATED, certificate=None)
         assert not verify_expansion(p, value, cut).sum_exact
         _same_verification(p, value, cut)
 
@@ -661,6 +691,40 @@ class TestSylvesterDriver:
         got = modified_sylvester(p, k, v, max_terms=max_terms)
         assert got == want
         assert type(got.value) is Fraction
+
+
+@st.composite
+def quadratic_runs(draw):
+    """A quadratic element, a k from one below the least valid value to three
+    above it, and a term cap."""
+    u, _ = draw(quad_elements())
+    k = 1 - reference_quad_ord(u) + draw(st.integers(-1, 3))
+    return u, k, draw(st.sampled_from([0, 1, 4, 12]))
+
+
+def _outcome(run, u, k, max_terms):
+    try:
+        return run(u.p, k, u, max_terms=max_terms)
+    except (KTooSmall, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+
+
+class TestQuadraticDriver:
+    @PROPERTY
+    @given(quadratic_runs())
+    def test_matches_quadelement_reference(self, case):
+        u, k, max_terms = case
+        want = _outcome(reference_quadratic_sylvester, u, k, max_terms)
+        assert _outcome(modified_sylvester, u, k, max_terms) == want
+
+    @PROPERTY
+    @given(quadratic_runs(), st.sampled_from([1, 3, 10, 40, 200]))
+    def test_precision_cap_hits_the_same_inputs(self, case, cap):
+        u, k, max_terms = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadratic, "PRECISION_CAP", cap)
+            want = _outcome(reference_quadratic_sylvester, u, k, max_terms)
+            assert _outcome(modified_sylvester, u, k, max_terms) == want
 
 
 class TestVerifier:
