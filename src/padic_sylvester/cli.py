@@ -239,6 +239,23 @@ def _cmd_compare(ns) -> int:
     return 0
 
 
+_ABSENT = object()
+
+
+def _differing_leaves(want, got, path: str = "") -> list[str]:
+    """Paths such as terms[1].display of the leaves at which the JSON value
+    got differs from want, in type or value, or is missing or extra."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        keys = list(want) + [key for key in got if key not in want]
+        return [leaf for key in keys for leaf in _differing_leaves(
+            want.get(key, _ABSENT), got.get(key, _ABSENT), f"{path}.{key}" if path else key)]
+    if isinstance(want, list) and isinstance(got, list):
+        pad = [_ABSENT] * abs(len(want) - len(got))
+        return [leaf for i, (a, b) in enumerate(zip(want + pad, got + pad))
+                for leaf in _differing_leaves(a, b, f"{path}[{i}]")]
+    return [] if type(want) is type(got) and want == got else [path]
+
+
 def _cmd_verify(ns) -> int:
     if ns.report == "-":
         raw = sys.stdin.read()
@@ -251,14 +268,18 @@ def _cmd_verify(ns) -> int:
     try:
         data = json.loads(raw)
         p, value, e = report.expansion_from_json(data)
-    except (ValueError, KeyError, TypeError, PadicSylvesterError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, PadicSylvesterError) as exc:
         raise UsageError(f"report: not a valid expand report ({exc})")
     v = verify_expansion(p, value, e)
     try:
-        if data.get("expansion") != report.expansion_sum_text(e):
-            v.problems.append("expansion string differs from the terms")
+        # The replay's own verification block, where the report carries one.
+        rendered = report.expansion_json(e, v if "verification" in data else None)
     except ZeroDivisionError as exc:
         v.problems.append(f"expansion string cannot be rendered: {exc}")
+    else:
+        for path in _differing_leaves(rendered, data):
+            v.problems.append("expansion string differs from the terms" if path == "expansion"
+                              else f"{path} differs from the re-rendered report")
     v.ok = not v.problems
     _emit(ns, lambda: "verification: " + report.verification_text(v),
           lambda: {

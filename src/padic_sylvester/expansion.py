@@ -17,15 +17,15 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
-from .digits import _inv_mod, _lift_inv_sqrt, _simple_root, frac_part
+from .digits import _lift_inv_sqrt, _simple_root, _window, frac_part
 from .division import CASE_1, CASE_2, DivisionStep, classical_divide, pk_divide
 from .errors import HypothesisViolated, KTooSmall, PreconditionViolated
 from .quadratic import (
     QuadElement,
     _check_width,
     _surd_floor,
-    _surd_image,
     _surd_ord,
+    _surd_ratio,
     _surd_triple,
 )
 from .valuation import PLocal, POS_INF, Prime, ord_p
@@ -289,10 +289,11 @@ def _surd_sylvester(zeta: QuadElement, k: int, max_terms: int) -> Expansion:
     tail to (n*q - m + y*q*sqrt(D)) / (m*q): the rational chain num/den of
     the division drivers, with y riding along.
 
-    Per step, the norm n**2 - D*y**2 gives ord(z); t = <1/z>_k takes one
-    inverse modulo p**w, w = k - ord(1/z), with sqrt(D) lifted from the
-    previous step's root (as 1/sqrt(D), whose Newton step needs no inverse);
-    and the ceiling is one floor of a real surd.
+    Per step, the norm n**2 - D*y**2 gives ord(z); t = <1/z>_k is the
+    window of z's unit ratio num/den inverted, one inverse modulo p**w,
+    w = k - ord(1/z), with sqrt(D) lifted from the previous step's root (as
+    1/sqrt(D), whose Newton step needs no inverse); and the ceiling is one
+    floor of a real surd.
     """
     p, D, residue, sign = zeta.p, zeta.D, zeta.residue, zeta.real_sign
     n, y, m = _surd_triple(zeta)
@@ -305,28 +306,23 @@ def _surd_sylvester(zeta: QuadElement, k: int, max_terms: int) -> Expansion:
             status = CAP_REACHED
             break
         o, norm = _surd_ord(n, y, D, residue)
-        mu = min(n.ord(), y.ord())
         te = m.exp - o  # ord(1/z), the exponent of t
         w = k - te
         modulus = p**w
         if y:
             # The cap applies to the window of 1/z's coefficients, as
             # quad_frac_part_k(z.inv(), k) opens it.
-            _check_width(k - (m.exp + mu - norm.exp))
+            _check_width(k - (m.exp + min(n.ord(), y.ord()) - norm.exp))
             if not prec:
                 inv_root, prec = pow(_simple_root(p, D, residue), -1, p), 1
             inv_root = _lift_inv_sqrt(p, D, inv_root, prec, w)
             prec = max(prec, w)
             root = D * inv_root % modulus
-        if o == mu:
-            # 1/z = m / (n + y*sqrt(D)), and p**mu divides n + y*sqrt(D) exactly.
-            t = m.unit * _inv_mod(p, _surd_image(n, y, root, mu, modulus), w)
-        else:
-            # 1/z = m * (n - y*sqrt(D)) / norm; the conjugate has order mu.
-            t = m.unit * _surd_image(n, -y, root, mu, modulus) * _inv_mod(p, norm.unit, w)
-        t %= modulus
-        # The ceiling of psi((1/z - t) / p**k), with 1/z as above and t*p**te
-        # the window's value, is that of (mn - t*norm - sign*my*sqrt(D)) / (norm*p**k).
+        num, den = _surd_ratio(n, y, m, o, norm, root)
+        t = _window(p, den, num, w)
+        # The ceiling of psi((1/z - t) / p**k), with 1/z = m*(n - y*sqrt(D))/norm
+        # and t*p**te the window's value, is that of
+        # (mn - t*norm - sign*my*sqrt(D)) / (norm*p**k).
         mn_e, tn_e, my_e, g_e = m.exp + n.exp, te + norm.exp, m.exp + y.exp, norm.exp + k
         e = min(mn_e, tn_e, my_e, g_e)
         x = m.unit * n.unit * p ** (mn_e - e) - t * norm.unit * p ** (tn_e - e)
@@ -454,9 +450,10 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     to the trace's q values, trace indices equal to their positions, exact
     sum on termination, strictly increasing remainder orders with the growth
     bound ord(z_{i+1}) >= k_i + 2*ord(z_i) (orders need a prime), each
-    recorded ord(tail) and step k, each division record, and a certificate
-    only on a certified run, equal to the final tail and negative. A zero
-    reciprocal term is reported and ends the replay.
+    recorded ord(tail) and step k, each division record, a status other than
+    terminated only on a nonzero final tail, and a certificate on exactly the
+    certified runs, equal to the final tail and negative. A zero reciprocal
+    term is reported and ends the replay.
 
     The tail is an unreduced pair num/den over Z[1/p] (Z without a prime),
     which a term q steps to (num*q - den)/(den*q), an initial term to
@@ -537,7 +534,11 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         if zero is None and not sum_exact:
             tail = _replay_tail(num, y, den, value)
             problems.append(f"terminated run does not sum to its input (tail {tail})")
+    if e.status != TERMINATED and zero is None and not num and not y:
+        problems.append(f"status {e.status} but the replayed tail is zero")
     c = e.certificate
+    if e.status == CERTIFIED_NONTERMINATING and c is None:
+        problems.append(f"status {e.status} without a certificate")
     if c is not None:
         if e.status != CERTIFIED_NONTERMINATING:
             problems.append(f"certificate {c} on a run with status {e.status}")

@@ -6,12 +6,14 @@ residue mod p the p-adic square root reduces to.
 
 The public functions here are thin wrappers over three integer kernels on
 (n + y*sqrt(D)) / m with n, y and m in Z[1/p] (`_surd_triple`): its p-adic
-order, read off the orders of n and y and of the norm n**2 - D*y**2
-(`_surd_ord`); its image modulo a power of p, given a root of D lifted that
-far (`_surd_image`); and the floor of a real surd (x + w*sqrt(D)) / g, with
-one integer square root (`_surd_floor`). The quadratic Sylvester driver in
-expansion.py steps such a triple and calls the same kernels, so no Fraction
-or QuadElement arithmetic runs in its loop.
+order o, read off the orders of n and y and of the norm n**2 - D*y**2
+(`_surd_ord`); its unit part p**-o * (n + y*sqrt(D)) / m as a ratio num/den
+of p-adic integer units, given a root of D lifted far enough (`_surd_ratio`);
+and the floor of a real surd (x + w*sqrt(D)) / g, with one integer square
+root (`_surd_floor`). A digit window is then digits._window(p, num, den, w),
+the one window of the library, and the window of 1/z is that of den/num.
+The quadratic Sylvester driver in expansion.py steps such a triple and calls
+the same kernels, so no Fraction or QuadElement arithmetic runs in its loop.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .digits import DigitExpansion, _simple_root, frac_part_k, hensel_sqrt
+from .digits import DigitExpansion, _read_digits, _simple_root, _window, hensel_sqrt
 from .errors import DivByZero, EmbeddingMismatch, EvenPrime, PrecisionExhausted
 from .valuation import PLocal, POS_INF, Prime, ord_p
 
@@ -204,35 +206,16 @@ class QuadElement:
         )
 
 
-def _sign(f: Fraction) -> int:
-    return (f > 0) - (f < 0)
-
-
 def real_compare(u: QuadElement, q) -> int:
     """Sign of psi(u) - q, decided exactly: -1, 0 or +1.
 
-    Zero occurs only for rational elements equal to q; otherwise the sign is
-    settled by comparing squares of the rational and radical parts.
+    Zero occurs only for rational elements equal to q. Otherwise psi(u) - q
+    is irrational, never an integer, so its sign is that of its floor >= 0.
     """
     q = Fraction(q)
-    t = u.x - q
-    w = u.y * u.real_sign
-    if w == 0:
-        return _sign(t)
-    if t == 0:
-        return _sign(w)
-    if t > 0 and w > 0:
-        return 1
-    if t < 0 and w < 0:
-        return -1
-    lhs = t * t
-    rhs = w * w * u.D
-    # Equality would make sqrt(D) rational, impossible for squarefree D >= 2.
-    if lhs == rhs:
-        raise RuntimeError(f"sqrt({u.D}) compared equal to a rational")
-    if t > 0:
-        return 1 if lhs > rhs else -1
-    return 1 if rhs > lhs else -1
+    if u.y == 0:
+        return (u.x > q) - (u.x < q)
+    return 1 if real_floor(u - q) >= 0 else -1
 
 
 def _surd_floor(x: int, w: int, g: int, D: int) -> int:
@@ -290,14 +273,28 @@ def _surd_ord(n: PLocal, y: PLocal, D: int, residue: int) -> tuple[int, PLocal]:
     return norm.exp - e, norm
 
 
-def _surd_image(n: PLocal, y: PLocal, root: int, shift: int, modulus: int) -> int:
-    """Image of (n + y*sqrt(D)) / p**shift modulo `modulus`, a power of p,
-    with root = sqrt(D) mod modulus. shift must keep both terms p-integral."""
-    p = n.p
-    image = n.unit * p ** (n.exp - shift) if n else 0
-    if y:
-        image += y.unit * p ** (y.exp - shift) * root
-    return image % modulus
+def _surd_ratio(
+    n: PLocal, y: PLocal, m: PLocal, o: int, norm: PLocal, root: int
+) -> tuple[int, int]:
+    """(num, den), integers prime to p with num/den the unit part of
+    z = (n + y*sqrt(D)) / m, given o = ord(n + y*sqrt(D)) and its norm
+    (_surd_ord) and root = sqrt(D) modulo the window's power of p.
+
+    With mu the least order of n and y, (n +- y*sqrt(D)) / p**mu is p-integral
+    and its image is read off root. If n + y*sqrt(D) has order mu, that image
+    is its unit. If it cancels further, the conjugate has order mu (the orders
+    add up to the norm's), and n + y*sqrt(D) = norm / (n - y*sqrt(D)).
+    """
+    p = m.p
+    mu = min(n.ord(), y.ord())
+
+    def image(sign):
+        x = n.unit * p ** (n.exp - mu) if n else 0
+        return x + sign * y.unit * p ** (y.exp - mu) * root if y else x
+
+    if o == mu:
+        return image(1), m.unit
+    return norm.unit, m.unit * image(-1)
 
 
 def _check_width(width: int) -> None:
@@ -307,25 +304,28 @@ def _check_width(width: int) -> None:
         )
 
 
-def _image_mod(u: QuadElement, end: int) -> tuple[int, int]:
-    """(mu, image): the least order mu of u's coefficients and the p-adic
-    image of u * p**(-mu) modulo p**(end - mu), i.e. u's digits from mu up to
-    index end.
+def _quad_window(u: QuadElement, k: "int | None", count: int = 0) -> tuple[int, int]:
+    """(o, window) for nonzero u: o = quad_ord(u), and the integer whose
+    base-p digits are those of u's image from index o up to k, or the first
+    `count` of them when k is None; an empty window is 0.
 
-    Scaling by p**(-mu) keeps both coefficients p-integral, which the image
-    order may not: cancellation can push quad_ord(u) above mu. sqrt(D) is
-    lifted to the same width; widths beyond PRECISION_CAP raise
-    PrecisionExhausted.
+    Coefficients of equal order need a simple root of D mod p to be read. A
+    nonempty window is capped as if it opened at the least order of u's
+    coefficients, wider than PRECISION_CAP raising PrecisionExhausted, and
+    sqrt(D) is lifted to its own width.
     """
     n, y, m = _surd_triple(u)
-    shift = min(n.ord(), y.ord())
-    mu = shift - m.exp
-    width = end - mu
-    _check_width(width)
-    modulus = u.p**width
+    if n.ord() == y.ord():
+        _simple_root(u.p, u.D, u.residue)
+    o, norm = _surd_ord(n, y, u.D, u.residue)
+    start = o - m.exp
+    end = start + count if k is None else k
+    if end <= start:
+        return start, 0
+    _check_width(end - (min(n.ord(), y.ord()) - m.exp))
+    width = end - start
     root = hensel_sqrt(u.p, u.D, u.residue, width)
-    image = _surd_image(n, y, root, shift, modulus)
-    return mu, image * pow(m.unit, -1, modulus) % modulus
+    return start, _window(u.p, *_surd_ratio(n, y, m, o, norm, root), width)
 
 
 def quad_ord(u: QuadElement) -> int:
@@ -336,28 +336,20 @@ def quad_ord(u: QuadElement) -> int:
     """
     if u.is_zero():
         raise DivByZero("order of the zero element")
-    n, y, m = _surd_triple(u)
-    if n.ord() == y.ord():
-        _simple_root(u.p, u.D, u.residue)
-    return _surd_ord(n, y, u.D, u.residue)[0] - m.exp
+    return _quad_window(u, None)[0]
 
 
 def quad_frac_part_k(u: QuadElement, k: int) -> PLocal:
     """Digit sum of the p-adic image of u through index k-1, as an element of Z[1/p].
 
     Agrees with digits.frac_part_k when u is rational. An empty digit window
-    (quad_ord(u) >= k) gives zero.
+    (quad_ord(u) >= k) gives zero; a nonempty one is capped and lifts sqrt(D)
+    as in quad_digits, for a rational u too.
     """
     if u.is_zero():
         raise DivByZero("fractional part of the zero element")
-    if u.y == 0:
-        return frac_part_k(u.p, k, u.x)
-    o = quad_ord(u)
-    if o >= k:
-        return PLocal.zero(u.p)
-    # Digits of u in [mu, o) are zero, so the image carries exactly the [o, k) window.
-    mu, image = _image_mod(u, k)
-    return PLocal(u.p, image, mu)
+    o, window = _quad_window(u, k)
+    return PLocal(u.p, window, o)
 
 
 def quad_digits(u: QuadElement, count: int) -> DigitExpansion:
@@ -366,11 +358,5 @@ def quad_digits(u: QuadElement, count: int) -> DigitExpansion:
         raise ValueError("count must be positive")
     if u.is_zero():
         return DigitExpansion(u.p, 0, ())
-    o = quad_ord(u)
-    mu, n = _image_mod(u, o + count)
-    n //= u.p ** (o - mu)
-    digits = []
-    for _ in range(count):
-        n, c = divmod(n, u.p)
-        digits.append(c)
-    return DigitExpansion(u.p, o, tuple(digits))
+    o, window = _quad_window(u, None, count)
+    return DigitExpansion(u.p, o, _read_digits(u.p, window, count))

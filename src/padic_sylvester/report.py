@@ -10,11 +10,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .division import DivisionStep, RationalDivisionStep
-from .expansion import Expansion, StepRecord, VerificationReport
+from .expansion import (
+    CAP_REACHED,
+    CERTIFIED_NONTERMINATING,
+    TERMINATED,
+    Expansion,
+    StepRecord,
+    VerificationReport,
+)
 from .quadratic import QuadElement
 from .valuation import PLocal, POS_INF, Prime
 
 SCHEMA = 1
+
+# The values an expand report's enumerated fields can take.
+_EXPAND_FIELDS = {
+    "command": ("expand",),
+    "algorithm": ("fs", "pk", "adaptive", "sylvester", "knopfmacher"),
+    "status": (TERMINATED, CAP_REACHED, CERTIFIED_NONTERMINATING),
+}
 
 
 def frac_str(f: Fraction) -> str:
@@ -253,9 +267,13 @@ def expansion_json(e: Expansion, verification: "VerificationReport | None" = Non
 
 def expansion_from_json(d: dict):
     """Rebuild (p, value, Expansion) from an expand report. Lossless for every
-    field the library produced."""
+    field the library produced; an unknown command, algorithm or status
+    raises ValueError."""
     if d.get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
+    for key, known in _EXPAND_FIELDS.items():
+        if d[key] not in known:
+            raise ValueError(f"unknown {key} {d[key]!r}")
     p = None if d["p"] is None else Prime(int(d["p"]))
     k = None if d["k"] is None else int(d["k"])
     value = _input_from_json(p, d["input"])

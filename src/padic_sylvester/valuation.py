@@ -164,10 +164,6 @@ class PLocal:
         return cls(p, 0, 0)
 
     @classmethod
-    def one(cls, p: Prime) -> "PLocal":
-        return cls(p, 1, 0)
-
-    @classmethod
     def from_fraction(cls, p: Prime, r) -> "PLocal":
         """Exact conversion from a rational; raises NotInRing if the reduced
         denominator is not a power of p. A PLocal over p is returned as is."""

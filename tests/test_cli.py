@@ -291,10 +291,21 @@ class TestVerifyCommand:
         (("--alg", "adaptive", "--p", "11", "--k", "1", "--value", "5/121"),
          lambda d: d.update(k=None),
          "step 0: k 3 is not the adaptive k None"),
+        (PK_473_25, lambda d: d.update(status="cap_reached"),
+         "status cap_reached but the replayed tail is zero"),
+        (PK_473_25, lambda d: d.update(status="certified_nonterminating"),
+         "status certified_nonterminating without a certificate"),
+        (PK_473_25, lambda d: d["terms"][1].update(display="3/6"),
+         "terms[1].display differs from the re-rendered report"),
+        (PK_473_25, lambda d: d["terms"][2].update(value="1"),
+         "terms[2].value differs from the re-rendered report"),
+        (PK_473_25, lambda d: d["verification"].update(ok=False),
+         "verification.ok differs from the re-rendered report"),
     ], ids=["term", "expansion", "jumped", "case", "rbar", "zero-term", "lhs", "a", "q",
             "tail-ord", "first-a", "b", "rbar-bound", "r", "fs-remainder", "index",
             "step-k", "certificate-sign", "certificate-tail", "certificate-status",
-            "adaptive-null-k"])
+            "adaptive-null-k", "status-cap", "status-certified", "display", "value",
+            "verification-ok"])
     def test_tampered_claim_fails(self, capsys, tmp_path, argv, tamper, problem):
         code, out, _ = run(capsys, "expand", *argv, "--output", "json")
         data = json.loads(out)
@@ -312,7 +323,10 @@ class TestVerifyCommand:
         # A Z[1/p] value in a report without a prime.
         (("--alg", "fs", "--value", "5/11"),
          lambda d: d["trace"][0].update(initial=True, q={"unit": "0", "exp": "0"})),
-    ], ids=["null-a", "null-q", "plocal-without-prime"])
+        (PK_473_25, lambda d: d.update(status="bogus")),
+        (PK_473_25, lambda d: d.update(algorithm="bogus")),
+        (PK_473_25, lambda d: d.update(command="divide")),
+    ], ids=["null-a", "null-q", "plocal-without-prime", "status", "algorithm", "command"])
     def test_malformed_report_exits_1(self, capsys, tmp_path, argv, tamper):
         code, out, _ = run(capsys, "expand", *argv, "--output", "json")
         data = json.loads(out)

@@ -2,10 +2,11 @@
 report renderers, the Sylvester driver and the verifier to independent
 oracles: exact powers for _strip, the per-digit Fraction loop that digits_of
 and frac_part_k used to run, the doubling-precision digit search that
-quad_ord used to run, the Fraction-based report renderers, the ceiling step
-that modified_sylvester ran on rationals and the QuadElement loop it ran on
-quadratic elements, and the Fraction re-sum that verify_expansion ran, all
-kept here as references.
+quad_ord used to run, the wide two-inverse image that quadratic digit
+windows were read from, the squares ladder that real_compare ran, the
+Fraction-based report renderers, the ceiling step that modified_sylvester
+ran on rationals and the QuadElement loop it ran on quadratic elements, and
+the Fraction re-sum that verify_expansion ran, all kept here as references.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import ceil
+from math import ceil, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,7 @@ from padic_sylvester import (
     quad_frac_part_k,
     quad_ord,
     real_ceil,
+    real_compare,
     sqrt_mod_p,
     value_operands,
     verify_expansion,
@@ -263,6 +265,19 @@ class TestQuadOrd:
             quad_ord(u)
 
 
+class TestQuadDigitsIrrational:
+    @PROPERTY
+    @given(quad_elements(), st.integers(1, 40))
+    def test_matches_image_reference(self, case, count):
+        # quad_elements cancels the first digits of most elements it draws.
+        u, _ = case
+        o = reference_quad_ord(u)
+        mu = min(ord_p(u.p, u.x), ord_p(u.p, u.y))
+        image = reference_image_mod(u, mu, o + count - mu)
+        want = tuple(image // u.p ** (o - mu + i) % u.p for i in range(count))
+        assert quad_digits(u, count) == DigitExpansion(u.p, o, want)
+
+
 class TestQuadFracPartK:
     @PROPERTY
     @given(quad_elements(), st.integers(-3, 40))
@@ -275,6 +290,68 @@ class TestQuadFracPartK:
         want = PLocal.zero(u.p) if o >= k else PLocal(u.p, reference_image_mod(u, mu, k - mu), mu)
         got = quad_frac_part_k(u, k)
         assert (got.unit, got.exp) == (want.unit, want.exp)
+
+
+# real_compare as it was before it read the sign off _surd_floor, kept
+# verbatim apart from names.
+
+
+def reference_sign(f):
+    return (f > 0) - (f < 0)
+
+
+def reference_real_compare(u, q):
+    q = Fraction(q)
+    t = u.x - q
+    w = u.y * u.real_sign
+    if w == 0:
+        return reference_sign(t)
+    if t == 0:
+        return reference_sign(w)
+    if t > 0 and w > 0:
+        return 1
+    if t < 0 and w < 0:
+        return -1
+    lhs = t * t
+    rhs = w * w * u.D
+    # Equality would make sqrt(D) rational, impossible for squarefree D >= 2.
+    if lhs == rhs:
+        raise RuntimeError(f"sqrt({u.D}) compared equal to a rational")
+    if t > 0:
+        return 1 if lhs > rhs else -1
+    return 1 if rhs > lhs else -1
+
+
+FRACTIONS = st.fractions(-(10**9), 10**9, max_denominator=10**6)
+
+
+@st.composite
+def real_comparisons(draw):
+    """(u, q): u = x + y*sqrt(D) of either real sign, y possibly 0, and q
+    either x, a free rational, or x + y*sign*r with r a decimal cut just
+    below or above sqrt(D), so that q lies near psi(u). The p-adic context
+    plays no part in a real comparison."""
+    D = draw(st.sampled_from(SQUAREFREE))
+    x = draw(FRACTIONS)
+    y = draw(st.one_of(st.just(Fraction(0)), FRACTIONS))
+    sign = draw(st.sampled_from([1, -1]))
+    u = QuadElement(x, y, D, sign, Prime(7), 0)
+    kind = draw(st.sampled_from(["x", "free", "near"]))
+    if kind == "x":
+        return u, x
+    if kind == "free":
+        return u, draw(FRACTIONS)
+    scale = 10 ** draw(st.integers(0, 30))
+    r = Fraction(isqrt(D * scale * scale) + draw(st.sampled_from([0, 1])), scale)
+    return u, x + y * sign * r
+
+
+class TestRealCompare:
+    @PROPERTY
+    @given(real_comparisons())
+    def test_matches_squares_reference(self, case):
+        u, q = case
+        assert real_compare(u, q) == reference_real_compare(u, q)
 
 
 # --- Report rendering ----------------------------------------------------
