@@ -350,7 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    try:
+        ns = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # --help
+            raise
+        return 1  # argparse has printed the usage and its rejection
     try:
         return ns.func(ns)
     except UsageError as exc:

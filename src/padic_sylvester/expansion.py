@@ -28,7 +28,7 @@ from .quadratic import (
     _surd_ratio,
     _surd_triple,
 )
-from .valuation import PLocal, POS_INF, Prime, ord_p
+from .valuation import PLocal, POS_INF, Prime, _exact_quotient, ord_p
 
 TERMINATED = "terminated"
 CAP_REACHED = "cap_reached"
@@ -400,6 +400,38 @@ class VerificationReport:
     problems: list[str] = field(default_factory=list)
 
 
+_FORM_FIELDS = ("initial flag", "division record", "remainder", "tail_ord")
+
+
+def _form_problems(e: Expansion) -> list[str]:
+    """Check that each trace entry's index is its position and that each step
+    carries the fields its algorithm records: division records and lhs on
+    the p**k runs only, remainders on fs only, an initial flag on a
+    Knopfmacher run's first step only, no order without a prime, and k = 1 on
+    Knopfmacher steps and no k on fs steps."""
+    alg = e.algorithm
+    knopf, records, fs = alg == "knopfmacher", alg in ("pk", "adaptive"), alg == "fs"
+    fixed_k = 1 if knopf else None
+    problems = []
+    if e.k is not None and (knopf or fs):
+        problems.append(f"k {e.k} does not apply to {alg}")
+    for i, rec in enumerate(e.trace):
+        if rec.index != i:
+            problems.append(f"trace entry {i} has index {rec.index}")
+        fits = (
+            rec.initial == (knopf and i == 0),
+            (rec.division is not None) == records == (rec.lhs is not None),
+            (rec.remainder is not None) == fs,
+            rec.tail_ord is None or e.p is not None,
+        )
+        if not all(fits):
+            problems.extend(f"step {rec.index}: {name} does not fit a {alg} run"
+                            for name, ok in zip(_FORM_FIELDS, fits) if not ok)
+        if (knopf or fs) and rec.k != fixed_k:
+            problems.append(f"step {rec.index}: k {rec.k} is not the {alg} k {fixed_k}")
+    return problems
+
+
 def _division_record_problems(rec: StepRecord) -> list[str]:
     """Check a division record against its own step: its q is the step's
     term, the step's lhs is its b and 0 <= rbar < unit(a); then recompute
@@ -445,6 +477,23 @@ def _replay_tail(num, y, den, value) -> "Fraction | QuadElement":
     return QuadElement(x, frac(y) / frac(den), value.D, value.real_sign, value.p, value.residue)
 
 
+def _claimed_difference(x: PLocal, z: PLocal, order, den_exp: int) -> PLocal:
+    """x - z, the numerator of a replayed tail (x - z)/den with exp(den) =
+    den_exp, where order is the tail's claimed order (None: no claim).
+
+    The claim fixes the difference's exponent, so its unit is one exact
+    quotient of the raw difference, confirmed by one product, and is never
+    stripped. An absent or failed claim falls back to the canonical form.
+    """
+    p, e = x.p, min(x.exp, z.exp)
+    raw = x.unit * p ** (x.exp - e) - z.unit * p ** (z.exp - e)
+    if order is not None:
+        u = _exact_quotient(p, raw, order + den_exp - e)
+        if u is not None:
+            return PLocal(p, u, order + den_exp)
+    return PLocal(p, raw, e)
+
+
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
     """Replay an expansion from its input and check its claims: terms equal
     to the trace's q values, trace indices equal to their positions, exact
@@ -452,8 +501,9 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     bound ord(z_{i+1}) >= k_i + 2*ord(z_i) (orders need a prime), each
     recorded ord(tail) and step k, each division record, a status other than
     terminated only on a nonzero final tail, and a certificate on exactly the
-    certified runs, equal to the final tail and negative. A zero reciprocal
-    term is reported and ends the replay.
+    certified runs, equal to the final tail and negative, and each step's
+    fields as its algorithm records them. A zero reciprocal term is reported
+    and ends the replay.
 
     The tail is an unreduced pair num/den over Z[1/p] (Z without a prime),
     which a term q steps to (num*q - den)/(den*q), an initial term to
@@ -465,13 +515,20 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     the pair; each later a, b must be the pair and each r the next num, which
     gives b = a*q - r and the chain. A classical remainder must be the next
     num too.
+
+    A rational num is confirmed from the report's claims, never stripped of
+    its powers of p: a step with a division record takes its r once one
+    product shows b + r = a*q (on a valid record, a sum whose unit is
+    already prime to p), and a step without one takes the exponent the next
+    entry's tail_ord claims and the unit one exact division gives, confirmed
+    by one product. A claim that fails, or is absent, falls back to the
+    canonical form of num*q - den, so the problems are those of the plain
+    replay. The last step skips den*q when it leaves a zero tail.
     """
     problems: list[str] = []
     if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
         problems.append("terms differ from the trace's q values")
-    for i, rec in enumerate(e.trace):
-        if rec.index != i:
-            problems.append(f"trace entry {i} has index {rec.index}")
+    problems.extend(_form_problems(e))
     zero = next((i for i, rec in enumerate(e.trace) if not rec.initial and not rec.q), None)
     if zero is not None:
         problems.append(f"step {e.trace[zero].index}: term is zero")
@@ -490,13 +547,22 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             num, den = -num, -den
         if p is not None:
             num, den = PLocal(p, num), PLocal(p, den)
+    rational = p is not None and y is None
     orders = []
     for i, rec in enumerate(trace):
         if p is not None:
             orders.append(_replay_ord(num, y, den, value))
         q, d = rec.q, rec.division
+        if rational and not isinstance(q, PLocal):
+            q = PLocal(p, q)
+        last = i + 1 == len(trace)
+        # The order of the tail this step leaves, as the next entry claims it.
+        claim = None if last else trace[i + 1].tail_ord
         if rec.initial:
-            num -= den * q
+            if rational:
+                num = _claimed_difference(num, den * q, claim, den.exp)
+            else:
+                num -= den * q
             continue
         if d is not None and i == 0:
             if d.a * den == d.b * num:
@@ -508,9 +574,16 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
                 problems.append(f"step {rec.index}: a is not the previous step's r")
             if d.b != den:
                 problems.append(f"step {rec.index}: b is not the previous step's b*q")
-        num, den = num * q - den, den * q
+        if rational and d is not None and den + d.r == num * q:
+            num = d.r  # b + r = a*q, so the record's r is a*q - b
+        elif rational:
+            num = _claimed_difference(num * q, den, claim, den.exp + q.exp)
+        else:
+            num = num * q - den
         if y is not None:
             y = y * q
+        if not (rational and last and not num):  # no later step reads a zero tail's den
+            den = den * q
         if d is not None and d.r != num:
             problems.append(f"step {rec.index}: r is not a*q - b")
         if rec.remainder is not None and rec.remainder != num:

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padic_sylvester import (
+    CAP_REACHED,
+    PadicSylvesterError,
     PLocal,
     Prime,
     QuadElement,
@@ -12,9 +18,11 @@ from padic_sylvester import (
     knopfmacher_sylvester,
     modified_sylvester,
     pk_greedy,
+    value_operands,
 )
 from padic_sylvester import report
 from padic_sylvester.cli import main
+from padic_sylvester.expansion import DEFAULT_MAX_TERMS
 from padic_sylvester.report import expansion_from_json, expansion_json
 
 
@@ -125,6 +133,35 @@ class TestIgnoredFlagsRejected:
         assert code == 1
         assert out == ""
         assert flag in err
+
+
+class TestArgparseRejections:
+    """argparse's rejections keep their usage and error text but exit 1, the
+    code for invalid input."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--alg", "bogus", "--p", "3", "--k", "1", "--value", "1/2"),
+         "argument --alg: invalid choice: 'bogus'"),
+        (("--alg", "pk", "--p", "x", "--k", "1", "--value", "1/2"),
+         "argument --p: invalid int value: 'x'"),
+        # argparse reads a separate -5/3 as a flag.
+        (("--alg", "sylvester", "--p", "5", "--k", "1", "--value", "-5/3"),
+         "argument --value: expected one argument"),
+    ], ids=["alg", "p", "negative-value"])
+    def test_exit_1(self, capsys, argv, message):
+        code, out, err = run(capsys, "expand", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: padic-sylvester expand [-h]")
+        assert f"\npadic-sylvester expand: error: {message}" in err
+
+    def test_negative_value_after_equals(self, capsys):
+        code, out, err = run(capsys, "expand", "--alg", "adaptive", "--p", "5", "--k", "1",
+                             "--value=-2/5")
+        assert code == 0
+        assert "input: -2/5" in out
+        assert "expansion: 1/10 + -1/2" in out
+        assert err == ""
 
 
 class TestRendersOnlyRequestedFormat:
@@ -301,11 +338,24 @@ class TestVerifyCommand:
          "terms[2].value differs from the re-rendered report"),
         (PK_473_25, lambda d: d["verification"].update(ok=False),
          "verification.ok differs from the re-rendered report"),
+        (PK_473_25, lambda d: d["trace"][1].update(division=None),
+         "step 1: division record does not fit a pk run"),
+        (("--alg", "fs", "--value", "5/11"), lambda d: d["trace"][1].update(remainder=None),
+         "step 1: remainder does not fit a fs run"),
+        (("--alg", "fs", "--value", "5/11"), lambda d: d["trace"][0].update(tail_ord="1"),
+         "step 0: tail_ord does not fit a fs run"),
+        (("--alg", "fs", "--value", "5/11"), lambda d: d.update(k="1"),
+         "k 1 does not apply to fs"),
+        (KNOPF_2_5, lambda d: d["trace"][0].update(k="2"),
+         "step 0: k 2 is not the knopfmacher k 1"),
+        (KNOPF_2_5, lambda d: d["trace"][0].update(initial=False),
+         "step 0: initial flag does not fit a knopfmacher run"),
     ], ids=["term", "expansion", "jumped", "case", "rbar", "zero-term", "lhs", "a", "q",
             "tail-ord", "first-a", "b", "rbar-bound", "r", "fs-remainder", "index",
             "step-k", "certificate-sign", "certificate-tail", "certificate-status",
             "adaptive-null-k", "status-cap", "status-certified", "display", "value",
-            "verification-ok"])
+            "verification-ok", "no-division", "no-remainder", "fs-tail-ord", "fs-k",
+            "knopf-k", "knopf-initial"])
     def test_tampered_claim_fails(self, capsys, tmp_path, argv, tamper, problem):
         code, out, _ = run(capsys, "expand", *argv, "--output", "json")
         data = json.loads(out)
@@ -367,3 +417,109 @@ class TestJsonRoundTrip:
         assert back == e
         assert value == e.value
         assert p == e.p
+
+
+FUZZ_RUNS = {
+    "pk": PK_473_25,
+    "adaptive": ("--alg", "adaptive", "--p", "11", "--k", "1", "--value", "5/121"),
+    "sylvester": ("--alg", "sylvester", "--p", "5", "--k", "2", "--value=-23/55"),
+    "sylvester-quad": ("--alg", "sylvester", "--p", "7", "--k", "1", "--max-terms", "3")
+    + QUAD_XI,
+    "knopf": KNOPF_2_5,
+    "knopf-cap": ("--alg", "knopf", "--p", "5", "--value", "7/3", "--max-terms", "2"),
+    "fs": ("--alg", "fs", "--value", "5/11"),
+}
+_FUZZ_REPORTS = {}
+
+
+def _cli(argv, stdin=""):
+    """cli.main on argv with stdin fed from a string; (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fuzz_report(name):
+    if name not in _FUZZ_REPORTS:
+        code, out, _ = _cli(("expand",) + FUZZ_RUNS[name] + ("--output", "json"))
+        assert code == 0
+        _FUZZ_REPORTS[name] = json.loads(out)
+    return _FUZZ_REPORTS[name]
+
+
+def _reproduces(p, value, e):
+    """Whether e's algorithm, run on e's own p, k and input, gives e."""
+    cap = len(e.terms) - e.initial if e.status == CAP_REACHED else DEFAULT_MAX_TERMS
+    run = {
+        "pk": lambda: pk_greedy(p, e.k, *value_operands(value)),
+        "adaptive": lambda: adaptive_pk_greedy(p, e.k, value),
+        "sylvester": lambda: modified_sylvester(p, e.k, value, max_terms=cap),
+        "knopfmacher": lambda: knopfmacher_sylvester(p, value, max_terms=cap),
+        "fs": lambda: fs_greedy(*value_operands(value)),
+    }[e.algorithm]
+    try:
+        return run() == e
+    except PadicSylvesterError:
+        return False
+
+
+def _leaves(node, path=()):
+    """Paths of the leaves of a JSON value, as tuples of keys and indices."""
+    if isinstance(node, dict):
+        return [leaf for key, child in node.items() for leaf in _leaves(child, path + (key,))]
+    if isinstance(node, list):
+        return [leaf for i, child in enumerate(node) for leaf in _leaves(child, path + (i,))]
+    return [path]
+
+
+def _edited(value, how):
+    if how == "null":
+        return None
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + how
+    if value is None:
+        return str(how)
+    try:
+        return str(int(value) + how)
+    except ValueError:
+        return value + str(how)
+
+
+class TestVerifyFuzz:
+    """A single-field edit of a report either makes verify exit 1 with a
+    problem or leaves a correct report: the parsed run is the one it was, or
+    the one its algorithm gives on its own p, k and input (an adaptive k one
+    lower can choose the same k at every step). It never escapes as an
+    exception. An edit moves an integer by 1, flips a flag, extends any other
+    string, sets a field to null, or removes it."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(FUZZ_RUNS)), st.integers(0, 10**6),
+           st.sampled_from([-1, 1, "null", "drop"]))
+    def test_single_field_edit(self, name, at, how):
+        original = _fuzz_report(name)
+        data = json.loads(json.dumps(original))
+        path = _leaves(data)[at % len(_leaves(data))]
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = _edited(parent[path[-1]], how)
+        code, out, err = _cli(("verify", "-"), json.dumps(data))
+        if code == 0:
+            edited = expansion_from_json(data)
+            assert edited == expansion_from_json(original) or _reproduces(*edited)
+            assert out.startswith("verification: ok")
+        else:
+            assert code == 1
+            assert (out.startswith("verification: FAILED") and err == "") or (
+                out == "" and err.startswith("error: "))

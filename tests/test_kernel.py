@@ -6,7 +6,8 @@ quad_ord used to run, the wide two-inverse image that quadratic digit
 windows were read from, the squares ladder that real_compare ran, the
 Fraction-based report renderers, the ceiling step that modified_sylvester
 ran on rationals and the QuadElement loop it ran on quadratic elements, and
-the Fraction re-sum that verify_expansion ran, all kept here as references.
+the Fraction re-sum that verify_expansion ran and the stripping replay it
+ran next, all kept here as references.
 """
 
 import dataclasses
@@ -54,13 +55,19 @@ from padic_sylvester import (
     value_operands,
     verify_expansion,
 )
-from padic_sylvester import quadratic, report
+from padic_sylvester import quadratic, report, valuation
 from padic_sylvester.cli import main
 from padic_sylvester.digits import _residue
 from padic_sylvester.division import CASE_1, CASE_2
-from padic_sylvester.expansion import DEFAULT_MAX_TERMS
-from padic_sylvester.quadratic import PRECISION_CAP
-from padic_sylvester.valuation import _strip
+from padic_sylvester.expansion import (
+    CERTIFIED_NONTERMINATING,
+    DEFAULT_MAX_TERMS,
+    _division_record_problems,
+    _replay_ord,
+    _replay_tail,
+)
+from padic_sylvester.quadratic import PRECISION_CAP, _surd_triple
+from padic_sylvester.valuation import _exact_quotient, _strip
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -131,6 +138,17 @@ class TestStrip:
     def test_recovers_order_and_unit(self, pu, v):
         p, u = pu
         assert _strip(p, u * p**v) == (v, u)
+
+
+class TestExactQuotient:
+    @PROPERTY
+    @given(p_units(), st.integers(0, 300), st.integers(-2, 2))
+    def test_only_the_true_order_gives_the_unit(self, pu, v, offset):
+        p, u = pu
+        assert _exact_quotient(p, u * p**v, v + offset) == (u if offset == 0 else None)
+
+    def test_zero_has_no_unit(self):
+        assert _exact_quotient(3, 0, 0) is None
 
 
 class TestDigitWindow:
@@ -830,3 +848,215 @@ class TestVerifier:
         u, _ = case
         e = modified_sylvester(u.p, 1 - quad_ord(u) + offset, u, max_terms=max_terms)
         _check_verifiers_agree(u.p, u, e)
+
+
+def reference_stripping_verify_expansion(p, value, e):
+    """verify_expansion as it was before it checked claims: it puts each
+    replayed num*q - den into canonical form, stripping every power of p."""
+    problems: list[str] = []
+    if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
+        problems.append("terms differ from the trace's q values")
+    for i, rec in enumerate(e.trace):
+        if rec.index != i:
+            problems.append(f"trace entry {i} has index {rec.index}")
+    zero = next((i for i, rec in enumerate(e.trace) if not rec.initial and not rec.q), None)
+    if zero is not None:
+        problems.append(f"step {e.trace[zero].index}: term is zero")
+    trace = e.trace[:zero]
+    for rec in trace:
+        if rec.division is not None:
+            problems.extend(_division_record_problems(rec))
+
+    y = None
+    if isinstance(value, QuadElement):
+        p = value.p
+        num, y, den = _surd_triple(value)
+    else:
+        num, den = Fraction(value).as_integer_ratio()
+        if num < 0:  # a > 0, as the division drivers take their operands
+            num, den = -num, -den
+        if p is not None:
+            num, den = PLocal(p, num), PLocal(p, den)
+    orders = []
+    for i, rec in enumerate(trace):
+        if p is not None:
+            orders.append(_replay_ord(num, y, den, value))
+        q, d = rec.q, rec.division
+        if rec.initial:
+            num -= den * q
+            continue
+        if d is not None and i == 0:
+            if d.a * den == d.b * num:
+                num, den = d.a, d.b
+            else:
+                problems.append(f"step {rec.index}: a/b differs from the input")
+        elif d is not None:
+            if d.a != num:
+                problems.append(f"step {rec.index}: a is not the previous step's r")
+            if d.b != den:
+                problems.append(f"step {rec.index}: b is not the previous step's b*q")
+        num, den = num * q - den, den * q
+        if y is not None:
+            y = y * q
+        if d is not None and d.r != num:
+            problems.append(f"step {rec.index}: r is not a*q - b")
+        if rec.remainder is not None and rec.remainder != num:
+            problems.append(f"step {rec.index}: remainder {rec.remainder} is not a*q - b")
+    if p is not None:
+        orders.append(_replay_ord(num, y, den, value))
+    for rec, o in zip(trace, orders):
+        if rec.tail_ord != (None if o == POS_INF else o):
+            problems.append(f"step {rec.index}: tail_ord {rec.tail_ord} is not the order {o}")
+        if rec.initial or e.algorithm not in ("pk", "sylvester", "adaptive"):
+            continue
+        want = e.k
+        if e.algorithm == "adaptive" and e.k is not None and o != POS_INF and e.k <= -o:
+            want = 1 - o
+        if rec.k != want:
+            problems.append(f"step {rec.index}: k {rec.k} is not the {e.algorithm} k {want}")
+
+    sum_exact = None
+    if e.status == TERMINATED:
+        sum_exact = zero is None and not num and not y
+        if zero is None and not sum_exact:
+            tail = _replay_tail(num, y, den, value)
+            problems.append(f"terminated run does not sum to its input (tail {tail})")
+    if e.status != TERMINATED and zero is None and not num and not y:
+        problems.append(f"status {e.status} but the replayed tail is zero")
+    c = e.certificate
+    if e.status == CERTIFIED_NONTERMINATING and c is None:
+        problems.append(f"status {e.status} without a certificate")
+    if c is not None:
+        if e.status != CERTIFIED_NONTERMINATING:
+            problems.append(f"certificate {c} on a run with status {e.status}")
+        if zero is None and c != _replay_tail(num, y, den, value):
+            problems.append(f"certificate {c} is not the final tail")
+        if not c < 0:
+            problems.append(f"certificate {c} is not negative")
+
+    strictly_increasing = None
+    growth_ok = None
+    if orders:
+        strictly_increasing = True
+        growth_ok = True
+        for i in range(len(orders) - 1):
+            s, nxt = orders[i], orders[i + 1]
+            k_i = None if trace[i].initial else trace[i].k
+            if k_i is None:
+                # Additive initial term: only ord >= 1 is promised.
+                if not nxt >= 1:
+                    growth_ok = False
+                    problems.append(f"initial step left order {nxt} < 1")
+                continue
+            if not nxt > s:
+                strictly_increasing = False
+                problems.append(f"order not increasing at step {i}: {s} -> {nxt}")
+            if s != POS_INF and not nxt >= k_i + 2 * s:
+                growth_ok = False
+                problems.append(
+                    f"growth bound failed at step {i}: ord {nxt} < {k_i} + 2*{s}"
+                )
+
+    return VerificationReport(
+        ok=not problems,
+        sum_exact=sum_exact,
+        tail_orders=orders,
+        strictly_increasing=strictly_increasing,
+        growth_ok=growth_ok,
+        problems=problems,
+    )
+
+
+def _run_with_edit(p, e, i, field, delta):
+    """e with one claim of step i moved by delta: the unit or exponent of its
+    r (an fs remainder), the unit of its a or b, the unit of its q (in the
+    terms, the trace and the record alike), or the tail_ord the next step
+    claims (none without a prime)."""
+    trace = list(e.trace)
+    rec = trace[i]
+    d = rec.division
+    if field == "tail_ord" and p is None:
+        return e
+
+    def bump(x, attr="unit"):
+        if not isinstance(x, PLocal):
+            return x + delta
+        if attr == "unit":
+            return PLocal(p, x.unit + delta, x.exp)
+        return PLocal(p, x.unit, x.exp + delta)
+
+    if field == "tail_ord":
+        j = min(i + 1, len(trace) - 1)
+        t = trace[j].tail_ord
+        trace[j] = dataclasses.replace(trace[j], tail_ord=delta if t is None else t + delta)
+    elif field == "q":
+        q = bump(rec.q)
+        new_d = d and dataclasses.replace(d, q=q)
+        trace[i] = dataclasses.replace(rec, q=q, division=new_d)
+        terms = list(e.terms)
+        terms[i] = q
+        return dataclasses.replace(e, terms=tuple(terms), trace=tuple(trace))
+    elif d is not None:
+        name, attr = {"r_unit": ("r", "unit"), "r_exp": ("r", "exp"),
+                      "a": ("a", "unit"), "b": ("b", "unit")}[field]
+        trace[i] = dataclasses.replace(rec, division=dataclasses.replace(
+            d, **{name: bump(getattr(d, name), attr)}))
+    elif field == "r_unit" and rec.remainder is not None:
+        trace[i] = dataclasses.replace(rec, remainder=rec.remainder + delta)
+    return dataclasses.replace(e, trace=tuple(trace))
+
+
+class TestClaimedReplay:
+    """verify_expansion confirms records and claimed orders instead of
+    stripping each replayed remainder; on runs with one claim moved it must
+    still give the stripping replay's report, problem for problem."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(sylvester_inputs(), st.sampled_from(["pk", "adaptive", "sylvester", "knopf", "fs"]),
+           st.integers(1, 6), st.integers(0, 10**6),
+           st.sampled_from(["r_unit", "r_exp", "a", "b", "q", "tail_ord"]),
+           st.sampled_from([-1, 1]))
+    def test_edited_runs_match_stripping_reference(self, case, alg, max_terms, at, field, delta):
+        p, k, v = case
+        k = max(k, 1 - ord_p(p, v))
+        a, b = value_operands(v)
+        if alg == "fs" and not -1 < v <= 1:  # the classical greedy takes about v steps
+            alg = "pk"
+        prime, e = {
+            "pk": lambda: (p, pk_greedy(p, k, a, b)),
+            "adaptive": lambda: (p, adaptive_pk_greedy(p, k - 1, v)),
+            "sylvester": lambda: (p, modified_sylvester(p, k, v, max_terms=max_terms)),
+            "knopf": lambda: (p, knopfmacher_sylvester(p, v, max_terms=max_terms)),
+            "fs": lambda: (None, fs_greedy(a, b)),
+        }[alg]()
+        if e.trace:
+            e = _run_with_edit(prime, e, at % len(e.trace), field, delta)
+        got = verify_expansion(prime, v, e)
+        want = reference_stripping_verify_expansion(prime, v, e)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+
+
+class TestVerifierDoesNotStrip:
+    """verify_expansion takes each replayed remainder from a checked claim,
+    so on a valid deep run it never strips a power of p off a wide integer."""
+
+    @pytest.mark.parametrize("alg", ["pk", "adaptive", "sylvester"])
+    def test_no_wide_strip(self, alg, monkeypatch):
+        p = Prime(101)
+        v = Fraction(10**20 + 7, 10**20 + 9)
+        a, b = value_operands(v)
+        e = {"pk": lambda: pk_greedy(p, 1, a, b),
+             "adaptive": lambda: adaptive_pk_greedy(p, 1, v),
+             "sylvester": lambda: modified_sylvester(p, 1, v)}[alg]()
+        wide = []
+        strip = valuation._strip
+
+        def spy(prime, n):
+            if n.bit_length() > 1024 and n % prime == 0:
+                wide.append(n.bit_length())
+            return strip(prime, n)
+
+        monkeypatch.setattr(valuation, "_strip", spy)
+        report = verify_expansion(p, v, e)
+        assert report.ok
+        assert wide == []
