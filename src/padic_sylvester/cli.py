@@ -276,6 +276,8 @@ def _cmd_verify(ns) -> int:
         rendered = report.expansion_json(e, v if "verification" in data else None)
     except ZeroDivisionError as exc:
         v.problems.append(f"expansion string cannot be rendered: {exc}")
+    except ValueError as exc:  # a value past the int/str digit limit
+        v.problems.append(f"report cannot be re-rendered: {exc}")
     else:
         for path in _differing_leaves(rendered, data):
             v.problems.append("expansion string differs from the terms" if path == "expansion"

@@ -28,7 +28,7 @@ from .quadratic import (
     _surd_ratio,
     _surd_triple,
 )
-from .valuation import PLocal, POS_INF, Prime, _exact_quotient, ord_p
+from .valuation import PLocal, POS_INF, Prime, ord_p
 
 TERMINATED = "terminated"
 CAP_REACHED = "cap_reached"
@@ -477,19 +477,37 @@ def _replay_tail(num, y, den, value) -> "Fraction | QuadElement":
     return QuadElement(x, frac(y) / frac(den), value.D, value.real_sign, value.p, value.residue)
 
 
+def _tail_text(tail) -> str:
+    """str(tail), or the bit lengths of its numerators and denominators where
+    str() would pass the int/str digit limit."""
+    try:
+        return str(tail)
+    except ValueError:
+        def bits(x):
+            return f"{x.numerator.bit_length()}-bit/{x.denominator.bit_length()}-bit"
+
+        if isinstance(tail, Fraction):
+            return bits(tail)
+        return f"({bits(tail.x)}) + ({bits(tail.y)})*sqrt({tail.D})"
+
+
 def _claimed_difference(x: PLocal, z: PLocal, order, den_exp: int) -> PLocal:
     """x - z, the numerator of a replayed tail (x - z)/den with exp(den) =
     den_exp, where order is the tail's claimed order (None: no claim).
 
-    The claim fixes the difference's exponent, so its unit is one exact
-    quotient of the raw difference, confirmed by one product, and is never
-    stripped. An absent or failed claim falls back to the canonical form.
+    The claim fixes the difference's exponent, so its unit, on a valid run
+    no wider than the input's, is the quotient of one divmod by that power
+    of p, accepted on a zero remainder and a quotient prime to p, and never
+    stripped. An absent or failed claim falls back to the canonical form,
+    as does one whose power of p would be wider than the difference.
     """
     p, e = x.p, min(x.exp, z.exp)
     raw = x.unit * p ** (x.exp - e) - z.unit * p ** (z.exp - e)
-    if order is not None:
-        u = _exact_quotient(p, raw, order + den_exp - e)
-        if u is not None:
+    v = None if order is None else order + den_exp - e
+    # Neither a negative v nor a p**v wider than raw (bits(p) >= 2) divides raw.
+    if raw and v is not None and 0 <= v * (p.bit_length() - 1) <= raw.bit_length():
+        u, rem = divmod(raw, p**v)
+        if not rem and u % p:
             return PLocal(p, u, order + den_exp)
     return PLocal(p, raw, e)
 
@@ -520,10 +538,10 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     its powers of p: a step with a division record takes its r once one
     product shows b + r = a*q (on a valid record, a sum whose unit is
     already prime to p), and a step without one takes the exponent the next
-    entry's tail_ord claims and the unit one exact division gives, confirmed
-    by one product. A claim that fails, or is absent, falls back to the
-    canonical form of num*q - den, so the problems are those of the plain
-    replay. The last step skips den*q when it leaves a zero tail.
+    entry's tail_ord claims and the quotient of one divmod by that power of
+    p, confirmed by a zero remainder. A claim that fails, or is absent,
+    falls back to the canonical form of num*q - den, so the problems are
+    those of the plain replay. The last step skips den*q on a zero tail.
     """
     problems: list[str] = []
     if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
@@ -606,7 +624,7 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         sum_exact = zero is None and not num and not y
         if zero is None and not sum_exact:
             tail = _replay_tail(num, y, den, value)
-            problems.append(f"terminated run does not sum to its input (tail {tail})")
+            problems.append(f"terminated run does not sum to its input (tail {_tail_text(tail)})")
     if e.status != TERMINATED and zero is None and not num and not y:
         problems.append(f"status {e.status} but the replayed tail is zero")
     c = e.certificate

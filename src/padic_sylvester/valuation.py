@@ -10,8 +10,10 @@ from fractions import Fraction
 
 from .errors import DivByZero, NotInRing, NotPrime, ZeroInput
 
-# Witness set making Miller-Rabin deterministic for n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes up to 41 as witnesses make Miller-Rabin deterministic below
+# _MR_BOUND (Sorenson and Webster, 2015); Prime rejects larger bases.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
@@ -43,6 +45,8 @@ class Prime(int):
 
     def __new__(cls, p) -> "Prime":
         p = int(p)
+        if p >= _MR_BOUND:
+            raise NotPrime(f"{p} is too large: primality is proven only below {_MR_BOUND}")
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         return super().__new__(cls, p)
@@ -107,41 +111,6 @@ def _strip(p: int, n: int) -> tuple[int, int]:
             n = q
             v += 1 << i
     return v, n
-
-
-def _exact_quotient(p: int, n: int, v: int) -> "int | None":
-    """u with n = u * p**v and p not dividing u, or None when there is none.
-
-    Where the order v of n is known in advance, this replaces _strip's
-    divisions by the exact division of Brent and Zimmermann, Modern Computer
-    Arithmetic, section 1.4.5: u is read off the low bits of n times the
-    2-adic inverse of p**v (a shift for p = 2), and one product confirms it.
-    """
-    if n == 0 or v < 0 or v * (p.bit_length() - 1) > n.bit_length():
-        return None
-    pv = p**v
-    if p == 2:
-        u = n >> v
-    else:
-        # |u| < 2**(width - 1), so u is the signed residue of n/p**v mod 2**width.
-        width = n.bit_length() - pv.bit_length() + 2
-        if width < 2:
-            return None
-        # The inverse of the odd p**v mod 2**prec: a builtin inverse on the
-        # lowest word, then Newton steps, each doubling prec.
-        prec = min(width, 64)
-        mask = (1 << prec) - 1
-        inv = pow(pv & mask, -1, mask + 1)
-        while prec < width:
-            prec = min(2 * prec, width)
-            mask = (1 << prec) - 1
-            inv = inv * (2 - ((pv & mask) * inv & mask)) & mask
-        u = (n & mask) * inv & mask
-        if u >> (width - 1):
-            u -= 1 << width
-    if u % p == 0 or u * pv != n:
-        return None
-    return u
 
 
 def ord_p(p: Prime, r) -> "int | _PositiveInfinity":

@@ -135,6 +135,46 @@ class TestIgnoredFlagsRejected:
         assert flag in err
 
 
+class TestUsageRejections:
+    """Each invalid combination of flags is refused before any output, with
+    an error naming the flag at fault."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("expand", "--alg", "pk", "--k", "1", "--value", "1/2"), "--p is required"),
+        (("expand", "--alg", "pk", "--p", "3", "--value", "1/2"), "--k is required"),
+        (("expand", "--alg", "sylvester", "--p", "7", "--k", "1", "--sqrt", "4", "--x", "0",
+          "--y", "1", "--real-sign", "+", "--padic-residue", "2"),
+         "quadratic input: 4 is a rational square"),
+        (("expand", "--alg", "sylvester", "--p", "2", "--k", "1") + QUAD_XI,
+         "quadratic input: p = 2"),
+        (("expand", "--alg", "sylvester", "--p", "3", "--k", "1", "--value", "1/2",
+          "--max-terms", "0"), "--max-terms must be positive"),
+        (("expand", "--alg", "fs", "--p", "3", "--value", "5/11"), "--p/--k do not apply"),
+        (("expand", "--alg", "fs"), "--value is required for --alg fs"),
+        (("expand", "--alg", "pk", "--p", "7", "--k", "1") + QUAD_XI,
+         "quadratic input requires --alg sylvester"),
+        (("expand", "--alg", "pk", "--p", "3", "--k", "1"), "--value is required"),
+        (("expand", "--alg", "knopf", "--p", "3", "--k", "1", "--value", "2/5"),
+         "--k does not apply to --alg knopf"),
+        (("divide", "--p", "3", "--k", "1"), "--value is required"),
+        (("digits", "--p", "3", "--value", "1/2", "--count", "0"),
+         "--count must be positive"),
+        (("digits", "--p", "3"), "--value is required"),
+        (("compare", "--which", "scaling", "--p", "11", "--k", "1", "--a", "5"),
+         "--a and --b are required"),
+        (("compare", "--p", "11", "--k", "1"), "--value is required for --which nojump"),
+        (("verify", "{missing}"), "report: [Errno 2]"),
+    ], ids=["no-p", "no-k", "quad-square", "quad-p-2", "max-terms-0", "fs-p", "fs-no-value",
+            "pk-quad", "no-value", "knopf-k", "divide-no-value", "digits-count-0",
+            "digits-no-value", "scaling-no-b", "nojump-no-value", "verify-missing-file"])
+    def test_exit_1(self, capsys, tmp_path, argv, flag):
+        argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag}")
+
+
 class TestArgparseRejections:
     """argparse's rejections keep their usage and error text but exit 1, the
     code for invalid input."""
@@ -386,6 +426,28 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 1
         assert "not a valid expand report" in err
+
+    @pytest.mark.parametrize("argv, tamper, tail", [
+        (PK_473_25, lambda d: None, "158498-bit/158499-bit"),
+        (("--alg", "sylvester", "--p", "7", "--k", "1", "--max-terms", "4") + QUAD_XI,
+         lambda d: d.update(status="terminated"),
+         "(280774-bit/280776-bit) + (1-bit/4-bit)*sqrt(11)"),
+    ], ids=["rational", "quadratic"])
+    def test_tail_past_the_digit_limit(self, capsys, tmp_path, argv, tamper, tail):
+        # A term q = u*p^100000 leaves a tail too wide for str(), so the
+        # problem gives its bit sizes, and the term too wide to render again
+        # is listed too.
+        code, out, _ = run(capsys, "expand", *argv, "--output", "json")
+        data = json.loads(out)
+        data["trace"][1]["q"]["exp"] = "100000"
+        tamper(data)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        code, out2, err = run(capsys, "verify", str(path))
+        assert code == 1
+        assert f"[terminated run does not sum to its input (tail {tail})]" in out2
+        assert "[report cannot be re-rendered: Exceeds the limit" in out2
+        assert err == ""
 
     def test_garbage_report(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

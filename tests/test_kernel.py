@@ -16,6 +16,7 @@ import json
 import random
 from fractions import Fraction
 from math import ceil, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,12 +63,13 @@ from padic_sylvester.division import CASE_1, CASE_2
 from padic_sylvester.expansion import (
     CERTIFIED_NONTERMINATING,
     DEFAULT_MAX_TERMS,
+    _claimed_difference,
     _division_record_problems,
     _replay_ord,
     _replay_tail,
 )
 from padic_sylvester.quadratic import PRECISION_CAP, _surd_triple
-from padic_sylvester.valuation import _exact_quotient, _strip
+from padic_sylvester.valuation import _strip
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -140,15 +142,40 @@ class TestStrip:
         assert _strip(p, u * p**v) == (v, u)
 
 
-class TestExactQuotient:
-    @PROPERTY
-    @given(p_units(), st.integers(0, 300), st.integers(-2, 2))
-    def test_only_the_true_order_gives_the_unit(self, pu, v, offset):
-        p, u = pu
-        assert _exact_quotient(p, u * p**v, v + offset) == (u if offset == 0 else None)
+class TestClaimedDifference:
+    """A claimed order only lets _claimed_difference skip the strip: every
+    claim gives the canonical x - z, and the true one strips no wide
+    p-divisible integer."""
 
-    def test_zero_has_no_unit(self):
-        assert _exact_quotient(3, 0, 0) is None
+    @PROPERTY
+    @given(p_units(), st.integers(0, 300), st.integers(-2, 2), st.integers(0, 3),
+           st.integers(-3, 3))
+    def test_every_claim_gives_the_canonical_value(self, pu, v, offset, s, den_exp):
+        p, u = pu
+        # x - z = u * p**v, with both at exponent -s unless x's unit strips.
+        x, z = PLocal(p, u * p ** (v + s) + 1, -s), PLocal(p, 1, -s)
+        wide = []
+        strip = valuation._strip
+
+        def spy(prime, n):
+            if n.bit_length() > 1024 and n % prime == 0:
+                wide.append(n.bit_length())
+            return strip(prime, n)
+
+        with mock.patch.object(valuation, "_strip", spy):
+            got = _claimed_difference(x, z, v + offset - den_exp, den_exp)
+        assert (got.unit, got.exp) == (u, v)
+        if offset == 0:
+            assert wide == []
+
+    @pytest.mark.parametrize("claim", [None, -5, 0, 3, 10**12])
+    def test_zero_and_out_of_range_claims_fall_back(self, claim):
+        # A claim far wider than the difference must not build its power of
+        # p, and a negative one must not divide a wide difference by a float.
+        p = Prime(3)
+        for x, z in ((PLocal(p, 5, 2), PLocal(p, 2, 2)), (PLocal(p, 3**2000 + 1), PLocal(p, 1))):
+            assert _claimed_difference(x, x, claim, 0) == PLocal.zero(p)
+            assert _claimed_difference(x, z, claim, 0) == x - z
 
 
 class TestDigitWindow:

@@ -3,11 +3,13 @@ from fractions import Fraction
 from math import floor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padic_sylvester import (
     DivByZero,
     EmbeddingMismatch,
     EvenPrime,
+    PLocal,
     Prime,
     QuadElement,
     frac_part_k,
@@ -112,6 +114,43 @@ class TestArithmetic:
         u = xi("+") * 0
         with pytest.raises(DivByZero):
             u.inv()
+
+
+class TestNumericProtocol:
+    """Reflected operators, PLocal coercion, hash, truth and repr of
+    QuadElement against Fraction arithmetic on its coordinates."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.fractions(), st.fractions(), st.fractions(), st.fractions(),
+           st.integers(-10**3, 10**3), st.integers(-10**4, 10**4), st.integers(-6, 6),
+           st.sampled_from([1, -1]))
+    def test_matches_fraction_arithmetic(self, x, y, a, b, n, unit, exp, sign):
+        u = QuadElement(x, y, 11, sign, P7, 2)
+        v = QuadElement(a, b, 11, sign, P7, 2)
+        w = PLocal(P7, unit, exp)
+        fw = w.to_fraction()
+
+        def coords(e):
+            return e.x, e.y
+
+        assert coords(n + u) == (n + x, y)
+        assert coords(a + u) == (a + x, y)
+        assert coords(n * u) == (n * x, n * y)
+        assert coords(a * u) == (a * x, a * y)
+        assert coords(u + w) == (x + fw, y)
+        assert coords(u - w) == (x - fw, y)
+        assert coords(u * w) == (x * fw, y * fw)
+        assert coords(u * v) == (x * a + 11 * y * b, x * b + y * a)
+        # Equal elements built along different paths hash equal.
+        back = (u + v) - v
+        assert back == u and hash(back) == hash(u)
+        assert bool(u) == (x != 0 or y != 0)
+        sign_text = "+" if sign > 0 else "-"
+        assert repr(u) == f"QuadElement({x}, {y}, D=11, real_sign={sign_text}, p=7, residue=2)"
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__eq__"):
+            assert getattr(u, name)("1") is NotImplemented
+        with pytest.raises(TypeError):
+            u + 1.5
 
 
 class TestRealCompare:

@@ -1,7 +1,10 @@
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padic_sylvester import (
     NotInRing,
@@ -15,6 +18,11 @@ from padic_sylvester import (
     unit_part,
 )
 from padic_sylvester.errors import DivByZero
+
+
+PROTOCOL = settings(max_examples=200, deadline=None, derandomize=True)
+ORDERINGS = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+SMALL_PRIMES = st.sampled_from([Prime(2), Prime(3), Prime(5), Prime(7)])
 
 
 def rand_fraction(rng, bound=500, nonzero=False):
@@ -33,6 +41,25 @@ class TestPrime:
         for n in (0, 1, 4, 9, 91, 561, 2**61 - 3):
             with pytest.raises(NotPrime):
                 Prime(n)
+
+    def test_rejects_composites_without_small_factors(self):
+        # No factor up to 41, so Miller-Rabin itself must find a witness.
+        for n in (2021, 1373653, 3215031751, 43 * 2**61 - 43):
+            with pytest.raises(NotPrime, match="is not prime"):
+                Prime(n)
+
+    def test_rejects_strong_pseudoprimes_to_the_witnesses(self):
+        # 399165290221 * 798330580441 passes every witness up to 37.
+        with pytest.raises(NotPrime, match="is not prime"):
+            Prime(318665857834031151167461)
+        # 1287836182261 * 2575672364521 passes every witness up to 41, so
+        # bases from it up are refused, naming the bound.
+        for n in (3317044064679887385961981, 2**89 - 1):
+            with pytest.raises(NotPrime, match="only below 3317044064679887385961981"):
+                Prime(n)
+
+    def test_accepts_the_largest_prime_below_the_bound(self):
+        assert Prime(3317044064679887385961813) == 3317044064679887385961813
 
     def test_behaves_like_int(self):
         p = Prime(7)
@@ -167,3 +194,52 @@ class TestPLocal:
         p = Prime(3)
         assert PLocal(p, 45).ord() == 2
         assert PLocal.zero(p).ord() == POS_INF
+
+
+class TestPLocalProtocol:
+    """Comparisons, reflected operators, hash and repr of PLocal against the
+    same operations on its value as a Fraction."""
+
+    @PROTOCOL
+    @given(SMALL_PRIMES, st.integers(-10**6, 10**6), st.integers(-8, 8),
+           st.integers(-10**6, 10**6), st.integers(-8, 8), st.integers(-10**3, 10**3),
+           st.fractions())
+    def test_matches_fraction_arithmetic(self, p, u, e, w, f, n, r):
+        x, y = PLocal(p, u, e), PLocal(p, w, f)
+        fx, fy = x.to_fraction(), y.to_fraction()
+        assert hash(x) == hash(fx)
+        for op in ORDERINGS:
+            assert op(x, y) == op(fx, fy)
+            assert op(x, n) == op(fx, n)
+            assert op(x, r) == op(fx, r)
+            assert op(n, x) == op(n, fx)  # reflected to x's own methods
+            assert op(r, x) == op(r, fx)
+        assert (n + x).to_fraction() == n + fx
+        assert (n - x).to_fraction() == n - fx
+        assert (n * x).to_fraction() == n * fx
+        assert (x + n).to_fraction() == fx + n
+        assert (x - n).to_fraction() == fx - n
+        assert repr(x) == f"PLocal(p={int(p)}, unit={x.unit}, exp={x.exp})"
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__eq__",
+                     "__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(x, name)("1") is NotImplemented
+        with pytest.raises(TypeError):
+            x + 1.5
+        with pytest.raises(TypeError):
+            x <= 1.5
+
+
+class TestPosInfProtocol:
+    """POS_INF orders, compares and hashes as math.inf does among ints and
+    Fractions."""
+
+    @PROTOCOL
+    @given(st.one_of(st.integers(), st.fractions()))
+    def test_matches_float_infinity(self, n):
+        for op in ORDERINGS:
+            assert op(POS_INF, n) == op(math.inf, n)
+            assert op(n, POS_INF) == op(n, math.inf)
+            assert op(POS_INF, POS_INF) == op(math.inf, math.inf)
+        assert min(n, POS_INF) == n and max(n, POS_INF) is POS_INF
+        assert hash(POS_INF) == hash(type(POS_INF)())
+        assert repr(POS_INF) == "+Infinity"
