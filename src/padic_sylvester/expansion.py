@@ -2,18 +2,18 @@
 greedy algorithms, together with run verification and the correspondence
 checks relating the p-adic and classical algorithms.
 
-An expansion of v is a list of q_i in Z[1/p] with v = Sum 1/q_i (plus an
-optional additive initial term for the Knopfmacher algorithm). The
-division-driven algorithms iterate
-
-    b = a q_0 - r_0,  b q_0 = r_0 q_1 - r_1,  b q_0 q_1 = r_1 q_2 - r_2, ...
-
-verbatim, with exact arithmetic throughout.
+An expansion of v is a list of q_i with v = Sum 1/q_i (plus an optional
+additive initial term for Knopfmacher). Every algorithm runs one exact chain,
+`_chain`: a term q steps the tail z = (num + y*sqrt(D))/den, y absent on a
+rational, to (num*q - den + y*q*sqrt(D))/(den*q). Only the step picking q
+differs: the p**k division algorithm (`pk`, `adaptive`, rational
+`sylvester`), <1/z>_k with a real ceiling (quadratic `sylvester`), the
+window <den/num>_1 (`knopf`) or classical division (`fs`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -98,6 +98,47 @@ def value_operands(value) -> tuple[int, int]:
     return (n, d) if n > 0 else (-n, -d)
 
 
+def _chain(num, y, den, step, max_terms: "int | None"):
+    """Step the tail (num + y*sqrt(D)) / den, y None on a rational, until it
+    is zero, max_terms terms are made (None: no cap) or step returns None.
+    step(i, num, y, den) returns the i-th term q, num*q - den and a record;
+    den*q, the run's widest product, is skipped once the tail is zero.
+    Returns (terms, trace, status, num, den); status is TERMINATED on a zero
+    tail, else CAP_REACHED."""
+    terms, trace = [], []
+    while num or y:
+        if max_terms is not None and len(terms) >= max_terms:
+            break
+        stepped = step(len(terms), num, y, den)
+        if stepped is None:
+            break
+        q, num, rec = stepped
+        terms.append(q)
+        trace.append(rec)
+        if y:
+            y = y * q
+        if num or y:
+            den = den * q
+    status = CAP_REACHED if num or y else TERMINATED
+    return tuple(terms), tuple(trace), status, num, den
+
+
+def _pk_step(p: Prime, choose_k, records: bool = True):
+    """The step q, r = pk_divide(p, k, num, den) with k = choose_k(ord(num/den));
+    its record carries the division and its lhs den when `records` is set."""
+
+    def step(i, num, y, den):
+        tail_ord = num.exp - den.exp
+        k = choose_k(tail_ord)
+        d = pk_divide(p, k, num, den)
+        if d.q.is_zero():
+            raise RuntimeError(f"quotient 0 at step {i}; k = {k} is too small here")
+        division, lhs = (d, den) if records else (None, None)
+        return d.q, d.r, StepRecord(i, d.q, k, tail_ord=tail_ord, division=division, lhs=lhs)
+
+    return step
+
+
 def fs_greedy(a: int, b: int) -> Expansion:
     """Classical greedy expansion of a/b into unit fractions with integer
     denominators. Requires a > 0, gcd(a, b) = 1 and a/b > -1; always
@@ -113,59 +154,13 @@ def fs_greedy(a: int, b: int) -> Expansion:
     value = Fraction(a, b)
     if value <= -1:
         raise PreconditionViolated(f"a/b must exceed -1, got {value}")
-    lhs, divisor = b, a
-    terms: list[int] = []
-    trace: list[StepRecord] = []
-    while True:
-        q, r = classical_divide(divisor, lhs)
-        terms.append(q)
-        trace.append(StepRecord(index=len(terms) - 1, q=q, remainder=r))
-        if r == 0:
-            break
-        lhs *= q
-        divisor = r
-    return Expansion("fs", value, None, None, tuple(terms), TERMINATED, tuple(trace))
 
+    def step(i, num, y, den):
+        q, r = classical_divide(num, den)
+        return q, r, StepRecord(index=i, q=q, remainder=r)
 
-def _division_expansion(
-    p: Prime,
-    a: PLocal,
-    b: PLocal,
-    algorithm: str,
-    k_echo: int,
-    choose_k,
-    max_steps: "int | None" = None,
-) -> Expansion:
-    value = a.to_fraction() / b.to_fraction()
-    lhs, divisor = b, a
-    terms: list[PLocal] = []
-    trace: list[StepRecord] = []
-    status = TERMINATED
-    while True:
-        if max_steps is not None and len(terms) >= max_steps:
-            status = CAP_REACHED
-            break
-        tail_ord = divisor.exp - lhs.exp
-        k_i = choose_k(len(terms), tail_ord)
-        step = pk_divide(p, k_i, divisor, lhs)
-        if step.q.is_zero():
-            raise RuntimeError(f"quotient 0 at step {len(terms)}; k = {k_i} is too small here")
-        terms.append(step.q)
-        trace.append(
-            StepRecord(
-                index=len(terms) - 1,
-                q=step.q,
-                k=k_i,
-                tail_ord=tail_ord,
-                division=step,
-                lhs=lhs,
-            )
-        )
-        if step.r.is_zero():
-            break
-        lhs = lhs * step.q
-        divisor = step.r
-    return Expansion(algorithm, value, p, k_echo, tuple(terms), status, tuple(trace))
+    terms, trace, status, _, _ = _chain(a, None, b, step, None)
+    return Expansion("fs", value, None, None, terms, status, trace)
 
 
 def pk_greedy(p: Prime, k: int, a, b) -> Expansion:
@@ -187,7 +182,8 @@ def pk_greedy(p: Prime, k: int, a, b) -> Expansion:
     value_ord = a.exp - b.exp
     if k <= -value_ord:
         raise KTooSmall(f"need k > {-value_ord} for this value, got k = {k}")
-    return _division_expansion(p, a, b, "pk", k, lambda i, t: k)
+    terms, trace, status, _, _ = _chain(a, None, b, _pk_step(p, lambda t: k), None)
+    return Expansion("pk", a.to_fraction() / b.to_fraction(), p, k, terms, status, trace)
 
 
 def adaptive_pk_greedy(p: Prime, k: int, value) -> Expansion:
@@ -196,11 +192,9 @@ def adaptive_pk_greedy(p: Prime, k: int, value) -> Expansion:
     a finite expansion regardless of the requested k.
     """
     a, b = value_operands(value)
-
-    def choose(i: int, tail_ord: int) -> int:
-        return 1 - tail_ord if k <= -tail_ord else k
-
-    return _division_expansion(p, PLocal(p, a), PLocal(p, b), "adaptive", k, choose)
+    step = _pk_step(p, lambda tail_ord: 1 - tail_ord if k <= -tail_ord else k)
+    terms, trace, status, _, _ = _chain(PLocal(p, a), None, PLocal(p, b), step, None)
+    return Expansion("adaptive", Fraction(a, b), p, k, terms, status, trace)
 
 
 def certify_nontermination(state) -> bool:
@@ -221,36 +215,25 @@ def knopfmacher_sylvester(p: Prime, v, max_terms: int = DEFAULT_MAX_TERMS) -> Ex
     """
     v = Fraction(v)
     a0 = frac_part(p, v)
-    terms: list[PLocal] = [a0]
-    trace = [StepRecord(index=0, q=a0, k=1, initial=True, tail_ord=_finite_ord(p, v))]
-    zeta = v - a0.to_fraction()
+    num, den = (PLocal(p, x) for x in v.as_integer_ratio())
+    head = StepRecord(0, a0, 1, initial=True, tail_ord=num.exp - den.exp if num else None)
+    num -= den * a0
+
+    def step(i, num, y, den):
+        if num.unit < 0:  # den > 0, as every a_n > 0: the tail is negative
+            return None
+        start = den.exp - num.exp  # ord(1/z)
+        q = PLocal(p, _window(p, den.unit, num.unit, 1 - start), start)
+        return q, num * q - den, StepRecord(index=i + 1, q=q, k=1, tail_ord=-start)
+
+    terms, trace, status, num, den = _chain(num, None, den, step, max_terms)
     certificate = None
-    recip = 0
-    while True:
-        if zeta == 0:
-            status = TERMINATED
-            break
-        if certify_nontermination(zeta):
-            status = CERTIFIED_NONTERMINATING
-            certificate = zeta
-            break
-        if recip >= max_terms:
-            status = CAP_REACHED
-            break
-        an = frac_part(p, 1 / zeta)
-        terms.append(an)
-        trace.append(StepRecord(index=len(terms) - 1, q=an, k=1, tail_ord=ord_p(p, zeta)))
-        zeta = zeta - 1 / an.to_fraction()
-        recip += 1
+    if status == CAP_REACHED and num.unit < 0:  # a negative tail beats the cap
+        status, certificate = CERTIFIED_NONTERMINATING, num.to_fraction() / den.to_fraction()
     return Expansion(
-        "knopfmacher", v, p, None, tuple(terms), status, tuple(trace),
+        "knopfmacher", v, p, None, (a0, *terms), status, (head, *trace),
         initial=True, certificate=certificate,
     )
-
-
-def _finite_ord(p, v):
-    o = ord_p(p, v)
-    return None if o == POS_INF else o
 
 
 def modified_sylvester(
@@ -261,50 +244,38 @@ def modified_sylvester(
     t = <1/z>_k into q = t + ceil((1 - t*psi(z)) / (p**k * psi(z))) * p**k,
     with psi the real embedding and the standard ceiling (least integer >= x).
     On a rational these are the p**k division algorithm's terms, so a rational
-    runs that algorithm for at most max_terms steps; its trace keeps each
-    step's term, k and order, without the division records. A quadratic
-    element runs the same chain num/den with an irrational part y*sqrt(D)/den
-    riding along (_surd_sylvester), in integer arithmetic throughout.
+    runs its step, recording each term, k and order but no division. A
+    quadratic element runs the same chain with y*sqrt(D)/den riding along
+    (_surd_step). At most max_terms terms are made.
     """
-    if not isinstance(zeta, QuadElement):
+    if isinstance(zeta, QuadElement):
+        if zeta.is_zero():
+            raise PreconditionViolated("cannot expand zero")
+        p, start_ord, step = zeta.p, zeta.ord(), _surd_step(zeta, k)
+        num, y, den = _surd_triple(zeta)
+    else:
+        zeta = Fraction(zeta)
         a, b = value_operands(zeta)
-        a, b = PLocal(p, a), PLocal(p, b)
-        if k <= b.exp - a.exp:
-            raise KTooSmall(f"need k > {b.exp - a.exp} for this value, got k = {k}")
-        e = _division_expansion(p, a, b, "sylvester", k, lambda i, t: k, max_steps=max_terms)
-        return replace(e, trace=tuple(
-            StepRecord(rec.index, rec.q, rec.k, tail_ord=rec.tail_ord) for rec in e.trace
-        ))
-    if zeta.is_zero():
-        raise PreconditionViolated("cannot expand zero")
-    start_ord = zeta.ord()
+        num, y, den = PLocal(p, a), None, PLocal(p, b)
+        start_ord, step = num.exp - den.exp, _pk_step(p, lambda t: k, records=False)
     if k <= -start_ord:
         raise KTooSmall(f"need k > {-start_ord} for this value, got k = {k}")
-    return _surd_sylvester(zeta, k, max_terms)
+    terms, trace, status, _, _ = _chain(num, y, den, step, max_terms)
+    return Expansion("sylvester", zeta, p, k, terms, status, trace)
 
 
-def _surd_sylvester(zeta: QuadElement, k: int, max_terms: int) -> Expansion:
-    """modified_sylvester on a quadratic element, whose tail it carries as
-    z = (n + y*sqrt(D)) / m with n, y and m in Z[1/p]. A term q steps the
-    tail to (n*q - m + y*q*sqrt(D)) / (m*q): the rational chain num/den of
-    the division drivers, with y riding along.
-
-    Per step, the norm n**2 - D*y**2 gives ord(z); t = <1/z>_k is the
+def _surd_step(zeta: QuadElement, k: int):
+    """modified_sylvester's step on a quadratic tail z = (n + y*sqrt(D)) / m
+    over Z[1/p]. The norm n**2 - D*y**2 gives ord(z); t = <1/z>_k is the
     window of z's unit ratio num/den inverted, one inverse modulo p**w,
     w = k - ord(1/z), with sqrt(D) lifted from the previous step's root (as
-    1/sqrt(D), whose Newton step needs no inverse); and the ceiling is one
-    floor of a real surd.
-    """
+    1/sqrt(D), whose Newton step needs no inverse); the ceiling is one floor
+    of a real surd."""
     p, D, residue, sign = zeta.p, zeta.D, zeta.residue, zeta.real_sign
-    n, y, m = _surd_triple(zeta)
     root, inv_root, prec = 0, 0, 0  # sqrt(D) and 1/sqrt(D) mod p**prec
-    terms: list[PLocal] = []
-    trace: list[StepRecord] = []
-    status = TERMINATED
-    while n or y:
-        if len(terms) >= max_terms:
-            status = CAP_REACHED
-            break
+
+    def step(i, n, y, m):
+        nonlocal root, inv_root, prec
         o, norm = _surd_ord(n, y, D, residue)
         te = m.exp - o  # ord(1/z), the exponent of t
         w = k - te
@@ -332,10 +303,9 @@ def _surd_sylvester(zeta: QuadElement, k: int, max_terms: int) -> Expansion:
             x, wy, g = -x, -wy, -g
         c = -_surd_floor(-x, -wy, g, D)
         q = PLocal(p, t + c * modulus, te)
-        terms.append(q)
-        trace.append(StepRecord(index=len(terms) - 1, q=q, k=k, tail_ord=-te))
-        n, y, m = n * q - m, y * q, m * q
-    return Expansion("sylvester", zeta, p, k, tuple(terms), status, tuple(trace))
+        return q, n * q - m, StepRecord(index=i, q=q, k=k, tail_ord=-te)
+
+    return step
 
 
 @dataclass(frozen=True)
@@ -365,10 +335,10 @@ def check_nojump_correspondence(p: Prime, k: int, a: int, b: int) -> NoJumpCorre
     aa, bb = value_operands(value)
     scaled = value * Fraction(p) ** k
     classical = fs_greedy(*value_operands(scaled))
-    padic = _division_expansion(
-        p, PLocal(p, aa), PLocal(p, bb), "pk", k, lambda i, t: k,
-        max_steps=len(classical.terms) + 4,
+    terms, trace, status, _, _ = _chain(
+        PLocal(p, aa), None, PLocal(p, bb), _pk_step(p, lambda t: k), len(classical.terms) + 4
     )
+    padic = Expansion("pk", value, p, k, terms, status, trace)
     jumps = tuple(i for i, rec in enumerate(padic.trace) if rec.division.jumped)
     pk = Fraction(p) ** k
     matches = (

@@ -59,6 +59,12 @@ class TestExpandCommand:
         assert code == 0
         assert "certified_nonterminating" in out
 
+    def test_knopf_certified_at_the_cap(self, capsys):
+        code, out, _ = run(capsys, "expand", "--alg", "knopf", "--p", "2", "--value", "2/5",
+                           "--max-terms", "1")
+        assert code == 0
+        assert "certified_nonterminating" in out
+
     def test_fs(self, capsys):
         code, out, _ = run(capsys, "expand", "--alg", "fs", "--value", "5/11")
         assert code == 0

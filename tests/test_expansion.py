@@ -155,6 +155,16 @@ class TestKnopfmacher:
         assert e.terms[0].to_fraction() == 1
         assert e.certificate == Fraction(-5, 7)
 
+    @pytest.mark.parametrize("p, v, max_terms, certificate", [
+        (2, Fraction(2, 5), 1, Fraction(-8, 5)),  # negative after the last term the cap allows
+        (3, Fraction(-2, 5), 0, Fraction(-12, 5)),  # negative after the initial term
+    ])
+    def test_certified_before_the_cap(self, p, v, max_terms, certificate):
+        e = knopfmacher_sylvester(Prime(p), v, max_terms=max_terms)
+        assert e.status == CERTIFIED_NONTERMINATING
+        assert e.certificate == certificate
+        assert len(e.terms) == 1 + max_terms
+
     def test_zero_input(self):
         e = knopfmacher_sylvester(P3, 0)
         assert e.status == TERMINATED and e.total() == 0

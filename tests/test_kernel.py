@@ -5,9 +5,10 @@ and frac_part_k used to run, the doubling-precision digit search that
 quad_ord used to run, the wide two-inverse image that quadratic digit
 windows were read from, the squares ladder that real_compare ran, the
 Fraction-based report renderers, the ceiling step that modified_sylvester
-ran on rationals and the QuadElement loop it ran on quadratic elements, and
-the Fraction re-sum that verify_expansion ran and the stripping replay it
-ran next, all kept here as references.
+ran on rationals and the QuadElement loop it ran on quadratic elements, the
+Fraction re-sum that verify_expansion ran and the stripping replay it ran
+next, and the fs, Knopfmacher and p**k division loops that ran before every
+algorithm stepped one chain, all kept here as references.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import ceil, isqrt
+from math import ceil, gcd, isqrt
 from unittest import mock
 
 import pytest
@@ -39,7 +40,10 @@ from padic_sylvester import (
     StepRecord,
     VerificationReport,
     adaptive_pk_greedy,
+    certify_nontermination,
+    check_nojump_correspondence,
     digits_of,
+    frac_part,
     frac_part_k,
     fs_greedy,
     hensel_sqrt,
@@ -59,7 +63,7 @@ from padic_sylvester import (
 from padic_sylvester import quadratic, report, valuation
 from padic_sylvester.cli import main
 from padic_sylvester.digits import _residue
-from padic_sylvester.division import CASE_1, CASE_2
+from padic_sylvester.division import CASE_1, CASE_2, classical_divide, pk_divide
 from padic_sylvester.expansion import (
     CERTIFIED_NONTERMINATING,
     DEFAULT_MAX_TERMS,
@@ -1087,3 +1091,229 @@ class TestVerifierDoesNotStrip:
         report = verify_expansion(p, v, e)
         assert report.ok
         assert wide == []
+
+
+# The loops that fs_greedy, knopfmacher_sylvester and the p**k division
+# drivers (pk_greedy, adaptive_pk_greedy, check_nojump_correspondence and the
+# rational branch of modified_sylvester) ran before every algorithm stepped
+# one chain, kept verbatim apart from names. The Knopfmacher loop steps its
+# tail in Fraction arithmetic, with one gcd per step.
+
+
+def reference_fs_greedy(a: int, b: int) -> Expansion:
+    """Classical greedy expansion of a/b into unit fractions with integer
+    denominators. Requires a > 0, gcd(a, b) = 1 and a/b > -1; always
+    terminates with Sum 1/q_i = a/b.
+    """
+    a, b = int(a), int(b)
+    if a <= 0:
+        raise PreconditionViolated(f"a must be positive, got {a}")
+    if b == 0:
+        raise PreconditionViolated("b must be nonzero")
+    if gcd(a, abs(b)) != 1:
+        raise PreconditionViolated(f"gcd({a}, {b}) must be 1")
+    value = Fraction(a, b)
+    if value <= -1:
+        raise PreconditionViolated(f"a/b must exceed -1, got {value}")
+    lhs, divisor = b, a
+    terms: list[int] = []
+    trace: list[StepRecord] = []
+    while True:
+        q, r = classical_divide(divisor, lhs)
+        terms.append(q)
+        trace.append(StepRecord(index=len(terms) - 1, q=q, remainder=r))
+        if r == 0:
+            break
+        lhs *= q
+        divisor = r
+    return Expansion("fs", value, None, None, tuple(terms), TERMINATED, tuple(trace))
+
+
+def reference_division_expansion(
+    p: Prime,
+    a: PLocal,
+    b: PLocal,
+    algorithm: str,
+    k_echo: int,
+    choose_k,
+    max_steps: "int | None" = None,
+) -> Expansion:
+    value = a.to_fraction() / b.to_fraction()
+    lhs, divisor = b, a
+    terms: list[PLocal] = []
+    trace: list[StepRecord] = []
+    status = TERMINATED
+    while True:
+        if max_steps is not None and len(terms) >= max_steps:
+            status = CAP_REACHED
+            break
+        tail_ord = divisor.exp - lhs.exp
+        k_i = choose_k(len(terms), tail_ord)
+        step = pk_divide(p, k_i, divisor, lhs)
+        if step.q.is_zero():
+            raise RuntimeError(f"quotient 0 at step {len(terms)}; k = {k_i} is too small here")
+        terms.append(step.q)
+        trace.append(
+            StepRecord(
+                index=len(terms) - 1,
+                q=step.q,
+                k=k_i,
+                tail_ord=tail_ord,
+                division=step,
+                lhs=lhs,
+            )
+        )
+        if step.r.is_zero():
+            break
+        lhs = lhs * step.q
+        divisor = step.r
+    return Expansion(algorithm, value, p, k_echo, tuple(terms), status, tuple(trace))
+
+
+def reference_knopfmacher_sylvester(p: Prime, v, max_terms: int = DEFAULT_MAX_TERMS) -> Expansion:
+    """Knopfmacher-style Sylvester expansion: a_0 = <v>, then repeatedly
+    a_n = <1/z_n> and z_{n+1} = z_n - 1/a_n.
+
+    Stops on z = 0 (terminated), on a negative remainder (certified
+    non-terminating), or after max_terms reciprocal terms (cap reached).
+    """
+    v = Fraction(v)
+    a0 = frac_part(p, v)
+    terms: list[PLocal] = [a0]
+    trace = [StepRecord(index=0, q=a0, k=1, initial=True, tail_ord=reference_finite_ord(p, v))]
+    zeta = v - a0.to_fraction()
+    certificate = None
+    recip = 0
+    while True:
+        if zeta == 0:
+            status = TERMINATED
+            break
+        if certify_nontermination(zeta):
+            status = CERTIFIED_NONTERMINATING
+            certificate = zeta
+            break
+        if recip >= max_terms:
+            status = CAP_REACHED
+            break
+        an = frac_part(p, 1 / zeta)
+        terms.append(an)
+        trace.append(StepRecord(index=len(terms) - 1, q=an, k=1, tail_ord=ord_p(p, zeta)))
+        zeta = zeta - 1 / an.to_fraction()
+        recip += 1
+    return Expansion(
+        "knopfmacher", v, p, None, tuple(terms), status, tuple(trace),
+        initial=True, certificate=certificate,
+    )
+
+
+def reference_finite_ord(p, v):
+    o = ord_p(p, v)
+    return None if o == POS_INF else o
+
+
+def _same_run(got, want):
+    """Equal Expansions, down to the types of the value, the certificate and
+    each term, which == between Fraction, int and PLocal does not see."""
+    assert got == want
+    assert type(got.value) is type(want.value)
+    assert type(got.certificate) is type(want.certificate)
+    assert [type(q) for q in got.terms] == [type(q) for q in want.terms]
+
+
+@st.composite
+def small_values(draw, low, high):
+    """A rational in (low, high]."""
+    d = draw(st.integers(1, 10**4))
+    n = draw(st.integers(low * d + 1, high * d).filter(bool))
+    return Fraction(n, d)
+
+
+class TestChainDriver:
+    """Every algorithm steps one chain; each must give the Expansion its own
+    loop gave, trace, division records, status and certificate included."""
+
+    @PROPERTY
+    @given(sylvester_inputs(), st.integers(-2, 2))
+    def test_pk_matches_reference(self, case, shift):
+        p, k, v = case
+        k = max(k, 1 - ord_p(p, v))
+        a, b = (Fraction(x) * Fraction(p) ** shift for x in value_operands(v))
+        want = reference_division_expansion(
+            p, PLocal.from_fraction(p, a), PLocal.from_fraction(p, b), "pk", k, lambda i, t: k
+        )
+        _same_run(pk_greedy(p, k, a, b), want)
+
+    @PROPERTY
+    @given(sylvester_inputs(), st.integers(-3, 0))
+    def test_adaptive_matches_reference(self, case, offset):
+        p, k, v = case
+        k += offset
+        a, b = value_operands(v)
+
+        def choose(i: int, tail_ord: int) -> int:
+            return 1 - tail_ord if k <= -tail_ord else k
+
+        want = reference_division_expansion(p, PLocal(p, a), PLocal(p, b), "adaptive", k, choose)
+        _same_run(adaptive_pk_greedy(p, k, v), want)
+
+    @PROPERTY
+    @given(sylvester_inputs(), st.sampled_from([0, 1, 3, 64]))
+    def test_knopf_matches_reference(self, case, max_terms):
+        p, _, v = case
+        want = reference_knopfmacher_sylvester(p, v, max_terms=max_terms)
+        _same_run(knopfmacher_sylvester(p, v, max_terms=max_terms), want)
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    def test_knopf_zero_matches_reference(self, p):
+        p = Prime(p)
+        _same_run(knopfmacher_sylvester(p, 0), reference_knopfmacher_sylvester(p, 0))
+
+    @PROPERTY
+    @given(small_values(-1, 3))
+    def test_fs_matches_reference(self, v):
+        a, b = value_operands(v)
+        _same_run(fs_greedy(a, b), reference_fs_greedy(a, b))
+
+    @PROPERTY
+    @given(st.sampled_from(SYLVESTER_PRIMES), small_values(0, 3), st.integers(-3, 3),
+           st.integers(0, 3))
+    def test_nojump_runs_match_reference(self, p, v, power, below):
+        v *= Fraction(p) ** power
+        k = -ord_p(p, v) - below
+        while v * Fraction(p) ** k > 3:  # the classical greedy takes about v steps
+            k -= 1
+        aa, bb = value_operands(v)
+        classical = reference_fs_greedy(*value_operands(v * Fraction(p) ** k))
+        padic = reference_division_expansion(
+            p, PLocal(p, aa), PLocal(p, bb), "pk", k, lambda i, t: k,
+            max_steps=len(classical.terms) + 4,
+        )
+        got = check_nojump_correspondence(p, k, aa, bb)
+        _same_run(got.classical, classical)
+        _same_run(got.padic, padic)
+
+
+class TestNoProductAfterFinalTerm:
+    """den*q after the final term is never read and is the widest product of
+    a run, so a terminated rational run forms den*q once per term but the
+    last."""
+
+    @pytest.mark.parametrize("alg", ["pk", "adaptive", "sylvester"])
+    def test_one_product_per_term_but_the_last(self, alg, monkeypatch):
+        p = Prime(101)
+        v = Fraction(10**16 + 7, 10**16 + 9)
+        a, b = value_operands(v)
+        products = []
+        mul = PLocal.__mul__
+
+        def spy(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(PLocal, "__mul__", spy)
+        e = {"pk": lambda: pk_greedy(p, 1, a, b),
+             "adaptive": lambda: adaptive_pk_greedy(p, 1, v),
+             "sylvester": lambda: modified_sylvester(p, 1, v)}[alg]()
+        assert e.status == TERMINATED
+        assert len(e.terms) == 12
+        assert len(products) == len(e.terms) - 1
