@@ -28,7 +28,7 @@ from .quadratic import (
     _surd_ratio,
     _surd_triple,
 )
-from .valuation import PLocal, POS_INF, Prime, ord_p
+from .valuation import PLocal, POS_INF, Prime, _strip, ord_p
 
 TERMINATED = "terminated"
 CAP_REACHED = "cap_reached"
@@ -266,18 +266,23 @@ def modified_sylvester(
 
 def _surd_step(zeta: QuadElement, k: int):
     """modified_sylvester's step on a quadratic tail z = (n + y*sqrt(D)) / m
-    over Z[1/p]. The norm n**2 - D*y**2 gives ord(z); t = <1/z>_k is the
-    window of z's unit ratio num/den inverted, one inverse modulo p**w,
-    w = k - ord(1/z), with sqrt(D) lifted from the previous step's root (as
-    1/sqrt(D), whose Newton step needs no inverse); the ceiling is one floor
-    of a real surd."""
+    over Z[1/p]. The norm n**2 - D*y**2 gives ord(z), found from the floor
+    the growth bound ord(z) >= k + 2*ord(previous z) puts on ord(n + y*sqrt(D));
+    t = <1/z>_k is the window of z's unit ratio num/den inverted, one inverse
+    modulo p**w, w = k - ord(1/z), with sqrt(D) lifted from the previous
+    step's root (as 1/sqrt(D), whose Newton step needs no inverse); the
+    ceiling is one floor of a real surd."""
     p, D, residue, sign = zeta.p, zeta.D, zeta.residue, zeta.real_sign
     root, inv_root, prec = 0, 0, 0  # sqrt(D) and 1/sqrt(D) mod p**prec
+    floor = None  # the growth bound on ord(n + y*sqrt(D)), none on the first step
 
     def step(i, n, y, m):
-        nonlocal root, inv_root, prec
-        o, norm = _surd_ord(n, y, D, residue)
+        nonlocal root, inv_root, prec, floor
+        o, norm = _surd_ord(n, y, D, residue, floor)
         te = m.exp - o  # ord(1/z), the exponent of t
+        # The next tail has order >= k + 2*ord(z) = k - 2*te over m*q, whose
+        # exponent is m.exp + te.
+        floor = k - te + m.exp
         w = k - te
         modulus = p**w
         if y:
@@ -428,12 +433,22 @@ def _division_record_problems(rec: StepRecord) -> list[str]:
     return problems
 
 
-def _replay_ord(num, y, den, value):
+def _replay_ord(num, y, den, value, floor=None):
     """Order of a replayed tail (num + y*sqrt(D)) / den over Z[1/p]; y is
-    None on a rational."""
+    None on a rational. floor is a guess at a lower bound for it (None:
+    none), which only speeds up finding a quadratic order (_surd_ord)."""
     if y:
-        return _surd_ord(num, y, value.D, value.residue)[0] - den.exp
+        floor = None if floor is None else floor + den.exp
+        return _surd_ord(num, y, value.D, value.residue, floor)[0] - den.exp
     return POS_INF if num.is_zero() else num.exp - den.exp
+
+
+def _growth_floor(rec: StepRecord, orders: list):
+    """rec.k + 2*ord(z), the growth bound's floor under the order of the tail
+    step rec leaves from z, the tail of order orders[-1]; None without them."""
+    if not orders or rec.k is None or orders[-1] == POS_INF:
+        return None
+    return rec.k + 2 * orders[-1]
 
 
 def _replay_tail(num, y, den, value) -> "Fraction | QuadElement":
@@ -461,25 +476,23 @@ def _tail_text(tail) -> str:
         return f"({bits(tail.x)}) + ({bits(tail.y)})*sqrt({tail.D})"
 
 
-def _claimed_difference(x: PLocal, z: PLocal, order, den_exp: int) -> PLocal:
-    """x - z, the numerator of a replayed tail (x - z)/den with exp(den) =
-    den_exp, where order is the tail's claimed order (None: no claim).
+def _claimed_difference(x: PLocal, z: PLocal, floor, den_exp: int) -> PLocal:
+    """x - z in canonical form, the numerator of a replayed tail (x - z)/den
+    with exp(den) = den_exp, where floor is a guess at a lower bound for the
+    tail's order (None: none).
 
-    The claim fixes the difference's exponent, so its unit, on a valid run
-    no wider than the input's, is the quotient of one divmod by that power
-    of p, accepted on a zero remainder and a quotient prime to p, and never
-    stripped. An absent or failed claim falls back to the canonical form,
-    as does one whose power of p would be wider than the difference.
+    On a valid run the guess is the next entry's claimed order, so _strip
+    takes the difference's power of p out with one exact division and only
+    checks that the quotient is prime to p. A wrong guess costs one division
+    before the full strip, and none if its power of p is wider than the
+    difference.
     """
     p, e = x.p, min(x.exp, z.exp)
     raw = x.unit * p ** (x.exp - e) - z.unit * p ** (z.exp - e)
-    v = None if order is None else order + den_exp - e
-    # Neither a negative v nor a p**v wider than raw (bits(p) >= 2) divides raw.
-    if raw and v is not None and 0 <= v * (p.bit_length() - 1) <= raw.bit_length():
-        u, rem = divmod(raw, p**v)
-        if not rem and u % p:
-            return PLocal(p, u, order + den_exp)
-    return PLocal(p, raw, e)
+    if not raw:
+        return PLocal.zero(p)
+    v, u = _strip(p, raw, 0 if floor is None else floor + den_exp - e)
+    return PLocal(p, u, e + v)
 
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
@@ -504,13 +517,15 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     gives b = a*q - r and the chain. A classical remainder must be the next
     num too.
 
-    A rational num is confirmed from the report's claims, never stripped of
-    its powers of p: a step with a division record takes its r once one
-    product shows b + r = a*q (on a valid record, a sum whose unit is
-    already prime to p), and a step without one takes the exponent the next
-    entry's tail_ord claims and the quotient of one divmod by that power of
-    p, confirmed by a zero remainder. A claim that fails, or is absent,
-    falls back to the canonical form of num*q - den, so the problems are
+    Orders are confirmed from the report's claims; on a valid report none is
+    searched for from scratch. A rational num with a division record takes
+    its r once one product shows b + r = a*q (on a valid record, a sum whose
+    unit is already prime to p); one without takes the power of p the next
+    entry's tail_ord claims out of num*q - den with one exact division, and
+    a quadratic tail takes the power its own tail_ord claims out of its norm
+    the same way. The final tail, which no entry claims, takes the growth
+    bound k + 2*ord(z) as its claim. A claim that fails only costs that
+    division before the full strip (valuation._strip), so the problems are
     those of the plain replay. The last step skips den*q on a zero tail.
     """
     problems: list[str] = []
@@ -539,13 +554,14 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     orders = []
     for i, rec in enumerate(trace):
         if p is not None:
-            orders.append(_replay_ord(num, y, den, value))
+            orders.append(_replay_ord(num, y, den, value, rec.tail_ord))
         q, d = rec.q, rec.division
         if rational and not isinstance(q, PLocal):
             q = PLocal(p, q)
         last = i + 1 == len(trace)
-        # The order of the tail this step leaves, as the next entry claims it.
-        claim = None if last else trace[i + 1].tail_ord
+        # The order of the tail this step leaves, as the next entry claims it;
+        # no entry claims the final tail's, so the growth bound guesses it.
+        claim = _growth_floor(rec, orders) if last else trace[i + 1].tail_ord
         if rec.initial:
             if rational:
                 num = _claimed_difference(num, den * q, claim, den.exp)
@@ -577,7 +593,8 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         if rec.remainder is not None and rec.remainder != num:
             problems.append(f"step {rec.index}: remainder {rec.remainder} is not a*q - b")
     if p is not None:
-        orders.append(_replay_ord(num, y, den, value))
+        floor = _growth_floor(trace[-1], orders) if trace else None
+        orders.append(_replay_ord(num, y, den, value, floor))
     for rec, o in zip(trace, orders):
         if rec.tail_ord != (None if o == POS_INF else o):
             problems.append(f"step {rec.index}: tail_ord {rec.tail_ord} is not the order {o}")

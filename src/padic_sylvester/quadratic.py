@@ -7,7 +7,10 @@ residue mod p the p-adic square root reduces to.
 The public functions here are thin wrappers over three integer kernels on
 (n + y*sqrt(D)) / m with n, y and m in Z[1/p] (`_surd_triple`): its p-adic
 order o, read off the orders of n and y and of the norm n**2 - D*y**2
-(`_surd_ord`); its unit part p**-o * (n + y*sqrt(D)) / m as a ratio num/den
+(`_surd_ord`, which takes an optional lower bound for o, the floor: the
+Sylvester driver passes the growth bound and verify each step's claimed
+order, so the norm's power of p comes out with one exact division and is
+not searched for from scratch); its unit part p**-o * (n + y*sqrt(D)) / m as a ratio num/den
 of p-adic integer units, given a root of D lifted far enough (`_surd_ratio`);
 and the floor of a real surd (x + w*sqrt(D)) / g, with one integer square
 root (`_surd_floor`). A digit window is then digits._window(p, num, den, w),
@@ -23,7 +26,7 @@ from math import gcd, isqrt
 
 from .digits import DigitExpansion, _read_digits, _simple_root, _window, hensel_sqrt
 from .errors import DivByZero, EmbeddingMismatch, EvenPrime, PrecisionExhausted
-from .valuation import PLocal, POS_INF, Prime, ord_p
+from .valuation import PLocal, POS_INF, Prime, _strip, ord_p
 
 # Hard cap on the width, in base-p digits, of one digit window of a
 # quadratic element; wider requests raise PrecisionExhausted.
@@ -254,21 +257,29 @@ def _surd_triple(u: QuadElement) -> tuple[PLocal, PLocal, PLocal]:
     )
 
 
-def _surd_ord(n: PLocal, y: PLocal, D: int, residue: int) -> tuple[int, PLocal]:
+def _surd_ord(
+    n: PLocal, y: PLocal, D: int, residue: int, floor: "int | None" = None
+) -> tuple[int, PLocal]:
     """(o, norm): the p-adic order o of n + y*sqrt(D), for n and y in Z[1/p]
     not both zero and sqrt(D) = residue (mod p), and the norm
-    n**2 - D*y**2 it is read off.
+    n**2 - D*y**2 it is read off. floor, if given, is a lower bound for o.
 
     The ultrametric settles every case except equal orders e. There p is
     odd, so n + y*sqrt(D) and its conjugate add up to 2n, of order exactly e:
     at most one of the two has order above e, and their orders add up to the
-    norm's. The digit at p**e decides which.
+    norm's. The digit at p**e decides which. The norm is then the integer
+    n.unit**2 - D*y.unit**2 times p**(2e), of order o + e >= e + max(e, floor)
+    when n + y*sqrt(D) is the one that cancels, so one exact division by the
+    power of p the floor promises leaves only a short strip (valuation._strip).
     """
-    norm = n * n - D * (y * y)
     e = n.ord()
     if e != y.ord():
-        return min(e, y.ord()), norm
-    if (n.unit + y.unit * residue) % n.p:
+        return min(e, y.ord()), n * n - D * (y * y)
+    p = n.p
+    v, u = _strip(p, n.unit * n.unit - D * (y.unit * y.unit),
+                  0 if floor is None else max(e, floor) - e)
+    norm = PLocal(p, u, 2 * e + v)
+    if (n.unit + y.unit * residue) % p:
         return e, norm
     return norm.exp - e, norm
 

@@ -85,16 +85,26 @@ class _PositiveInfinity:
 POS_INF = _PositiveInfinity()
 
 
-def _strip(p: int, n: int) -> tuple[int, int]:
+def _strip(p: int, n: int, floor: int = 0) -> tuple[int, int]:
     """(v, u) with n = u * p**v and p not dividing u; n must be nonzero.
 
     Divides by p, p**2, p**4, ... while they divide, then walks back down
     the same powers, so order v costs O(log v) big divisions (the
     binary-splitting valuation of Brent and Zimmermann, Modern Computer
     Arithmetic, section 1.7).
+
+    floor is a guess at a lower bound for v. If p**floor divides n, one
+    exact division takes it out and only the quotient is stripped; otherwise
+    the walk runs as without it, so the result never depends on floor. A
+    p**floor wider than n (bits(p) >= 2) cannot divide it and is never built.
     """
     if n % p:
         return 0, n
+    if 0 < floor and floor * (p.bit_length() - 1) <= n.bit_length():
+        q, rem = divmod(n, p**floor)
+        if not rem:
+            v, u = _strip(p, q)
+            return v + floor, u
     v = 0
     powers = [p]
     q, rem = divmod(n, p)

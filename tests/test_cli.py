@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -460,6 +461,29 @@ class TestVerifyCommand:
         path.write_text("{}")
         code, _, err = run(capsys, "verify", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("claim", ["6", "8", "-3", "4000000"])
+    def test_tampered_quadratic_order(self, claim):
+        # The replay takes each quadratic order from its claimed tail_ord; a
+        # wrong claim, one p**claim far wider than the norm among them, only
+        # costs a division (none for the wide one) before the true order 7 is
+        # found. 12 terms is the widest xi report that renders (int/str limit).
+        code, out, _ = _cli(("expand", "--alg", "sylvester", "--p", "7", "--k", "1",
+                             "--max-terms", "12", "--output", "json") + QUAD_XI)
+        assert code == 0
+        data = json.loads(out)
+        assert data["trace"][3]["tail_ord"] == "7"
+        data["trace"][3]["tail_ord"] = claim
+        start = time.perf_counter()
+        code, out, err = _cli(("verify", "-"), json.dumps(data))
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert err == ""
+        assert out == (
+            f"verification: FAILED orders=increasing growth=ok [step 3: tail_ord {claim} is "
+            "not the order 7] [verification.ok differs from the re-rendered report] "
+            "[verification.problems[0] differs from the re-rendered report]\n"
+        )
 
 
 class TestJsonRoundTrip:

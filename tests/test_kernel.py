@@ -17,6 +17,7 @@ import json
 import random
 from fractions import Fraction
 from math import ceil, gcd, isqrt
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -60,7 +61,7 @@ from padic_sylvester import (
     value_operands,
     verify_expansion,
 )
-from padic_sylvester import quadratic, report, valuation
+from padic_sylvester import expansion, quadratic, report, valuation
 from padic_sylvester.cli import main
 from padic_sylvester.digits import _residue
 from padic_sylvester.division import CASE_1, CASE_2, classical_divide, pk_divide
@@ -138,6 +139,19 @@ def rationals(draw, primes=PRIMES[:5]):
     return p, Fraction(num, den) * Fraction(p) ** draw(st.integers(-30, 30))
 
 
+class _PowerLog(int):
+    """A prime that logs every exponent it is raised to."""
+
+    def __new__(cls, p, log):
+        self = super().__new__(cls, p)
+        self.log = log
+        return self
+
+    def __pow__(self, exp, mod=None):
+        self.log.append(exp)
+        return int.__pow__(int(self), exp, mod)
+
+
 class TestStrip:
     @PROPERTY
     @given(p_units(), st.integers(0, 3000))
@@ -145,11 +159,45 @@ class TestStrip:
         p, u = pu
         assert _strip(p, u * p**v) == (v, u)
 
+    @PROPERTY
+    @given(p_units([2, 3, 101]), st.integers(0, 400),
+           st.sampled_from([-2, -1, 0, 1, 2, "zero", "negative", "huge"]))
+    def test_floor_never_changes_the_result(self, pu, v, floor):
+        # Floors below, at and above the true order v, and 0, negative and
+        # 10**9; a floor that holds costs exactly one power of p, and a power
+        # wider than n is never built.
+        p, u = pu
+        n = u * p**v
+        if isinstance(floor, str):
+            floor = {"zero": 0, "negative": -v - 1, "huge": 10**9}[floor]
+        else:
+            floor += v
+        log = []
+        assert _strip(_PowerLog(p, log), n, floor) == _strip(p, n) == (v, u)
+        assert all(f * (p.bit_length() - 1) <= n.bit_length() for f in log)
+        if 0 < floor <= v:
+            assert log == [floor]
+        if floor <= 0 or floor == 10**9:
+            assert log == []
+
+
+def _wide_walks(wide):
+    """A _strip that logs the bit size of every wide p-divisible integer it
+    walks, that is, whose power of p a floor does not take out first."""
+    strip = valuation._strip
+
+    def spy(prime, n, floor=0):
+        v, u = strip(prime, n, floor)
+        if n.bit_length() > 1024 and n % prime == 0 and not 0 < floor <= v:
+            wide.append(n.bit_length())
+        return v, u
+
+    return spy
+
 
 class TestClaimedDifference:
-    """A claimed order only lets _claimed_difference skip the strip: every
-    claim gives the canonical x - z, and the true one strips no wide
-    p-divisible integer."""
+    """A claimed order only speeds up _claimed_difference: every claim gives
+    the canonical x - z, and the true one walks no wide p-divisible integer."""
 
     @PROPERTY
     @given(p_units(), st.integers(0, 300), st.integers(-2, 2), st.integers(0, 3),
@@ -159,14 +207,9 @@ class TestClaimedDifference:
         # x - z = u * p**v, with both at exponent -s unless x's unit strips.
         x, z = PLocal(p, u * p ** (v + s) + 1, -s), PLocal(p, 1, -s)
         wide = []
-        strip = valuation._strip
-
-        def spy(prime, n):
-            if n.bit_length() > 1024 and n % prime == 0:
-                wide.append(n.bit_length())
-            return strip(prime, n)
-
-        with mock.patch.object(valuation, "_strip", spy):
+        spy = _wide_walks(wide)
+        with mock.patch.object(valuation, "_strip", spy), \
+                mock.patch.object(expansion, "_strip", spy):
             got = _claimed_difference(x, z, v + offset - den_exp, den_exp)
         assert (got.unit, got.exp) == (u, v)
         if offset == 0:
@@ -1069,28 +1112,66 @@ class TestClaimedReplay:
 
 class TestVerifierDoesNotStrip:
     """verify_expansion takes each replayed remainder from a checked claim,
-    so on a valid deep run it never strips a power of p off a wide integer."""
+    and a capped run's final tail from the growth bound, so on a valid deep
+    run it never walks the powers of p of a wide integer."""
 
-    @pytest.mark.parametrize("alg", ["pk", "adaptive", "sylvester"])
+    @pytest.mark.parametrize("alg", ["pk", "adaptive", "sylvester", "sylvester-capped"])
     def test_no_wide_strip(self, alg, monkeypatch):
         p = Prime(101)
         v = Fraction(10**20 + 7, 10**20 + 9)
         a, b = value_operands(v)
         e = {"pk": lambda: pk_greedy(p, 1, a, b),
              "adaptive": lambda: adaptive_pk_greedy(p, 1, v),
-             "sylvester": lambda: modified_sylvester(p, 1, v)}[alg]()
+             "sylvester": lambda: modified_sylvester(p, 1, v),
+             "sylvester-capped": lambda: modified_sylvester(p, 1, v, max_terms=12)}[alg]()
         wide = []
-        strip = valuation._strip
-
-        def spy(prime, n):
-            if n.bit_length() > 1024 and n % prime == 0:
-                wide.append(n.bit_length())
-            return strip(prime, n)
-
+        spy = _wide_walks(wide)
         monkeypatch.setattr(valuation, "_strip", spy)
+        monkeypatch.setattr(expansion, "_strip", spy)
         report = verify_expansion(p, v, e)
         assert report.ok
         assert wide == []
+
+
+QUAD_POOL = Path(__file__).resolve().parents[1] / "bench" / "quad_pool.json"
+
+
+class TestGrowthFloor:
+    """The quadratic driver finds each order from the floor the growth bound
+    ord(z_{i+1}) >= k + 2*ord(z_i) puts under it, and the replay from each
+    step's claimed tail_ord or, for the final tail, the growth bound. On valid
+    runs every floor holds, so each norm costs one exact division and a
+    strip of what is left, never the full walk."""
+
+    def test_every_floor_divides(self, monkeypatch):
+        xi = QuadElement.make(0, Fraction(1, 11), 11, "+", Prime(7), 2)
+        runs = [(xi, 15)] + [
+            (QuadElement.make(Fraction(c["x"]), Fraction(c["y"]), c["d"], c["sign"],
+                              Prime(c["p"]), c["residue"]), 12)
+            for c in json.loads(QUAD_POOL.read_text())
+        ]
+        floors = []
+        strip = valuation._strip
+
+        def spy(p, n, floor=0):
+            v, u = strip(p, n, floor)
+            if floor > 0:
+                floors.append((floor, v))
+            return v, u
+
+        for module in (valuation, quadratic, expansion):
+            monkeypatch.setattr(module, "_strip", spy)
+        for u, terms in runs:
+            e = modified_sylvester(u.p, 1, u, max_terms=terms)
+            assert len(e.terms) == terms
+            assert verify_expansion(u.p, u, e).ok
+        bad = [(floor, v) for floor, v in floors if v < floor]
+        assert bad == []
+        # Nearly every step after the first in the driver, and every tail
+        # after the first in the replay, has a norm that cancels and a
+        # positive floor; one pool element has a step whose coefficients'
+        # orders differ, so nothing cancels there.
+        assert len(floors) >= sum(2 * terms - 2 for _, terms in runs)
 
 
 # The loops that fs_greedy, knopfmacher_sylvester and the p**k division
