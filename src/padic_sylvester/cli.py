@@ -28,7 +28,7 @@ from .expansion import (
     value_operands,
     verify_expansion,
 )
-from .quadratic import QuadElement, quad_digits
+from .quadratic import QuadElement, _check_width, quad_digits
 from .valuation import PLocal, Prime
 
 
@@ -175,6 +175,7 @@ def _cmd_digits(ns) -> int:
         if ns.value is None:
             raise UsageError("--value is required")
         value = _parse_fraction(ns.value, "--value")
+        _check_width(count)
         d = digits_of(p, value, count)
         shown = report.frac_str(value)
     _emit(ns, lambda: f"value: {shown}\nstart: {d.start}\n"

@@ -266,24 +266,21 @@ def modified_sylvester(
 
 def _surd_step(zeta: QuadElement, k: int):
     """modified_sylvester's step on a quadratic tail z = (n + y*sqrt(D)) / m
-    over Z[1/p]. The norm n**2 - D*y**2 gives ord(z), found from the floor
-    the growth bound ord(z) >= k + 2*ord(previous z) puts on ord(n + y*sqrt(D));
+    over Z[1/p]. The norm n**2 - D*y**2 gives o = ord(z), found from the floor
+    the growth bound ord(z) >= k + 2*ord(previous z) puts under it;
     t = <1/z>_k is the window of z's unit ratio num/den inverted, one inverse
-    modulo p**w, w = k - ord(1/z), with sqrt(D) lifted from the previous
-    step's root (as 1/sqrt(D), whose Newton step needs no inverse); the
-    ceiling is one floor of a real surd."""
+    modulo p**w, w = k + o, with sqrt(D) lifted from the previous step's root
+    (as 1/sqrt(D), whose Newton step needs no inverse); the ceiling is one
+    floor of a real surd."""
     p, D, residue, sign = zeta.p, zeta.D, zeta.residue, zeta.real_sign
     root, inv_root, prec = 0, 0, 0  # sqrt(D) and 1/sqrt(D) mod p**prec
-    floor = None  # the growth bound on ord(n + y*sqrt(D)), none on the first step
+    floor = None  # the growth bound on ord(z), none on the first step
 
     def step(i, n, y, m):
         nonlocal root, inv_root, prec, floor
-        o, norm = _surd_ord(n, y, D, residue, floor)
-        te = m.exp - o  # ord(1/z), the exponent of t
-        # The next tail has order >= k + 2*ord(z) = k - 2*te over m*q, whose
-        # exponent is m.exp + te.
-        floor = k - te + m.exp
-        w = k - te
+        o, norm = _surd_ord(n, y, m, D, residue, floor)
+        floor = k + 2 * o
+        w = k + o
         modulus = p**w
         if y:
             # The cap applies to the window of 1/z's coefficients, as
@@ -297,9 +294,9 @@ def _surd_step(zeta: QuadElement, k: int):
         num, den = _surd_ratio(n, y, m, o, norm, root)
         t = _window(p, den, num, w)
         # The ceiling of psi((1/z - t) / p**k), with 1/z = m*(n - y*sqrt(D))/norm
-        # and t*p**te the window's value, is that of
+        # and t*p**-o the window's value, is that of
         # (mn - t*norm - sign*my*sqrt(D)) / (norm*p**k).
-        mn_e, tn_e, my_e, g_e = m.exp + n.exp, te + norm.exp, m.exp + y.exp, norm.exp + k
+        mn_e, tn_e, my_e, g_e = m.exp + n.exp, norm.exp - o, m.exp + y.exp, norm.exp + k
         e = min(mn_e, tn_e, my_e, g_e)
         x = m.unit * n.unit * p ** (mn_e - e) - t * norm.unit * p ** (tn_e - e)
         wy = -sign * m.unit * y.unit * p ** (my_e - e)
@@ -307,8 +304,8 @@ def _surd_step(zeta: QuadElement, k: int):
         if g < 0:
             x, wy, g = -x, -wy, -g
         c = -_surd_floor(-x, -wy, g, D)
-        q = PLocal(p, t + c * modulus, te)
-        return q, n * q - m, StepRecord(index=i, q=q, k=k, tail_ord=-te)
+        q = PLocal(p, t + c * modulus, -o)
+        return q, n * q - m, StepRecord(index=i, q=q, k=k, tail_ord=o)
 
     return step
 
@@ -435,20 +432,11 @@ def _division_record_problems(rec: StepRecord) -> list[str]:
 
 def _replay_ord(num, y, den, value, floor=None):
     """Order of a replayed tail (num + y*sqrt(D)) / den over Z[1/p]; y is
-    None on a rational. floor is a guess at a lower bound for it (None:
-    none), which only speeds up finding a quadratic order (_surd_ord)."""
+    None on a rational. floor, a lower bound for it or None, only speeds up
+    finding a quadratic order (_surd_ord)."""
     if y:
-        floor = None if floor is None else floor + den.exp
-        return _surd_ord(num, y, value.D, value.residue, floor)[0] - den.exp
+        return _surd_ord(num, y, den, value.D, value.residue, floor)[0]
     return POS_INF if num.is_zero() else num.exp - den.exp
-
-
-def _growth_floor(rec: StepRecord, orders: list):
-    """rec.k + 2*ord(z), the growth bound's floor under the order of the tail
-    step rec leaves from z, the tail of order orders[-1]; None without them."""
-    if not orders or rec.k is None or orders[-1] == POS_INF:
-        return None
-    return rec.k + 2 * orders[-1]
 
 
 def _replay_tail(num, y, den, value) -> "Fraction | QuadElement":
@@ -476,16 +464,16 @@ def _tail_text(tail) -> str:
         return f"({bits(tail.x)}) + ({bits(tail.y)})*sqrt({tail.D})"
 
 
-def _claimed_difference(x: PLocal, z: PLocal, floor, den_exp: int) -> PLocal:
+def _floored_difference(x: PLocal, z: PLocal, floor, den_exp: int) -> PLocal:
     """x - z in canonical form, the numerator of a replayed tail (x - z)/den
-    with exp(den) = den_exp, where floor is a guess at a lower bound for the
-    tail's order (None: none).
+    with exp(den) = den_exp, where floor is a lower bound for the tail's
+    order (None: none).
 
-    On a valid run the guess is the next entry's claimed order, so _strip
-    takes the difference's power of p out with one exact division and only
-    checks that the quotient is prime to p. A wrong guess costs one division
-    before the full strip, and none if its power of p is wider than the
-    difference.
+    On a valid run the floor is the growth bound k + 2*ord(previous tail),
+    so _strip takes the difference's power of p, or all but a few of its
+    factors, out with one exact division. A floor that fails costs one
+    division before the full strip, and none if its power of p is wider
+    than the difference; the result never depends on it.
     """
     p, e = x.p, min(x.exp, z.exp)
     raw = x.unit * p ** (x.exp - e) - z.unit * p ** (z.exp - e)
@@ -517,16 +505,17 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     gives b = a*q - r and the chain. A classical remainder must be the next
     num too.
 
-    Orders are confirmed from the report's claims; on a valid report none is
-    searched for from scratch. A rational num with a division record takes
-    its r once one product shows b + r = a*q (on a valid record, a sum whose
-    unit is already prime to p); one without takes the power of p the next
-    entry's tail_ord claims out of num*q - den with one exact division, and
-    a quadratic tail takes the power its own tail_ord claims out of its norm
-    the same way. The final tail, which no entry claims, takes the growth
-    bound k + 2*ord(z) as its claim. A claim that fails only costs that
-    division before the full strip (valuation._strip), so the problems are
-    those of the plain replay. The last step skips den*q on a zero tail.
+    Each order a step leaves is found from the floor the growth bound
+    k + 2*ord(z) puts under it, with the step's k and the replayed order of
+    the tail z it leaves from, as the quadratic driver finds it; the
+    report's tail_ord values are only compared. A rational num with a
+    division record takes its r once one product shows b + r = a*q (on a
+    valid record, a sum whose unit is already prime to p); one without takes
+    the floor's power of p out of num*q - den with one exact division, and a
+    quadratic tail takes it out of its norm the same way. A floor that fails
+    only costs that division before the full strip (valuation._strip), so
+    the problems are those of the plain replay. The last step skips den*q on
+    a zero tail.
     """
     problems: list[str] = []
     if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
@@ -552,21 +541,17 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             num, den = PLocal(p, num), PLocal(p, den)
     rational = p is not None and y is None
     orders = []
+    floor = None  # the growth bound on the order of the tail this step leaves
     for i, rec in enumerate(trace):
         if p is not None:
-            orders.append(_replay_ord(num, y, den, value, rec.tail_ord))
+            o = _replay_ord(num, y, den, value, floor)
+            orders.append(o)
+            floor = None if rec.k is None or o == POS_INF else rec.k + 2 * o
         q, d = rec.q, rec.division
         if rational and not isinstance(q, PLocal):
             q = PLocal(p, q)
-        last = i + 1 == len(trace)
-        # The order of the tail this step leaves, as the next entry claims it;
-        # no entry claims the final tail's, so the growth bound guesses it.
-        claim = _growth_floor(rec, orders) if last else trace[i + 1].tail_ord
         if rec.initial:
-            if rational:
-                num = _claimed_difference(num, den * q, claim, den.exp)
-            else:
-                num -= den * q
+            num -= den * q
             continue
         if d is not None and i == 0:
             if d.a * den == d.b * num:
@@ -581,19 +566,18 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         if rational and d is not None and den + d.r == num * q:
             num = d.r  # b + r = a*q, so the record's r is a*q - b
         elif rational:
-            num = _claimed_difference(num * q, den, claim, den.exp + q.exp)
+            num = _floored_difference(num * q, den, floor, den.exp + q.exp)
         else:
             num = num * q - den
         if y is not None:
             y = y * q
-        if not (rational and last and not num):  # no later step reads a zero tail's den
+        if not (rational and i + 1 == len(trace) and not num):  # no later step reads its den
             den = den * q
         if d is not None and d.r != num:
             problems.append(f"step {rec.index}: r is not a*q - b")
         if rec.remainder is not None and rec.remainder != num:
             problems.append(f"step {rec.index}: remainder {rec.remainder} is not a*q - b")
     if p is not None:
-        floor = _growth_floor(trace[-1], orders) if trace else None
         orders.append(_replay_ord(num, y, den, value, floor))
     for rec, o in zip(trace, orders):
         if rec.tail_ord != (None if o == POS_INF else o):

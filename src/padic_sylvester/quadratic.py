@@ -8,10 +8,11 @@ The public functions here are thin wrappers over three integer kernels on
 (n + y*sqrt(D)) / m with n, y and m in Z[1/p] (`_surd_triple`): its p-adic
 order o, read off the orders of n and y and of the norm n**2 - D*y**2
 (`_surd_ord`, which takes an optional lower bound for o, the floor: the
-Sylvester driver passes the growth bound and verify each step's claimed
-order, so the norm's power of p comes out with one exact division and is
-not searched for from scratch); its unit part p**-o * (n + y*sqrt(D)) / m as a ratio num/den
-of p-adic integer units, given a root of D lifted far enough (`_surd_ratio`);
+Sylvester driver and verify both pass the growth bound k + 2*ord(previous
+tail), so the norm's power of p comes out with one exact division and is
+not searched for from scratch); its unit part p**-o * (n + y*sqrt(D)) / m as
+a ratio num/den of p-adic integer units, given a root of D lifted far enough
+(`_surd_ratio`);
 and the floor of a real surd (x + w*sqrt(D)) / g, with one integer square
 root (`_surd_floor`). A digit window is then digits._window(p, num, den, w),
 the one window of the library, and the window of 1/z is that of den/num.
@@ -258,38 +259,40 @@ def _surd_triple(u: QuadElement) -> tuple[PLocal, PLocal, PLocal]:
 
 
 def _surd_ord(
-    n: PLocal, y: PLocal, D: int, residue: int, floor: "int | None" = None
+    n: PLocal, y: PLocal, m: PLocal, D: int, residue: int, floor: "int | None" = None
 ) -> tuple[int, PLocal]:
-    """(o, norm): the p-adic order o of n + y*sqrt(D), for n and y in Z[1/p]
-    not both zero and sqrt(D) = residue (mod p), and the norm
-    n**2 - D*y**2 it is read off. floor, if given, is a lower bound for o.
+    """(o, norm): the p-adic order o of z = (n + y*sqrt(D)) / m, for n and y
+    in Z[1/p] not both zero and sqrt(D) = residue (mod p), and the norm
+    n**2 - D*y**2 it is read off. floor, if given, is a lower bound for o;
+    the result never depends on it.
 
     The ultrametric settles every case except equal orders e. There p is
     odd, so n + y*sqrt(D) and its conjugate add up to 2n, of order exactly e:
     at most one of the two has order above e, and their orders add up to the
     norm's. The digit at p**e decides which. The norm is then the integer
-    n.unit**2 - D*y.unit**2 times p**(2e), of order o + e >= e + max(e, floor)
-    when n + y*sqrt(D) is the one that cancels, so one exact division by the
-    power of p the floor promises leaves only a short strip (valuation._strip).
+    n.unit**2 - D*y.unit**2 times p**(2e), of order o + m.exp + e >=
+    e + max(e, floor + m.exp) when n + y*sqrt(D) is the one that cancels, so
+    one exact division by the power of p the floor promises leaves only a
+    short strip (valuation._strip).
     """
     e = n.ord()
     if e != y.ord():
-        return min(e, y.ord()), n * n - D * (y * y)
+        return min(e, y.ord()) - m.exp, n * n - D * (y * y)
     p = n.p
     v, u = _strip(p, n.unit * n.unit - D * (y.unit * y.unit),
-                  0 if floor is None else max(e, floor) - e)
+                  0 if floor is None else max(e, floor + m.exp) - e)
     norm = PLocal(p, u, 2 * e + v)
     if (n.unit + y.unit * residue) % p:
-        return e, norm
-    return norm.exp - e, norm
+        return e - m.exp, norm
+    return norm.exp - e - m.exp, norm
 
 
 def _surd_ratio(
     n: PLocal, y: PLocal, m: PLocal, o: int, norm: PLocal, root: int
 ) -> tuple[int, int]:
     """(num, den), integers prime to p with num/den the unit part of
-    z = (n + y*sqrt(D)) / m, given o = ord(n + y*sqrt(D)) and its norm
-    (_surd_ord) and root = sqrt(D) modulo the window's power of p.
+    z = (n + y*sqrt(D)) / m, given o = ord(z) and the norm (_surd_ord) and
+    root = sqrt(D) modulo the window's power of p.
 
     With mu the least order of n and y, (n +- y*sqrt(D)) / p**mu is p-integral
     and its image is read off root. If n + y*sqrt(D) has order mu, that image
@@ -303,7 +306,7 @@ def _surd_ratio(
         x = n.unit * p ** (n.exp - mu) if n else 0
         return x + sign * y.unit * p ** (y.exp - mu) * root if y else x
 
-    if o == mu:
+    if o + m.exp == mu:
         return image(1), m.unit
     return norm.unit, m.unit * image(-1)
 
@@ -328,15 +331,14 @@ def _quad_window(u: QuadElement, k: "int | None", count: int = 0) -> tuple[int, 
     n, y, m = _surd_triple(u)
     if n.ord() == y.ord():
         _simple_root(u.p, u.D, u.residue)
-    o, norm = _surd_ord(n, y, u.D, u.residue)
-    start = o - m.exp
-    end = start + count if k is None else k
-    if end <= start:
-        return start, 0
+    o, norm = _surd_ord(n, y, m, u.D, u.residue)
+    end = o + count if k is None else k
+    if end <= o:
+        return o, 0
     _check_width(end - (min(n.ord(), y.ord()) - m.exp))
-    width = end - start
+    width = end - o
     root = hensel_sqrt(u.p, u.D, u.residue, width)
-    return start, _window(u.p, *_surd_ratio(n, y, m, o, norm, root), width)
+    return o, _window(u.p, *_surd_ratio(n, y, m, o, norm, root), width)
 
 
 def quad_ord(u: QuadElement) -> int:

@@ -21,7 +21,7 @@ from padic_sylvester import (
     pk_greedy,
     value_operands,
 )
-from padic_sylvester import report
+from padic_sylvester import quadratic, report
 from padic_sylvester.cli import main
 from padic_sylvester.expansion import DEFAULT_MAX_TERMS
 from padic_sylvester.report import expansion_from_json, expansion_json
@@ -261,6 +261,15 @@ class TestDigitsCommand:
         assert code == 2
         assert "precision exhausted" in err
 
+    def test_rational_count_is_capped(self, capsys, monkeypatch):
+        monkeypatch.setattr(quadratic, "PRECISION_CAP", 8)
+        code, _, err = run(capsys, "digits", "--p", "3", "--value", "1/7", "--count", "9")
+        assert code == 2
+        assert "digit window of 9 exceeds the 8-digit cap" in err
+        code, out, _ = run(capsys, "digits", "--p", "3", "--value", "1/7", "--count", "8")
+        assert code == 0
+        assert len(out.splitlines()[-1].split()) == 9  # "digits:" and 8 digits
+
 
 class TestCompareCommand:
     def test_nojump(self, capsys):
@@ -464,10 +473,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("claim", ["6", "8", "-3", "4000000"])
     def test_tampered_quadratic_order(self, claim):
-        # The replay takes each quadratic order from its claimed tail_ord; a
-        # wrong claim, one p**claim far wider than the norm among them, only
-        # costs a division (none for the wide one) before the true order 7 is
-        # found. 12 terms is the widest xi report that renders (int/str limit).
+        # The replay finds each quadratic order from the growth bound and only
+        # compares tail_ord, so a wrong claim, one far wider than the norm
+        # among them, is one listed problem beside the true order 7. 12 terms
+        # is the widest xi report that renders (int/str limit).
         code, out, _ = _cli(("expand", "--alg", "sylvester", "--p", "7", "--k", "1",
                              "--max-terms", "12", "--output", "json") + QUAD_XI)
         assert code == 0

@@ -68,12 +68,12 @@ from padic_sylvester.division import CASE_1, CASE_2, classical_divide, pk_divide
 from padic_sylvester.expansion import (
     CERTIFIED_NONTERMINATING,
     DEFAULT_MAX_TERMS,
-    _claimed_difference,
+    _floored_difference,
     _division_record_problems,
     _replay_ord,
     _replay_tail,
 )
-from padic_sylvester.quadratic import PRECISION_CAP, _surd_triple
+from padic_sylvester.quadratic import PRECISION_CAP, _surd_ord, _surd_triple
 from padic_sylvester.valuation import _strip
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -196,8 +196,8 @@ def _wide_walks(wide):
 
 
 class TestClaimedDifference:
-    """A claimed order only speeds up _claimed_difference: every claim gives
-    the canonical x - z, and the true one walks no wide p-divisible integer."""
+    """A floor only speeds up _floored_difference: every floor gives the
+    canonical x - z, and the true order walks no wide p-divisible integer."""
 
     @PROPERTY
     @given(p_units(), st.integers(0, 300), st.integers(-2, 2), st.integers(0, 3),
@@ -210,19 +210,19 @@ class TestClaimedDifference:
         spy = _wide_walks(wide)
         with mock.patch.object(valuation, "_strip", spy), \
                 mock.patch.object(expansion, "_strip", spy):
-            got = _claimed_difference(x, z, v + offset - den_exp, den_exp)
+            got = _floored_difference(x, z, v + offset - den_exp, den_exp)
         assert (got.unit, got.exp) == (u, v)
         if offset == 0:
             assert wide == []
 
     @pytest.mark.parametrize("claim", [None, -5, 0, 3, 10**12])
     def test_zero_and_out_of_range_claims_fall_back(self, claim):
-        # A claim far wider than the difference must not build its power of
+        # A floor far wider than the difference must not build its power of
         # p, and a negative one must not divide a wide difference by a float.
         p = Prime(3)
         for x, z in ((PLocal(p, 5, 2), PLocal(p, 2, 2)), (PLocal(p, 3**2000 + 1), PLocal(p, 1))):
-            assert _claimed_difference(x, x, claim, 0) == PLocal.zero(p)
-            assert _claimed_difference(x, z, claim, 0) == x - z
+            assert _floored_difference(x, x, claim, 0) == PLocal.zero(p)
+            assert _floored_difference(x, z, claim, 0) == x - z
 
 
 class TestDigitWindow:
@@ -343,6 +343,17 @@ class TestQuadOrd:
         u, _ = case
         conj = QuadElement(u.x, -u.y, u.D, u.real_sign, u.p, u.residue)
         assert quad_ord(u) + quad_ord(conj) == ord_p(u.p, u.x * u.x - u.D * u.y * u.y)
+
+    @PROPERTY
+    @given(quad_elements())
+    def test_surd_ord_never_depends_on_its_floor(self, case):
+        # Floors at, below and above the order, negative and far too wide.
+        u, _ = case
+        n, y, m = _surd_triple(u)
+        o, norm = _surd_ord(n, y, m, u.D, u.residue)
+        assert o == reference_quad_ord(u)
+        for floor in (o, o - 3, o + 1, -5, 10**9):
+            assert _surd_ord(n, y, m, u.D, u.residue, floor) == (o, norm)
 
     @pytest.mark.parametrize("p, D, residue, error", [
         (2, 3, 1, EvenPrime),
@@ -1081,9 +1092,10 @@ def _run_with_edit(p, e, i, field, delta):
 
 
 class TestClaimedReplay:
-    """verify_expansion confirms records and claimed orders instead of
-    stripping each replayed remainder; on runs with one claim moved it must
-    still give the stripping replay's report, problem for problem."""
+    """verify_expansion confirms division records and finds every other
+    order from the growth bound instead of stripping each replayed remainder
+    from scratch; on runs with one claim moved it must still give the
+    stripping replay's report, problem for problem."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(sylvester_inputs(), st.sampled_from(["pk", "adaptive", "sylvester", "knopf", "fs"]),
@@ -1111,9 +1123,10 @@ class TestClaimedReplay:
 
 
 class TestVerifierDoesNotStrip:
-    """verify_expansion takes each replayed remainder from a checked claim,
-    and a capped run's final tail from the growth bound, so on a valid deep
-    run it never walks the powers of p of a wide integer."""
+    """verify_expansion takes each replayed remainder from a checked division
+    record or, without one, its power of p from the growth bound, a capped
+    run's final tail included, so on a valid deep run it never walks the
+    powers of p of a wide integer."""
 
     @pytest.mark.parametrize("alg", ["pk", "adaptive", "sylvester", "sylvester-capped"])
     def test_no_wide_strip(self, alg, monkeypatch):
@@ -1137,11 +1150,10 @@ QUAD_POOL = Path(__file__).resolve().parents[1] / "bench" / "quad_pool.json"
 
 
 class TestGrowthFloor:
-    """The quadratic driver finds each order from the floor the growth bound
-    ord(z_{i+1}) >= k + 2*ord(z_i) puts under it, and the replay from each
-    step's claimed tail_ord or, for the final tail, the growth bound. On valid
-    runs every floor holds, so each norm costs one exact division and a
-    strip of what is left, never the full walk."""
+    """The quadratic driver and the replay both find each order from the
+    floor the growth bound ord(z_{i+1}) >= k + 2*ord(z_i) puts under it. On
+    valid runs every floor holds, so each norm costs one exact division and
+    a strip of what is left, never the full walk."""
 
     def test_every_floor_divides(self, monkeypatch):
         xi = QuadElement.make(0, Fraction(1, 11), 11, "+", Prime(7), 2)
@@ -1172,6 +1184,54 @@ class TestGrowthFloor:
         # positive floor; one pool element has a step whose coefficients'
         # orders differ, so nothing cancels there.
         assert len(floors) >= sum(2 * terms - 2 for _, terms in runs)
+
+    @staticmethod
+    def _floors(monkeypatch):
+        """Patch a _strip spy into every module that calls it; returns the
+        list of the floors it is passed, in call order."""
+        floors = []
+        strip = valuation._strip
+
+        def spy(p, n, floor=0):
+            floors.append(floor)
+            return strip(p, n, floor)
+
+        for module in (valuation, quadratic, expansion):
+            monkeypatch.setattr(module, "_strip", spy)
+        return floors
+
+    def test_replay_floors_are_the_drivers(self, monkeypatch):
+        # The replay steps the same triples as the driver and bounds each
+        # order with the same rule, so tails 1-14 get the driver's floors,
+        # and the final tail, which the driver never orders, one more.
+        xi = QuadElement.make(0, Fraction(1, 11), 11, "+", Prime(7), 2)
+        floors = self._floors(monkeypatch)
+        e = modified_sylvester(xi.p, 1, xi, max_terms=15)
+        driver = [f for f in floors if f > 0]
+        floors.clear()
+        assert verify_expansion(xi.p, xi, e).ok
+        replay = [f for f in floors if f > 0]
+        assert len(driver) == 14
+        assert replay[:-1] == driver
+
+    def test_claims_do_not_move_the_floors(self, monkeypatch):
+        # tail_ord is only compared: moving every claim changes the report's
+        # problems, not one floor the replay passes to _strip.
+        xi = QuadElement.make(0, Fraction(1, 11), 11, "+", Prime(7), 2)
+        v = Fraction(10**20 + 7, 10**20 + 9)
+        runs = [(xi, modified_sylvester(xi.p, 1, xi, max_terms=15)),
+                (v, modified_sylvester(Prime(101), 1, v))]
+        floors = self._floors(monkeypatch)
+        for value, e in runs:
+            moved = dataclasses.replace(e, trace=tuple(
+                dataclasses.replace(rec, tail_ord=rec.tail_ord + 1000) for rec in e.trace))
+            floors.clear()
+            assert verify_expansion(e.p, value, e).ok
+            want = list(floors)
+            floors.clear()
+            assert not verify_expansion(e.p, value, moved).ok
+            assert floors == want
+            assert any(f > 0 for f in want)
 
 
 # The loops that fs_greedy, knopfmacher_sylvester and the p**k division
