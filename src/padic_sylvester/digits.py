@@ -4,8 +4,8 @@ Every digit window in the library is one call of `_window`: for p-adic
 units num and den, the first w base-p digits of num/den are those of the
 single integer num * den**-1 mod p**w. The one inverse is `_inv_mod`, a
 Newton iteration seeded mod p, and `_read_digits` reads the digits off by
-divmod by p. A rational r = (num/den) * p**start (`_split`) opens its
-window at start; a quadratic element opens its window through
+divmod by p. A rational r = (num/den) * p**start (`valuation._split`)
+opens its window at start; a quadratic element opens its window through
 `quadratic._surd_ratio`. No floating point is used.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EvenPrime, NotAResidue
-from .valuation import PLocal, Prime, _strip, ord_p
+from .valuation import PLocal, Prime, _split, ord_p
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,6 @@ class DigitExpansion:
     def __str__(self) -> str:
         body = ",".join(str(c) for c in self.digits)
         return f"[{body}] from p^{self.start}"
-
-
-def _split(p: Prime, r: Fraction) -> tuple[int, int, int]:
-    """(start, num, den) with r = (num/den) * p**start, p dividing neither
-    num nor den; r must be nonzero."""
-    v_num, num = _strip(p, r.numerator)
-    v_den, den = _strip(p, r.denominator)
-    return v_num - v_den, num, den
 
 
 def digits_of(p: Prime, r, count: int) -> DigitExpansion:

@@ -163,8 +163,8 @@ def check_scaling_correspondence(p: Prime, k: int, a: int, b: int) -> bool:
             f"need k <= ord(b) - ord(a) = {ord_p(p, b) - ord_p(p, a)}, got k = {k}"
         )
     if k >= 0:
-        q_inf = -((-b) // (a * p**k))
+        q_inf = classical_divide(a * p**k, b)[0]
     else:
-        q_inf = -((-b * p ** (-k)) // a)
+        q_inf = classical_divide(a, b * p**-k)[0]
     q_p = pk_divide(p, k, PLocal(p, a), PLocal(p, b)).q
     return q_p.to_fraction() == q_inf * Fraction(p) ** k

@@ -32,8 +32,7 @@ _EXPAND_FIELDS = {
 
 
 def frac_str(f: Fraction) -> str:
-    f = Fraction(f)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return _ratio_str(*Fraction(f).as_integer_ratio())
 
 
 def _ord_str(o):
@@ -166,6 +165,12 @@ def _plocal_from_json(p: "Prime | None", d) -> PLocal:
     return PLocal(p, int(d["unit"]), int(d["exp"]))
 
 
+def _int_term_from_json(p: "Prime | None", q: str) -> int:
+    if p is not None:
+        raise ValueError("an integer term in a report with a prime")
+    return int(q)
+
+
 def _division_json(d: "DivisionStep | None"):
     if d is None:
         return None
@@ -280,14 +285,14 @@ def expansion_from_json(d: dict):
     terms = []
     for entry in d["terms"]:
         if "q" in entry:
-            terms.append(int(entry["q"]))
+            terms.append(_int_term_from_json(p, entry["q"]))
         else:
             terms.append(_plocal_from_json(p, entry))
     trace = []
     for entry in d["trace"]:
         rec_k = None if entry["k"] is None else int(entry["k"])
         q = entry["q"]
-        q = int(q) if isinstance(q, str) else _plocal_from_json(p, q)
+        q = _int_term_from_json(p, q) if isinstance(q, str) else _plocal_from_json(p, q)
         trace.append(
             StepRecord(
                 index=int(entry["index"]),

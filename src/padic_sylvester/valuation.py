@@ -1,12 +1,14 @@
 """Exact p-adic valuation arithmetic on rationals and the subring Z[1/p].
 
-Everything here is arbitrary-precision integer and `fractions.Fraction`
-arithmetic; no floating point is used anywhere.
+Arithmetic is on integers and `fractions.Fraction`. The order of zero,
+POS_INF, is CPython's float infinity and is never computed with. `_split` is
+the one strip pair: r = (num/den) * p**start, by `_strip` on each side.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 from .errors import DivByZero, NotInRing, NotPrime, ZeroInput
 
@@ -55,31 +57,20 @@ class Prime(int):
         return f"Prime({int(self)})"
 
 
-class _PositiveInfinity:
-    """Order of zero. Compares greater than every integer."""
+class _PositiveInfinity(float):
+    """Order of zero: CPython's float infinity, printed as +Infinity."""
 
     __slots__ = ()
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _PositiveInfinity)
-
-    def __hash__(self) -> int:
-        return hash("padic-order-of-zero")
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, _PositiveInfinity)
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, _PositiveInfinity)
+    def __new__(cls) -> "_PositiveInfinity":
+        return super().__new__(cls, "inf")
 
     def __repr__(self) -> str:
         return "+Infinity"
+
+    def __reduce__(self) -> str:
+        # pickle and deepcopy give back the module's one instance.
+        return "POS_INF"
 
 
 POS_INF = _PositiveInfinity()
@@ -123,6 +114,14 @@ def _strip(p: int, n: int, floor: int = 0) -> tuple[int, int]:
     return v, n
 
 
+def _split(p: Prime, r: Fraction) -> tuple[int, int, int]:
+    """(start, num, den) with r = (num/den) * p**start, p dividing neither
+    num nor den; r must be nonzero."""
+    v_num, num = _strip(p, r.numerator)
+    v_den, den = _strip(p, r.denominator)
+    return v_num - v_den, num, den
+
+
 def ord_p(p: Prime, r) -> "int | _PositiveInfinity":
     """p-adic order: the nu with r = (a/b) * p**nu, p dividing neither a nor b.
 
@@ -132,7 +131,7 @@ def ord_p(p: Prime, r) -> "int | _PositiveInfinity":
     r = Fraction(r)
     if r == 0:
         return POS_INF
-    return _strip(p, r.numerator)[0] - _strip(p, r.denominator)[0]
+    return _split(p, r)[0]
 
 
 def unit_part(p: Prime, r) -> Fraction:
@@ -140,7 +139,7 @@ def unit_part(p: Prime, r) -> Fraction:
     r = Fraction(r)
     if r == 0:
         raise ZeroInput("zero has no unit part")
-    return Fraction(_strip(p, r.numerator)[1], _strip(p, r.denominator)[1])
+    return Fraction(*_split(p, r)[1:])
 
 
 def p_abs(p: Prime, r) -> Fraction:
@@ -151,6 +150,7 @@ def p_abs(p: Prime, r) -> Fraction:
     return Fraction(p) ** (-ord_p(p, r))
 
 
+@total_ordering
 class PLocal:
     """An element unit * p**exp of Z[1/p] in canonical form.
 
@@ -290,24 +290,6 @@ class PLocal:
         if v is None:
             return NotImplemented
         return self.to_fraction() < v
-
-    def __le__(self, other) -> bool:
-        v = self._cmp_value(other)
-        if v is None:
-            return NotImplemented
-        return self.to_fraction() <= v
-
-    def __gt__(self, other) -> bool:
-        v = self._cmp_value(other)
-        if v is None:
-            return NotImplemented
-        return self.to_fraction() > v
-
-    def __ge__(self, other) -> bool:
-        v = self._cmp_value(other)
-        if v is None:
-            return NotImplemented
-        return self.to_fraction() >= v
 
     def __str__(self) -> str:
         if self.exp == 0:

@@ -21,7 +21,7 @@ from padic_sylvester import (
     pk_greedy,
     value_operands,
 )
-from padic_sylvester import quadratic, report
+from padic_sylvester import cli, quadratic, report
 from padic_sylvester.cli import main
 from padic_sylvester.expansion import DEFAULT_MAX_TERMS
 from padic_sylvester.report import expansion_from_json, expansion_json
@@ -107,6 +107,17 @@ class TestExpandCommand:
                            "--sqrt", "11", "--x", "0", "--y", "1/11", "--real-sign", "+")
         assert code == 1
         assert "--padic-residue" in err
+
+    @pytest.mark.parametrize("cap, want", [((), 2), (("--max-terms", "2"), 0)],
+                             ids=["default-cap", "explicit-cap"])
+    def test_default_term_cap_exits_2(self, capsys, monkeypatch, cap, want):
+        # No real input reaches the default cap of 64 doubling terms, so it is
+        # lowered to 2; only a cap the user did not ask for exits 2.
+        monkeypatch.setattr(cli, "DEFAULT_MAX_TERMS", 2)
+        code, out, _ = run(capsys, "expand", "--alg", "sylvester", "--p", "7", "--k", "1",
+                           *QUAD_XI, *cap)
+        assert code == want
+        assert "status: cap_reached" in out
 
 
 QUAD_XI = ("--sqrt", "11", "--x", "0", "--y", "1/11", "--real-sign", "+",
@@ -432,7 +443,12 @@ class TestVerifyCommand:
         (PK_473_25, lambda d: d.update(status="bogus")),
         (PK_473_25, lambda d: d.update(algorithm="bogus")),
         (PK_473_25, lambda d: d.update(command="divide")),
-    ], ids=["null-a", "null-q", "plocal-without-prime", "status", "algorithm", "command"])
+        # An integer term, the form only fs writes, in a report with a prime.
+        (PK_473_25, lambda d: d["trace"][0].update(q="2")),
+        (PK_473_25, lambda d: d["terms"].__setitem__(
+            0, {"initial": False, "display": "1/2", "q": "2"})),
+    ], ids=["null-a", "null-q", "plocal-without-prime", "status", "algorithm", "command",
+            "int-trace-q-with-prime", "int-term-with-prime"])
     def test_malformed_report_exits_1(self, capsys, tmp_path, argv, tamper):
         code, out, _ = run(capsys, "expand", *argv, "--output", "json")
         data = json.loads(out)
@@ -463,6 +479,22 @@ class TestVerifyCommand:
         assert code == 1
         assert f"[terminated run does not sum to its input (tail {tail})]" in out2
         assert "[report cannot be re-rendered: Exceeds the limit" in out2
+        assert err == ""
+
+    def test_order_of_zero_prints_as_infinity(self, capsys, tmp_path):
+        # The last step repeated as step 4 follows a zero tail, so its order
+        # +Infinity appears in two problem texts.
+        code, out, _ = run(capsys, "expand", *PK_473_25, "--output", "json")
+        data = json.loads(out)
+        del data["verification"]
+        data["terms"].append(dict(data["terms"][-1]))
+        data["trace"].append(dict(data["trace"][-1], index="4"))
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(data))
+        code, out2, err = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "[step 4: tail_ord 9 is not the order +Infinity]" in out2
+        assert "[order not increasing at step 4: +Infinity -> 9]" in out2
         assert err == ""
 
     def test_garbage_report(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from padic_sylvester import (
     unit_part,
 )
 from padic_sylvester.errors import DivByZero
+from padic_sylvester.report import _ord_str
 
 
 PROTOCOL = settings(max_examples=200, deadline=None, derandomize=True)
@@ -243,3 +246,15 @@ class TestPosInfProtocol:
         assert min(n, POS_INF) == n and max(n, POS_INF) is POS_INF
         assert hash(POS_INF) == hash(type(POS_INF)())
         assert repr(POS_INF) == "+Infinity"
+
+    def test_printed_forms(self):
+        assert str(POS_INF) == f"{POS_INF}" == repr(POS_INF) == "+Infinity"
+        assert _ord_str(POS_INF) == "+inf"
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    def test_round_trip_keeps_the_printed_form(self, round_trip):
+        back = round_trip(POS_INF)
+        assert back == POS_INF
+        assert str(back) == repr(back) == "+Infinity"
