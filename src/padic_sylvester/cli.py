@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import report
 from .digits import digits_of
-from .division import check_scaling_correspondence, pk_divide_rational
+from .division import check_scaling_correspondence, pk_divide
 from .errors import PadicSylvesterError, PrecisionExhausted
 from .expansion import (
     CAP_REACHED,
@@ -156,9 +156,8 @@ def _cmd_divide(ns) -> int:
         raise UsageError("--value is required (the fraction a/b; the step divides b by a)")
     value = _parse_fraction(ns.value, "--value")
     a, b = value_operands(value)
-    step = pk_divide_rational(p, k, Fraction(a), Fraction(b))
-    _emit(ns, lambda: report.rational_division_text(step),
-          lambda: report.rational_division_json(step))
+    step = pk_divide(p, k, PLocal(p, a), PLocal(p, b))
+    _emit(ns, lambda: report.division_text(step), lambda: report.division_json(step))
     return 0
 
 

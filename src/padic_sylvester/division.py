@@ -42,19 +42,6 @@ class DivisionStep:
     case: str
 
 
-@dataclass(frozen=True)
-class RationalDivisionStep:
-    """pk_divide extended to arbitrary rational operands by clearing denominators."""
-
-    p: Prime
-    k: int
-    a: Fraction
-    b: Fraction
-    q: PLocal
-    r: Fraction
-    inner: DivisionStep
-
-
 def classical_divide(a: int, b: int) -> tuple[int, int]:
     """q, r with b = a*q - r and 0 <= r < a; q is the least integer with a*q >= b."""
     if a <= 0:
@@ -97,24 +84,6 @@ def pk_divide(p: Prime, k: int, a, b) -> DivisionStep:
     r = PLocal(p, rbar, alpha + k)
     jumped = rbar != 0 and rbar % p == 0
     return DivisionStep(p, k, a, b, q, r, rbar, jumped, case)
-
-
-def pk_divide_rational(p: Prime, k: int, a, b) -> RationalDivisionStep:
-    """pk_divide for arbitrary positive rational a and rational b.
-
-    Denominators are cleared: with b = s/t and a = u/v the step is computed
-    on b' = s*v, a' = u*t and the remainder rescaled by 1/(v*t). The returned
-    q and r satisfy all three division conditions for the original operands.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a <= 0:
-        raise NonPositiveDivisor(f"divisor must be positive, got {a}")
-    s, t = b.numerator, b.denominator
-    u, v = a.numerator, a.denominator
-    inner = pk_divide(p, k, PLocal(p, u * t), PLocal(p, s * v))
-    r = inner.r.to_fraction() / (v * t)
-    return RationalDivisionStep(p, k, a, b, inner.q, r, inner)
 
 
 def brute_force_divide(p: Prime, k: int, a, b, budget: int = 10**6) -> DivisionStep:

@@ -197,21 +197,14 @@ def adaptive_pk_greedy(p: Prime, k: int, value) -> Expansion:
     return Expansion("adaptive", Fraction(a, b), p, k, terms, status, trace)
 
 
-def certify_nontermination(state) -> bool:
-    """Sound non-termination certificate for a Knopfmacher run on a rational.
-
-    Every term subtracted after the initial one is a positive unit fraction,
-    so once some remainder is negative in R the run can never reach zero.
-    """
-    return Fraction(state) < 0
-
-
 def knopfmacher_sylvester(p: Prime, v, max_terms: int = DEFAULT_MAX_TERMS) -> Expansion:
     """Knopfmacher-style Sylvester expansion: a_0 = <v>, then repeatedly
     a_n = <1/z_n> and z_{n+1} = z_n - 1/a_n.
 
     Stops on z = 0 (terminated), on a negative remainder (certified
     non-terminating), or after max_terms reciprocal terms (cap reached).
+    The certificate is sound: every later term is a positive unit fraction,
+    so a negative remainder never returns to zero.
     """
     v = Fraction(v)
     a0 = frac_part(p, v)

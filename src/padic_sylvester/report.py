@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .division import DivisionStep, RationalDivisionStep
+from .division import DivisionStep
 from .expansion import (
     CAP_REACHED,
     CERTIFIED_NONTERMINATING,
@@ -171,7 +171,7 @@ def _int_term_from_json(p: "Prime | None", q: str) -> int:
     return int(q)
 
 
-def _division_json(d: "DivisionStep | None"):
+def _trace_division_json(d: "DivisionStep | None"):
     if d is None:
         return None
     return {
@@ -185,7 +185,7 @@ def _division_json(d: "DivisionStep | None"):
     }
 
 
-def _division_from_json(p: Prime, k: "int | None", d) -> "DivisionStep | None":
+def _trace_division_from_json(p: Prime, k: "int | None", d) -> "DivisionStep | None":
     if d is None:
         return None
     return DivisionStep(
@@ -247,7 +247,7 @@ def expansion_json(e: Expansion, verification: "VerificationReport | None" = Non
             "initial": rec.initial,
             "tail_ord": _ord_str(rec.tail_ord),
             "q": _plocal_json(rec.q) if isinstance(rec.q, PLocal) else str(rec.q),
-            "division": _division_json(rec.division),
+            "division": _trace_division_json(rec.division),
             "lhs": _plocal_json(rec.lhs),
             "remainder": None if rec.remainder is None else str(rec.remainder),
         }
@@ -300,7 +300,7 @@ def expansion_from_json(d: dict):
                 k=rec_k,
                 initial=bool(entry["initial"]),
                 tail_ord=None if entry["tail_ord"] is None else int(entry["tail_ord"]),
-                division=_division_from_json(p, rec_k, entry["division"]),
+                division=_trace_division_from_json(p, rec_k, entry["division"]),
                 lhs=None if entry["lhs"] is None else _plocal_from_json(p, entry["lhs"]),
                 remainder=None if entry["remainder"] is None else int(entry["remainder"]),
             )
@@ -332,30 +332,30 @@ def verification_json(v: VerificationReport) -> dict:
     }
 
 
-def rational_division_text(step: RationalDivisionStep) -> str:
-    d = step.inner
+def division_text(d: DivisionStep) -> str:
+    term = "no term" if d.q.is_zero() else f"term {term_display(d.q)}"
     lines = [
         "b = a*q - r",
-        f"{frac_str(step.b)} = {frac_str(step.a)} * {_plocal_str(step.q)}"
-        f" - {frac_str(step.r)}",
-        f"q: {step.q} (term {term_display(step.q)})",
-        f"r: {frac_str(step.r)}",
+        f"{_plocal_str(d.b)} = {_plocal_str(d.a)} * {_plocal_str(d.q)} - {_plocal_str(d.r)}",
+        f"q: {d.q} ({term})",
+        f"r: {_plocal_str(d.r)}",
         f"rbar: {d.rbar}  jump: {'yes' if d.jumped else 'no'}  case: {d.case}",
     ]
     return "\n".join(lines)
 
 
-def rational_division_json(step: RationalDivisionStep) -> dict:
+def division_json(d: DivisionStep) -> dict:
+    """The divide report: a, b and r by value, q as in an expand trace."""
     return {
         "schema": SCHEMA,
         "command": "divide",
-        "p": str(int(step.p)),
-        "k": str(step.k),
-        "a": frac_str(step.a),
-        "b": frac_str(step.b),
-        "q": _plocal_json(step.q),
-        "r": frac_str(step.r),
-        "rbar": str(step.inner.rbar),
-        "jumped": step.inner.jumped,
-        "case": step.inner.case,
+        "p": str(int(d.p)),
+        "k": str(d.k),
+        "a": _plocal_str(d.a),
+        "b": _plocal_str(d.b),
+        "q": _plocal_json(d.q),
+        "r": _plocal_str(d.r),
+        "rbar": str(d.rbar),
+        "jumped": d.jumped,
+        "case": d.case,
     }

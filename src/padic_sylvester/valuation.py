@@ -269,7 +269,7 @@ class PLocal:
 
     def _cmp_value(self, other):
         if isinstance(other, PLocal):
-            return other.to_fraction()
+            return self._coerce(other).to_fraction()
         if isinstance(other, (int, Fraction)):
             return other
         return None

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from padic_sylvester import (
     fs_greedy,
     knopfmacher_sylvester,
     modified_sylvester,
+    p_abs,
     pk_greedy,
     value_operands,
 )
@@ -249,6 +251,43 @@ class TestDivideCommand:
         assert code == 0
         data = json.loads(out)
         assert data["q"]["value"] == "2" and data["r"] == "921"
+
+    def test_zero_quotient(self, capsys):
+        argv = ("divide", "--p", "11", "--k", "0", "--value=-125/57")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "-57 = 125 * 0 - 57" in out and "q: 0 (no term)" in out
+        code, out, _ = run(capsys, *argv, "--output", "json")
+        assert code == 0
+        assert json.loads(out)["q"] == {"unit": "0", "exp": "0", "value": "0"}
+
+    def test_division_conditions_sweep(self, capsys):
+        rng = random.Random(1508)
+        zero_quotients = 0
+        for p in (2, 3, 5, 7, 11):
+            for k in range(-3, 4):
+                values = ["-125/57", "473/25"] + [
+                    f"{rng.choice([-1, 1]) * rng.randint(1, 10**4)}/{rng.randint(1, 10**4)}"
+                    for _ in range(4)
+                ]
+                for value in values:
+                    argv = ("divide", "--p", str(p), "--k", str(k), f"--value={value}")
+                    code, out, _ = run(capsys, *argv, "--output", "json")
+                    assert code == 0
+                    d = json.loads(out)
+                    a, b, r = (Fraction(d[f]) for f in ("a", "b", "r"))
+                    q = Fraction(d["q"]["value"])
+                    apk = a * Fraction(p) ** k
+                    assert b == a * q - r
+                    assert 0 <= r < apk
+                    assert p_abs(Prime(p), r) <= p_abs(Prime(p), apk)
+                    zero_quotients += q == 0
+                    code, text, _ = run(capsys, *argv)
+                    assert code == 0
+                    lines = text.splitlines()
+                    assert f"r: {d['r']}" in lines
+                    assert lines[-1].startswith(f"rbar: {d['rbar']}  ")
+        assert zero_quotients > 0
 
 
 class TestDigitsCommand:

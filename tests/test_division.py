@@ -14,7 +14,6 @@ from padic_sylvester import (
     classical_divide,
     p_abs,
     pk_divide,
-    pk_divide_rational,
 )
 
 P3 = Prime(3)
@@ -128,35 +127,6 @@ class TestPkDivide:
         assert s.q.to_fraction() == 33
         s = pk_divide(P11, 3, 5, 121)
         assert s.case == "case1"
-
-
-class TestPkDivideRational:
-    def test_cleared_first_step(self):
-        s = pk_divide_rational(P3, 1, Fraction(473, 25), Fraction(1))
-        assert s.q.to_fraction() == 2
-        assert s.r == Fraction(921, 25)
-        assert_division_conditions(3, 1, Fraction(473, 25), Fraction(1), s.q.to_fraction(), s.r)
-
-    def test_identical_operands(self):
-        s = pk_divide_rational(P3, 1, Fraction(2, 5), Fraction(2, 5))
-        assert s.q.to_fraction() == 1 and s.r == 0
-
-    def test_5_121_step(self):
-        s = pk_divide_rational(P11, 1, Fraction(5, 121), Fraction(1))
-        assert s.q.to_fraction() == 33
-        assert s.r == Fraction(44, 121)
-        assert Fraction(5, 121) * 33 - 1 == Fraction(44, 121)
-        assert_division_conditions(11, 1, Fraction(5, 121), Fraction(1), s.q.to_fraction(), s.r)
-
-    def test_conditions_random(self):
-        rng = random.Random(405)
-        for _ in range(300):
-            p = Prime(rng.choice([3, 5, 7]))
-            k = rng.randint(-2, 4)
-            a = Fraction(rng.randint(1, 300), rng.randint(1, 300))
-            b = Fraction(rng.randint(-300, 300), rng.randint(1, 300))
-            s = pk_divide_rational(p, k, a, b)
-            assert_division_conditions(p, k, a, b, s.q.to_fraction(), s.r)
 
 
 class TestBruteForce:

@@ -41,7 +41,6 @@ from padic_sylvester import (
     StepRecord,
     VerificationReport,
     adaptive_pk_greedy,
-    certify_nontermination,
     check_nojump_correspondence,
     digits_of,
     frac_part,
@@ -1329,7 +1328,7 @@ def reference_knopfmacher_sylvester(p: Prime, v, max_terms: int = DEFAULT_MAX_TE
         if zeta == 0:
             status = TERMINATED
             break
-        if certify_nontermination(zeta):
+        if zeta < 0:
             status = CERTIFIED_NONTERMINATING
             certificate = zeta
             break

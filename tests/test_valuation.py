@@ -193,6 +193,13 @@ class TestPLocal:
         with pytest.raises(ValueError):
             PLocal(Prime(3), 1) + PLocal(Prime(5), 1)
 
+    def test_mixed_primes_not_ordered(self):
+        x, y = PLocal(Prime(2), 0), PLocal(Prime(3), 0)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(ValueError, match="mixed primes"):
+                op(x, y)
+        assert x != y
+
     def test_ord(self):
         p = Prime(3)
         assert PLocal(p, 45).ord() == 2
