@@ -1,14 +1,16 @@
 """Command-line front end: divide, expand, verify, compare, digits.
 
 Exit codes: 0 on a successful determination (including a certified
-non-terminating expansion), 1 on invalid input, 2 when a run was cut off by
-the default term cap or by precision exhaustion.
+non-terminating expansion), 1 on invalid input or a stdout closed by its
+reader, 2 when a run was cut off by the default term cap or by precision
+exhaustion.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -359,7 +361,15 @@ def main(argv=None) -> int:
             raise
         return 1  # argparse has printed the usage and its rejection
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, so that the final
+        # flush at exit cannot fail again (see the SIGPIPE note in the
+        # signal module's documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

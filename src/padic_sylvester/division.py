@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, HypothesisViolated, NonPositiveDivisor
-from .valuation import PLocal, Prime, ord_p
+from .valuation import _LADDER_FROM, PLocal, Prime, ord_p
 
 CASE_1 = "case1"
 CASE_2 = "case2"
@@ -57,8 +57,17 @@ def pk_divide(p: Prime, k: int, a, b) -> DivisionStep:
     With alpha = ord(a), beta = ord(b), the canonical residue is
     rbar = -unit(b)*p**(beta-alpha-k) mod unit(a); powers of p are taken mod
     unit(a) through a modular inverse when the exponent is negative. Then
-    r = rbar * p**(alpha+k) and q follows from exact cancellation.
+    r = rbar * p**(alpha+k) and q follows from exact cancellation. When
+    k > beta - alpha and rbar = 0, the last step of every terminating run,
+    q is unit(b)/unit(a) * p**(beta-alpha) and no power of p is built.
     """
+    return _pk_divide(p, k, a, b, p.__pow__)
+
+
+def _pk_divide(p: Prime, k: int, a, b, power) -> DivisionStep:
+    """pk_divide with case 1's p**(alpha+k-beta) taken from power, from
+    _LADDER_FROM up: a run's ladder (valuation._powers) squares each step's
+    power up from the last one."""
     a = PLocal.from_fraction(p, a)
     b = PLocal.from_fraction(p, b)
     if a.unit <= 0:
@@ -70,7 +79,12 @@ def pk_divide(p: Prime, k: int, a, b) -> DivisionStep:
     beta, bhat = b.exp, b.unit
     rbar = -bhat * pow(p, beta - alpha - k, ahat) % ahat
     if k > beta - alpha:
-        num = rbar * p ** (alpha + k - beta) + bhat
+        # rbar = 0 ends a terminating run; num is then bhat, and the run's
+        # widest power of p is never built.
+        num = bhat
+        if rbar:
+            e = alpha + k - beta
+            num += rbar * (p**e if e < _LADDER_FROM else power(e))
         case = CASE_1
         q_exp = beta - alpha
     else:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .digits import _lift_inv_sqrt, _simple_root, _window, frac_part
-from .division import CASE_1, CASE_2, DivisionStep, classical_divide, pk_divide
+from .division import CASE_1, CASE_2, DivisionStep, _pk_divide, classical_divide
 from .errors import HypothesisViolated, KTooSmall, PreconditionViolated
 from .quadratic import (
     QuadElement,
@@ -28,7 +28,7 @@ from .quadratic import (
     _surd_ratio,
     _surd_triple,
 )
-from .valuation import PLocal, POS_INF, Prime, _strip, ord_p
+from .valuation import _LADDER_FROM, PLocal, POS_INF, Prime, _powers, _strip, ord_p
 
 TERMINATED = "terminated"
 CAP_REACHED = "cap_reached"
@@ -125,12 +125,14 @@ def _chain(num, y, den, step, max_terms: "int | None"):
 
 def _pk_step(p: Prime, choose_k, records: bool = True):
     """The step q, r = pk_divide(p, k, num, den) with k = choose_k(ord(num/den));
-    its record carries the division and its lhs den when `records` is set."""
+    its record carries the division and its lhs den when `records` is set.
+    The run's steps share one ladder of powers of p (valuation._powers)."""
+    power = _powers(p)
 
     def step(i, num, y, den):
         tail_ord = num.exp - den.exp
         k = choose_k(tail_ord)
-        d = pk_divide(p, k, num, den)
+        d = _pk_divide(p, k, num, den, power)
         if d.q.is_zero():
             raise RuntimeError(f"quotient 0 at step {i}; k = {k} is too small here")
         division, lhs = (d, den) if records else (None, None)
@@ -457,10 +459,11 @@ def _tail_text(tail) -> str:
         return f"({bits(tail.x)}) + ({bits(tail.y)})*sqrt({tail.D})"
 
 
-def _floored_difference(x: PLocal, z: PLocal, floor, den_exp: int) -> PLocal:
+def _floored_difference(x: PLocal, z: PLocal, floor, den_exp: int, power) -> PLocal:
     """x - z in canonical form, the numerator of a replayed tail (x - z)/den
     with exp(den) = den_exp, where floor is a lower bound for the tail's
-    order (None: none).
+    order (None: none) and power the replay's ladder of powers of p, which
+    builds the floor's power.
 
     On a valid run the floor is the growth bound k + 2*ord(previous tail),
     so _strip takes the difference's power of p, or all but a few of its
@@ -472,8 +475,19 @@ def _floored_difference(x: PLocal, z: PLocal, floor, den_exp: int) -> PLocal:
     raw = x.unit * p ** (x.exp - e) - z.unit * p ** (z.exp - e)
     if not raw:
         return PLocal.zero(p)
-    v, u = _strip(p, raw, 0 if floor is None else floor + den_exp - e)
+    v, u = _strip(p, raw, 0 if floor is None else floor + den_exp - e, power)
     return PLocal(p, u, e + v)
+
+
+def _record_holds(a: PLocal, b: PLocal, q: PLocal, r: PLocal, power) -> bool:
+    """Whether b + r = a*q, a division record's equation. On a valid record
+    r's exponent is the larger, and its power of p over b comes from the
+    replay's ladder from _LADDER_FROM up."""
+    e = r.exp - b.exp
+    if not r or e < 0:
+        return b + r == a * q
+    pe = b.p**e if e < _LADDER_FROM else power(e)
+    return PLocal(b.p, b.unit + r.unit * pe, b.exp) == a * q
 
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
@@ -507,8 +521,10 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     the floor's power of p out of num*q - den with one exact division, and a
     quadratic tail takes it out of its norm the same way. A floor that fails
     only costs that division before the full strip (valuation._strip), so
-    the problems are those of the plain replay. The last step skips den*q on
-    a zero tail.
+    the problems are those of the plain replay. The record checks and the
+    floors take their powers of p from one ladder, each the last one
+    squared (valuation._powers), as the drivers' division steps do. The
+    last step skips den*q on a zero tail.
     """
     problems: list[str] = []
     if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
@@ -533,6 +549,7 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         if p is not None:
             num, den = PLocal(p, num), PLocal(p, den)
     rational = p is not None and y is None
+    power = _powers(p) if rational else None
     orders = []
     floor = None  # the growth bound on the order of the tail this step leaves
     for i, rec in enumerate(trace):
@@ -556,10 +573,10 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
                 problems.append(f"step {rec.index}: a is not the previous step's r")
             if d.b != den:
                 problems.append(f"step {rec.index}: b is not the previous step's b*q")
-        if rational and d is not None and den + d.r == num * q:
+        if rational and d is not None and _record_holds(num, den, q, d.r, power):
             num = d.r  # b + r = a*q, so the record's r is a*q - b
         elif rational:
-            num = _floored_difference(num * q, den, floor, den.exp + q.exp)
+            num = _floored_difference(num * q, den, floor, den.exp + q.exp, power)
         else:
             num = num * q - den
         if y is not None:

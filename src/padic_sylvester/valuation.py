@@ -76,7 +76,39 @@ class _PositiveInfinity(float):
 POS_INF = _PositiveInfinity()
 
 
-def _strip(p: int, n: int, floor: int = 0) -> tuple[int, int]:
+# Below this exponent p**e is one cheap builtin call, and the callers build
+# it directly rather than pay a ladder's Python call for it.
+_LADDER_FROM = 64
+
+
+def _powers(p: int):
+    """power(e) = p**e for the growing exponents of one run, each built from
+    the last one.
+
+    The growth bound ord(z_{i+1}) >= k + 2*ord(z_i) makes each step's
+    exponent k + ord(z_i) at least twice the one before, so p**e is the last
+    power squared times p**(e - 2*last): one squaring, where p**e from
+    nothing squares its way up from p. The last exponent asked for again
+    costs nothing; any other exponent below twice it is built from nothing.
+    e must be nonnegative. Each run makes its own ladder, and asks it only
+    for exponents from _LADDER_FROM up.
+    """
+    last, last_power = 0, 1
+
+    def power(e: int) -> int:
+        nonlocal last, last_power
+        if e != last:
+            if 2 * last <= e:
+                last_power = last_power * last_power * p ** (e - 2 * last)
+            else:
+                last_power = p**e
+            last = e
+        return last_power
+
+    return power
+
+
+def _strip(p: int, n: int, floor: int = 0, power=None) -> tuple[int, int]:
     """(v, u) with n = u * p**v and p not dividing u; n must be nonzero.
 
     Divides by p, p**2, p**4, ... while they divide, then walks back down
@@ -88,11 +120,12 @@ def _strip(p: int, n: int, floor: int = 0) -> tuple[int, int]:
     exact division takes it out and only the quotient is stripped; otherwise
     the walk runs as without it, so the result never depends on floor. A
     p**floor wider than n (bits(p) >= 2) cannot divide it and is never built.
+    power, a run's ladder (_powers), builds p**floor when given.
     """
     if n % p:
         return 0, n
     if 0 < floor and floor * (p.bit_length() - 1) <= n.bit_length():
-        q, rem = divmod(n, p**floor)
+        q, rem = divmod(n, p**floor if power is None or floor < _LADDER_FROM else power(floor))
         if not rem:
             v, u = _strip(p, q)
             return v + floor, u

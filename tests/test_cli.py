@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -22,7 +25,9 @@ from padic_sylvester import (
     p_abs,
     pk_greedy,
     value_operands,
+    verify_expansion,
 )
+import padic_sylvester
 from padic_sylvester import cli, quadratic, report
 from padic_sylvester.cli import main
 from padic_sylvester.expansion import DEFAULT_MAX_TERMS
@@ -222,6 +227,39 @@ class TestArgparseRejections:
         assert "input: -2/5" in out
         assert "expansion: 1/10 + -1/2" in out
         assert err == ""
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (as `| head -1` does) ends the
+    command with exit 1 and an empty stderr, whether stdout is unbuffered
+    (the report's print fails) or buffered (the final flush fails)."""
+
+    SRC = str(Path(padic_sylvester.__file__).resolve().parents[1])
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--alg", "pk", "--p", "3", "--k", "1", "--value", "473/25"),
+        ("divide", "--p", "3", "--k", "1", "--value", "473/25"),
+        ("digits", "--p", "3", "--value", "4/3", "--count", "2"),
+        ("compare", "--which", "nojump", "--p", "3", "--k", "-2", "--value", "5/7"),
+    ], ids=["expand", "divide", "digits", "compare"])
+    def test_exit_1_without_traceback(self, argv, output, unbuffered):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = self.SRC
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "padic_sylvester.cli", *argv, "--output", output],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert done.stderr == b""
 
 
 class TestRendersOnlyRequestedFormat:
@@ -695,3 +733,54 @@ class TestVerifyFuzz:
             assert code == 1
             assert (out.startswith("verification: FAILED") and err == "") or (
                 out == "" and err.startswith("error: "))
+
+    DEEP = ("--p", "101", "--k", "1", "--value", "100000007/100000009")
+    EXP_RUNS = {
+        "pk": PK_473_25,
+        "adaptive": FUZZ_RUNS["adaptive"],
+        "sylvester": FUZZ_RUNS["sylvester"],
+        "pk-deep": ("--alg", "pk") + DEEP,
+        "adaptive-deep": ("--alg", "adaptive") + DEEP,
+        "sylvester-deep": ("--alg", "sylvester") + DEEP,
+    }
+
+    @pytest.mark.parametrize("name", sorted(EXP_RUNS))
+    def test_carried_exponent_edits(self, name):
+        # A rational replay carries one power of p from step to step. Moving
+        # a step's q (term, trace and record alike), r or b exponent up by 1
+        # or 1000, down by 1, to twice itself or to 0 makes the carried
+        # exponent jump, fall or repeat; every edit that changes the run
+        # must fail in the replay itself, and verify must list it.
+        argv = ("expand",) + self.EXP_RUNS[name] + ("--output", "json")
+        code, out, _ = _cli(argv)
+        assert code == 0
+        original = json.loads(out)
+        before = expansion_from_json(original)
+        edits = 0
+        for i, rec in enumerate(original["trace"]):
+            fields = ("q", "r", "b") if rec["division"] else ("q",)
+            for field in fields:
+                for how in ("up", "jump", "down", "double", "zero"):
+                    data = json.loads(out)
+                    step = data["trace"][i]
+                    if field == "q":
+                        targets = [step["q"], data["terms"][i]]
+                        if step["division"]:
+                            targets.append(step["division"]["q"])
+                    else:
+                        targets = [step["division"][field]]
+                    exp = int(targets[0]["exp"])
+                    new = {"up": exp + 1, "jump": exp + 1000, "down": exp - 1,
+                           "double": 2 * exp, "zero": 0}[how]
+                    for target in targets:
+                        target["exp"] = str(new)
+                    edited = expansion_from_json(data)
+                    if edited == before:  # a zero r or an exponent already there
+                        continue
+                    edits += 1
+                    assert not verify_expansion(*edited).ok
+                    code, text, err = _cli(("verify", "-"), json.dumps(data))
+                    assert code == 1
+                    assert text.startswith("verification: FAILED") and err == ""
+        assert edits >= 3 * len(original["trace"])
+

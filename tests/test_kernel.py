@@ -7,12 +7,14 @@ windows were read from, the squares ladder that real_compare ran, the
 Fraction-based report renderers, the ceiling step that modified_sylvester
 ran on rationals and the QuadElement loop it ran on quadratic elements, the
 Fraction re-sum that verify_expansion ran and the stripping replay it ran
-next, and the fs, Knopfmacher and p**k division loops that ran before every
-algorithm stepped one chain, all kept here as references.
+next, the fs, Knopfmacher and p**k division loops that ran before every
+algorithm stepped one chain, and the division step that built each power of
+p from nothing, all kept here as references.
 """
 
 import dataclasses
 import hashlib
+from collections import Counter
 import json
 import random
 from fractions import Fraction
@@ -32,6 +34,7 @@ from padic_sylvester import (
     EvenPrime,
     Expansion,
     KTooSmall,
+    NonPositiveDivisor,
     NotAResidue,
     PLocal,
     PrecisionExhausted,
@@ -63,17 +66,25 @@ from padic_sylvester import (
 from padic_sylvester import expansion, quadratic, report, valuation
 from padic_sylvester.cli import main
 from padic_sylvester.digits import _residue
-from padic_sylvester.division import CASE_1, CASE_2, classical_divide, pk_divide
+from padic_sylvester.division import (
+    CASE_1,
+    CASE_2,
+    DivisionStep,
+    _pk_divide,
+    classical_divide,
+    pk_divide,
+)
 from padic_sylvester.expansion import (
     CERTIFIED_NONTERMINATING,
     DEFAULT_MAX_TERMS,
     _floored_difference,
     _division_record_problems,
+    _record_holds,
     _replay_ord,
     _replay_tail,
 )
 from padic_sylvester.quadratic import PRECISION_CAP, _surd_ord, _surd_triple
-from padic_sylvester.valuation import _strip
+from padic_sylvester.valuation import _LADDER_FROM, _powers, _strip
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -138,8 +149,8 @@ def rationals(draw, primes=PRIMES[:5]):
     return p, Fraction(num, den) * Fraction(p) ** draw(st.integers(-30, 30))
 
 
-class _PowerLog(int):
-    """A prime that logs every exponent it is raised to."""
+class _PowerLog(Prime):
+    """A prime that logs every exponent it is raised to without a modulus."""
 
     def __new__(cls, p, log):
         self = super().__new__(cls, p)
@@ -147,7 +158,8 @@ class _PowerLog(int):
         return self
 
     def __pow__(self, exp, mod=None):
-        self.log.append(exp)
+        if mod is None:
+            self.log.append(exp)
         return int.__pow__(int(self), exp, mod)
 
 
@@ -185,8 +197,8 @@ def _wide_walks(wide):
     walks, that is, whose power of p a floor does not take out first."""
     strip = valuation._strip
 
-    def spy(prime, n, floor=0):
-        v, u = strip(prime, n, floor)
+    def spy(prime, n, floor=0, power=None):
+        v, u = strip(prime, n, floor, power)
         if n.bit_length() > 1024 and n % prime == 0 and not 0 < floor <= v:
             wide.append(n.bit_length())
         return v, u
@@ -209,7 +221,7 @@ class TestClaimedDifference:
         spy = _wide_walks(wide)
         with mock.patch.object(valuation, "_strip", spy), \
                 mock.patch.object(expansion, "_strip", spy):
-            got = _floored_difference(x, z, v + offset - den_exp, den_exp)
+            got = _floored_difference(x, z, v + offset - den_exp, den_exp, _powers(p))
         assert (got.unit, got.exp) == (u, v)
         if offset == 0:
             assert wide == []
@@ -220,8 +232,8 @@ class TestClaimedDifference:
         # p, and a negative one must not divide a wide difference by a float.
         p = Prime(3)
         for x, z in ((PLocal(p, 5, 2), PLocal(p, 2, 2)), (PLocal(p, 3**2000 + 1), PLocal(p, 1))):
-            assert _floored_difference(x, x, claim, 0) == PLocal.zero(p)
-            assert _floored_difference(x, z, claim, 0) == x - z
+            assert _floored_difference(x, x, claim, 0, _powers(p)) == PLocal.zero(p)
+            assert _floored_difference(x, z, claim, 0, _powers(p)) == x - z
 
 
 class TestDigitWindow:
@@ -1164,8 +1176,8 @@ class TestGrowthFloor:
         floors = []
         strip = valuation._strip
 
-        def spy(p, n, floor=0):
-            v, u = strip(p, n, floor)
+        def spy(p, n, floor=0, power=None):
+            v, u = strip(p, n, floor, power)
             if floor > 0:
                 floors.append((floor, v))
             return v, u
@@ -1191,9 +1203,9 @@ class TestGrowthFloor:
         floors = []
         strip = valuation._strip
 
-        def spy(p, n, floor=0):
+        def spy(p, n, floor=0, power=None):
             floors.append(floor)
-            return strip(p, n, floor)
+            return strip(p, n, floor, power)
 
         for module in (valuation, quadratic, expansion):
             monkeypatch.setattr(module, "_strip", spy)
@@ -1236,8 +1248,9 @@ class TestGrowthFloor:
 # The loops that fs_greedy, knopfmacher_sylvester and the p**k division
 # drivers (pk_greedy, adaptive_pk_greedy, check_nojump_correspondence and the
 # rational branch of modified_sylvester) ran before every algorithm stepped
-# one chain, kept verbatim apart from names. The Knopfmacher loop steps its
-# tail in Fraction arithmetic, with one gcd per step.
+# one chain, kept verbatim apart from names; the division loop steps
+# reference_pk_divide. The Knopfmacher loop steps its tail in Fraction
+# arithmetic, with one gcd per step.
 
 
 def reference_fs_greedy(a: int, b: int) -> Expansion:
@@ -1269,6 +1282,36 @@ def reference_fs_greedy(a: int, b: int) -> Expansion:
     return Expansion("fs", value, None, None, tuple(terms), TERMINATED, tuple(trace))
 
 
+def reference_pk_divide(p: Prime, k: int, a, b) -> DivisionStep:
+    """pk_divide as it was before a run carried its powers of p: every power
+    is built from nothing, the zero remainder's too."""
+    a = PLocal.from_fraction(p, a)
+    b = PLocal.from_fraction(p, b)
+    if a.unit <= 0:
+        raise NonPositiveDivisor(f"divisor must be positive, got {a}")
+    if b.is_zero():
+        zero = PLocal.zero(p)
+        return DivisionStep(p, k, a, b, zero, zero, 0, False, CASE_2)
+    alpha, ahat = a.exp, a.unit
+    beta, bhat = b.exp, b.unit
+    rbar = -bhat * pow(p, beta - alpha - k, ahat) % ahat
+    if k > beta - alpha:
+        num = rbar * p ** (alpha + k - beta) + bhat
+        case = CASE_1
+        q_exp = beta - alpha
+    else:
+        num = rbar + bhat * p ** (beta - alpha - k)
+        case = CASE_2
+        q_exp = k
+    q_unit, rem = divmod(num, ahat)
+    if rem:
+        raise RuntimeError("division step did not cancel exactly")
+    q = PLocal(p, q_unit, q_exp)
+    r = PLocal(p, rbar, alpha + k)
+    jumped = rbar != 0 and rbar % p == 0
+    return DivisionStep(p, k, a, b, q, r, rbar, jumped, case)
+
+
 def reference_division_expansion(
     p: Prime,
     a: PLocal,
@@ -1289,7 +1332,7 @@ def reference_division_expansion(
             break
         tail_ord = divisor.exp - lhs.exp
         k_i = choose_k(len(terms), tail_ord)
-        step = pk_divide(p, k_i, divisor, lhs)
+        step = reference_pk_divide(p, k_i, divisor, lhs)
         if step.q.is_zero():
             raise RuntimeError(f"quotient 0 at step {len(terms)}; k = {k_i} is too small here")
         terms.append(step.q)
@@ -1457,3 +1500,156 @@ class TestNoProductAfterFinalTerm:
         assert e.status == TERMINATED
         assert len(e.terms) == 12
         assert len(products) == len(e.terms) - 1
+
+
+def _division_sweep(seed: int, count: int):
+    """(p, k, a, b) for p in 2, 3, 5, 7, 101 and k from -3 to 3: per (p, k),
+    count pairs of each kind, a b drawn at random, a b that unit(a) divides
+    (rbar = 0) and a b made for a nonzero rbar divisible by p (a jump). The
+    orders of a and b lie 200 apart at most, so some powers of p are wide
+    enough for a ladder."""
+    rng = random.Random(seed)
+
+    def unit(low, high):
+        while True:
+            u = rng.randrange(low, high)
+            if u % p:
+                return u
+
+    for p in map(Prime, (2, 3, 5, 7, 101)):
+        for k in range(-3, 4):
+            for kind in ("random", "zero", "jump") * count:
+                ahat = unit(p + 1, 10**6)
+                alpha, beta = rng.randint(-100, 100), rng.randint(-100, 100)
+                if kind == "random":
+                    bhat = unit(1, 10**12)
+                elif kind == "zero":
+                    bhat = ahat * unit(1, 10**6)
+                else:
+                    rbar = p * rng.randint(1, (ahat - 1) // p)
+                    bhat = -rbar * pow(p, alpha + k - beta, ahat) % ahat
+                    while bhat % p == 0:
+                        bhat += ahat
+                yield p, k, PLocal(p, ahat, alpha), PLocal(p, rng.choice((1, -1)) * bhat, beta)
+
+
+class TestPowerLadder:
+    """A rational run builds each power of p once: a step's power is the
+    previous step's squared times a small power of p, and the zero
+    remainder's, the run's widest, is never built. The division step, the
+    drivers and the replay must still give what the old formula gave."""
+
+    def test_pk_divide_matches_reference(self):
+        kinds = Counter()
+        ladders = {}
+        for p, k, a, b in _division_sweep(16, 20):
+            want = reference_pk_divide(p, k, a, b)
+            # One ladder per prime across the whole sweep: its exponents
+            # rise, fall and repeat, so every branch of _powers runs.
+            ladder = ladders.setdefault(p, _powers(p))
+            for got in (pk_divide(p, k, a, b), _pk_divide(p, k, a, b, ladder)):
+                for f in dataclasses.fields(DivisionStep):
+                    assert getattr(got, f.name) == getattr(want, f.name), f.name
+            e = abs(a.exp + k - b.exp)
+            kinds[p, want.case, want.rbar == 0, want.jumped, e >= _LADDER_FROM] += 1
+        for p in (2, 3, 5, 7, 101):
+            for case in (CASE_1, CASE_2):
+                assert kinds[p, case, True, False, True] and kinds[p, case, False, True, True]
+                assert kinds[p, case, False, False, False]
+
+    def test_powers_match_builtin_pow(self):
+        # Every exponent gives p**e. The last one asked again builds no
+        # power, one at least twice the last builds p**(e - 2*last), and any
+        # other p**e.
+        rng = random.Random(16)
+        for p in (2, 3, 101):
+            log = []
+            power = _powers(_PowerLog(p, log))
+            last = 0
+            for e in [0, 64, 64, 128, 300, 299, 1000, 2000, 2000, 5, 4001] + [
+                    rng.randrange(5000) for _ in range(50)]:
+                log.clear()
+                assert power(e) == p**e
+                assert log == ([] if e == last else [e - 2 * last] if 2 * last <= e else [e])
+                last = e
+
+    def test_record_check_matches_plocal_sum(self):
+        # b + r = a*q with r's exponent below, at and above b's, from 0 to
+        # 300 apart, r zero, and sums one unit off.
+        rng = random.Random(16)
+        for p in map(Prime, (2, 3, 101)):
+            power = _powers(p)
+            for _ in range(300):
+                b = PLocal(p, rng.choice((1, -1)) * rng.randrange(1, 10**30), rng.randint(-150, 150))
+                r = PLocal(p, rng.randrange(10**30) * rng.randrange(2), rng.randint(-150, 150))
+                a = PLocal(p, rng.randrange(1, 10**6))
+                for q in (b + r, b + r + 1):
+                    assert _record_holds(a, b, q, r, power) == (b + r == a * q)
+                    assert _record_holds(PLocal(p, 1), b, q, r, power) == (b + r == q)
+
+    @pytest.mark.parametrize("p", [2, 101])
+    def test_ladder_runs_match_reference(self, p):
+        # The (10**n + 7)/(10**n + 9) ladder, n = 8..20; its largest terms
+        # pass 400k bits at p = 101, and jumps come often at p = 2.
+        p = Prime(p)
+        jumps = 0
+        for n in range(8, 21):
+            v = Fraction(10**n + 7, 10**n + 9)
+            a, b = value_operands(v)
+            want = reference_division_expansion(
+                p, PLocal(p, a), PLocal(p, b), "pk", 1, lambda i, t: 1)
+            adaptive = reference_division_expansion(
+                p, PLocal(p, a), PLocal(p, b), "adaptive", 1,
+                lambda i, t: 1 - t if 1 <= -t else 1)
+            sylvester = dataclasses.replace(want, algorithm="sylvester", trace=tuple(
+                dataclasses.replace(rec, division=None, lhs=None) for rec in want.trace))
+            runs = ((pk_greedy(p, 1, a, b), want),
+                    (adaptive_pk_greedy(p, 1, v), adaptive),
+                    (modified_sylvester(p, 1, v), sylvester))
+            for got, ref in runs:
+                _same_run(got, ref)
+                assert verify_expansion(p, v, got).ok
+            jumps += sum(rec.division.jumped for rec in want.trace)
+        if p == 2:
+            assert jumps
+
+    @pytest.mark.parametrize("alg", ["pk", "adaptive", "sylvester"])
+    def test_each_power_is_built_once(self, alg, monkeypatch):
+        # (10**20 + 7)/(10**20 + 9) at p = 101, k = 1: 16 steps whose
+        # exponents k + ord(tail) double from 1 to 32768, the last step's,
+        # whose remainder is zero. Neither the run nor its replay builds
+        # that power, or any power above 1024 twice; in fact every power
+        # above 1024 is a square of the last, so no such exponent is passed.
+        # Neither asks its ladder for the zero remainder's power.
+        log, asked = [], []
+        ladder = valuation._powers
+
+        def spy(prime):
+            power = ladder(prime)
+
+            def logged(e):
+                asked.append(e)
+                return power(e)
+
+            return logged
+
+        monkeypatch.setattr(expansion, "_powers", spy)
+        p = _PowerLog(101, log)
+        v = Fraction(10**20 + 7, 10**20 + 9)
+        a, b = value_operands(v)
+        run = {"pk": lambda p: pk_greedy(p, 1, a, b),
+               "adaptive": lambda p: adaptive_pk_greedy(p, 1, v),
+               "sylvester": lambda p: modified_sylvester(p, 1, v)}[alg]
+        e = run(p)
+        expanded = (list(log), list(asked))
+        assert e == run(Prime(101))
+        assert 1 + e.trace[-1].tail_ord == 32768
+        log.clear()
+        asked.clear()
+        assert verify_expansion(p, v, e).ok
+        for powers, ladder_asks in (expanded, (log, asked)):
+            assert 32768 not in powers
+            assert all(n == 1 for x, n in Counter(powers).items() if x > 1024)
+            assert max(powers) <= 1024
+            assert 32768 not in ladder_asks
+            assert len(set(ladder_asks)) == len(ladder_asks)
