@@ -284,7 +284,7 @@ def _cmd_verify(ns) -> int:
         for path in _differing_leaves(rendered, data):
             v.problems.append("expansion string differs from the terms" if path == "expansion"
                               else f"{path} differs from the re-rendered report")
-    v.ok = not v.problems
+    v = v._replace(ok=not v.problems)
     _emit(ns, lambda: "verification: " + report.verification_text(v),
           lambda: {
               "schema": report.SCHEMA,
@@ -294,8 +294,17 @@ def _cmd_verify(ns) -> int:
     return 0 if v.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that prints its help as a report is printed, so a
+    closed stdout raises BrokenPipeError here too; argparse's own help
+    write ignores the error from Python 3.11 on."""
+
+    def print_help(self, file=None):
+        print(self.format_help(), end="", file=file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="padic-sylvester",
         description="Finite p-adic Sylvester (Egyptian fraction) expansions "
         "of rationals and real-embeddable quadratic p-adic numbers.",
@@ -355,13 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        if exc.code != 2:  # --help
-            raise
-        return 1  # argparse has printed the usage and its rejection
-    try:
-        code = ns.func(ns)
+        try:
+            ns = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code == 2:
+                return 1  # argparse has printed the usage and its rejection
+            code = exc.code  # --help has printed the help
+        else:
+            code = ns.func(ns)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -11,15 +11,14 @@ opens its window at start; a quadratic element opens its window through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import EvenPrime, NotAResidue
 from .valuation import PLocal, Prime, _split, ord_p
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(NamedTuple):
     """A finite window of base-p digits c_n, n = start, start+1, ...
 
     The first digit is nonzero unless the expanded value is zero, in which

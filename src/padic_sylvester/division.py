@@ -12,8 +12,8 @@ of conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, HypothesisViolated, NonPositiveDivisor
 from .valuation import _LADDER_FROM, PLocal, Prime, ord_p
@@ -22,8 +22,7 @@ CASE_1 = "case1"
 CASE_2 = "case2"
 
 
-@dataclass(frozen=True)
-class DivisionStep:
+class DivisionStep(NamedTuple):
     """One application of the p**k division algorithm.
 
     rbar is the canonical residue in [0, unit(a)) that generates the

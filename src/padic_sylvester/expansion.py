@@ -13,9 +13,9 @@ window <den/num>_1 (`knopf`) or classical division (`fs`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .digits import _lift_inv_sqrt, _simple_root, _window, frac_part
 from .division import CASE_1, CASE_2, DivisionStep, _pk_divide, classical_divide
@@ -41,8 +41,7 @@ FAILS_WITH_JUMP = "fails_with_jump"
 DEFAULT_MAX_TERMS = 64
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Per-step trace: the term produced, the k in force, and the division data."""
 
     index: int
@@ -55,8 +54,7 @@ class StepRecord:
     remainder: "int | None" = None
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(NamedTuple):
     """Result of one expansion run.
 
     terms holds the q_i (reciprocals are implied); when `initial` is set the
@@ -305,8 +303,7 @@ def _surd_step(zeta: QuadElement, k: int):
     return step
 
 
-@dataclass(frozen=True)
-class NoJumpCorrespondence:
+class NoJumpCorrespondence(NamedTuple):
     """Outcome of the scaled term-by-term comparison between the p-adic and
     classical greedy runs, plus the two runs as evidence."""
 
@@ -355,8 +352,7 @@ def check_nojump_correspondence(p: Prime, k: int, a: int, b: int) -> NoJumpCorre
     return NoJumpCorrespondence(verdict, padic, classical, jumps)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of recomputing an expansion's remainders exactly."""
 
     ok: bool
@@ -364,7 +360,7 @@ class VerificationReport:
     tail_orders: list
     strictly_increasing: "bool | None"
     growth_ok: "bool | None"
-    problems: list[str] = field(default_factory=list)
+    problems: list[str]
 
 
 _FORM_FIELDS = ("initial flag", "division record", "remainder", "tail_ord")
@@ -501,6 +497,13 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     fields as its algorithm records them. A zero reciprocal term is reported
     and ends the replay.
 
+    Two rules that pick a term are checked as integer comparisons: an fs
+    step's remainder r = a*q - b lies in [0, a), which makes q the classical
+    greedy term, and a Knopfmacher term's unit lies in [0, p**(1 - exp)),
+    the window <.>_1 (its value in [0, p)). The growth bound with k = 1
+    already gives the window's p-adic half, so the term is the window of
+    its tail's reciprocal.
+
     The tail is an unreduced pair num/den over Z[1/p] (Z without a prime),
     which a term q steps to (num*q - den)/(den*q), an initial term to
     (num - den*q)/den, and whose orders are its exponents. A quadratic tail
@@ -550,6 +553,7 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             num, den = PLocal(p, num), PLocal(p, den)
     rational = p is not None and y is None
     power = _powers(p) if rational else None
+    knopf, fs = rational and e.algorithm == "knopfmacher", e.algorithm == "fs"
     orders = []
     floor = None  # the growth bound on the order of the tail this step leaves
     for i, rec in enumerate(trace):
@@ -560,6 +564,9 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         q, d = rec.q, rec.division
         if rational and not isinstance(q, PLocal):
             q = PLocal(p, q)
+        # A window <.>_1 has its digits at exponents exp..0, so exp <= 0.
+        if knopf and q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
+            problems.append(f"step {rec.index}: term {q} is outside the window [0, {int(p)})")
         if rec.initial:
             num -= den * q
             continue
@@ -573,6 +580,7 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
                 problems.append(f"step {rec.index}: a is not the previous step's r")
             if d.b != den:
                 problems.append(f"step {rec.index}: b is not the previous step's b*q")
+        a = num
         if rational and d is not None and _record_holds(num, den, q, d.r, power):
             num = d.r  # b + r = a*q, so the record's r is a*q - b
         elif rational:
@@ -587,6 +595,8 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             problems.append(f"step {rec.index}: r is not a*q - b")
         if rec.remainder is not None and rec.remainder != num:
             problems.append(f"step {rec.index}: remainder {rec.remainder} is not a*q - b")
+        if fs and not 0 <= num < a:
+            problems.append(f"step {rec.index}: remainder {num} is outside [0, {a})")
     if p is not None:
         orders.append(_replay_ord(num, y, den, value, floor))
     for rec, o in zip(trace, orders):

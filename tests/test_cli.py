@@ -232,9 +232,25 @@ class TestArgparseRejections:
 class TestClosedStdout:
     """A reader that closes stdout early (as `| head -1` does) ends the
     command with exit 1 and an empty stderr, whether stdout is unbuffered
-    (the report's print fails) or buffered (the final flush fails)."""
+    (the report's print fails) or buffered (the final flush fails). Help is
+    printed the same way."""
 
     SRC = str(Path(padic_sylvester.__file__).resolve().parents[1])
+
+    def _run_closed(self, argv, unbuffered):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = self.SRC
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "padic_sylvester.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize("output", ["text", "json"])
@@ -245,21 +261,24 @@ class TestClosedStdout:
         ("compare", "--which", "nojump", "--p", "3", "--k", "-2", "--value", "5/7"),
     ], ids=["expand", "divide", "digits", "compare"])
     def test_exit_1_without_traceback(self, argv, output, unbuffered):
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = self.SRC
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "padic_sylvester.cli", *argv, "--output", output],
-                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
-            )
-        finally:
-            os.close(write)
+        done = self._run_closed((*argv, "--output", output), unbuffered)
         assert done.returncode == 1
         assert done.stderr == b""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [("--help",), ("expand", "--help")],
+                             ids=["main", "expand"])
+    def test_help_exit_1_without_traceback(self, argv, unbuffered):
+        done = self._run_closed(argv, unbuffered)
+        assert done.returncode == 1
+        assert done.stderr == b""
+
+    @pytest.mark.parametrize("argv", [("--help",), ("expand", "--help")],
+                             ids=["main", "expand"])
+    def test_help_on_open_stdout_exits_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: padic-sylvester") and out.endswith("\n")
 
 
 class TestRendersOnlyRequestedFormat:
@@ -409,6 +428,27 @@ class TestVerifyCommand:
         path.write_text(out)
         code, out2, _ = run(capsys, "verify", str(path))
         assert code == 0
+
+    def test_fs_terms_greedy_does_not_pick_fail(self):
+        # 2/3 = 1/3 + 1/3, but the classical greedy gives 1/2 + 1/6. The
+        # report is rendered from the run, so only the term rule is broken.
+        e = fs_greedy(2, 3)
+        bad = e._replace(terms=(3, 3), trace=tuple(
+            rec._replace(q=3, remainder=r) for rec, r in zip(e.trace, (3, 0))))
+        code, out, err = _cli(("verify", "-"), json.dumps(expansion_json(bad)))
+        assert (code, err) == (1, "")
+        assert out == "verification: FAILED sum=exact [step 0: remainder 3 is outside [0, 2)]\n"
+
+    def test_knopf_term_outside_window_fails(self):
+        # The window gives a0 = 1 for 2/5 at p = 3; a0 = 4 with its certificate.
+        e = knopfmacher_sylvester(Prime(3), Fraction(2, 5))
+        a0 = PLocal(Prime(3), 4)
+        bad = e._replace(terms=(a0,), trace=(e.trace[0]._replace(q=a0),),
+                         certificate=Fraction(-18, 5))
+        code, out, err = _cli(("verify", "-"), json.dumps(expansion_json(bad)))
+        assert (code, err) == (1, "")
+        assert out == ("verification: FAILED orders=increasing growth=ok "
+                       "[step 0: term 4 is outside the window [0, 3)]\n")
 
     def test_tampered_report_fails(self, capsys, tmp_path):
         code, out, _ = run(capsys, "expand", "--alg", "pk", "--p", "3", "--k", "1",

@@ -369,11 +369,51 @@ class TestVerifyExpansion:
         assert v.ok and v.sum_exact
         assert v.strictly_increasing is None and v.growth_ok is None
 
+    @pytest.mark.parametrize("terms, remainders, problems", [
+        # Greedy gives 2, 6; 3, 3 sums to 2/3 too.
+        ((3, 3), (3, 0), ["step 0: remainder 3 is outside [0, 2)"]),
+        ((1, -3), (-1, 0), ["step 0: remainder -1 is outside [0, 2)",
+                            "step 1: remainder 0 is outside [0, -1)"]),
+    ], ids=["too-large", "negative"])
+    def test_fs_rejects_terms_greedy_does_not_pick(self, terms, remainders, problems):
+        e = fs_greedy(2, 3)
+        bad = e._replace(terms=terms, trace=tuple(
+            rec._replace(q=q, remainder=r) for rec, q, r in zip(e.trace, terms, remainders)))
+        v = verify_expansion(None, Fraction(2, 3), bad)
+        assert v.sum_exact and not v.ok
+        assert v.problems == problems
+
+    def test_knopfmacher_rejects_initial_term_outside_window(self):
+        # The window gives a0 = 1; a0 = 4 keeps ord(2/5 - a0) >= 1, and its
+        # certificate 2/5 - 4 is the final tail.
+        e = knopfmacher_sylvester(P3, Fraction(2, 5))
+        a0 = PLocal(P3, 4)
+        bad = e._replace(terms=(a0,), trace=(e.trace[0]._replace(q=a0),),
+                         certificate=Fraction(-18, 5))
+        v = verify_expansion(P3, Fraction(2, 5), bad)
+        assert v.problems == ["step 0: term 4 is outside the window [0, 3)"]
+
+    def test_knopfmacher_rejects_integer_initial_term(self):
+        # <3> = 0 for p = 3; a0 = 3 sums to 3 on its own.
+        e = knopfmacher_sylvester(P3, Fraction(3))
+        a0 = PLocal(P3, 3)
+        bad = e._replace(terms=(a0,), trace=(e.trace[0]._replace(q=a0, tail_ord=1),))
+        v = verify_expansion(P3, Fraction(3), bad)
+        assert v.sum_exact
+        assert v.problems == ["step 0: term 1*3^1 is outside the window [0, 3)"]
+
+    @pytest.mark.parametrize("shift, shown", [(3, "16*3^-1"), (-3, "-2*3^-1")])
+    def test_knopfmacher_rejects_reciprocal_term_outside_window(self, shift, shown):
+        e = knopfmacher_sylvester(P3, Fraction(3, 7))
+        assert [str(q) for q in e.terms] == ["0", "7*3^-1"]
+        q = e.terms[1] + shift
+        bad = e._replace(terms=(e.terms[0], q), trace=(e.trace[0], e.trace[1]._replace(q=q)))
+        v = verify_expansion(P3, Fraction(3, 7), bad)
+        assert f"step 1: term {shown} is outside the window [0, 3)" in v.problems
+
     def test_detects_wrong_terms(self):
         e = pk_greedy(P3, 1, PLocal(P3, 473), PLocal(P3, 25))
-        import dataclasses
-
-        bad = dataclasses.replace(e, terms=e.terms[:-1], trace=e.trace[:-1])
+        bad = e._replace(terms=e.terms[:-1], trace=e.trace[:-1])
         v = verify_expansion(P3, Fraction(473, 25), bad)
         assert not v.ok and v.sum_exact is False
 

@@ -12,7 +12,6 @@ algorithm stepped one chain, and the division step that built each power of
 p from nothing, all kept here as references.
 """
 
-import dataclasses
 import hashlib
 from collections import Counter
 import json
@@ -853,7 +852,7 @@ def sylvester_inputs(draw):
 
 def _same_verification(p, value, e):
     got, want = verify_expansion(p, value, e), reference_verify_expansion(p, value, e)
-    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert got == want
 
 
 def _check_verifiers_agree(p, value, e):
@@ -862,8 +861,8 @@ def _check_verifiers_agree(p, value, e):
     certificate, which only a certified run may carry."""
     _same_verification(p, value, e)
     if e.terms:
-        cut = dataclasses.replace(e, terms=e.terms[:-1], trace=e.trace[:-1],
-                                  status=TERMINATED, certificate=None)
+        cut = e._replace(terms=e.terms[:-1], trace=e.trace[:-1],
+                         status=TERMINATED, certificate=None)
         assert not verify_expansion(p, value, cut).sum_exact
         _same_verification(p, value, cut)
 
@@ -948,7 +947,9 @@ class TestVerifier:
 
 def reference_stripping_verify_expansion(p, value, e):
     """verify_expansion as it was before it checked claims: it puts each
-    replayed num*q - den into canonical form, stripping every power of p."""
+    replayed num*q - den into canonical form, stripping every power of p.
+    It tests the fs and Knopfmacher term rules in its own terms: the least q
+    with a*q >= b, and a window value in [0, p)."""
     problems: list[str] = []
     if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
         problems.append("terms differ from the trace's q values")
@@ -973,11 +974,16 @@ def reference_stripping_verify_expansion(p, value, e):
             num, den = -num, -den
         if p is not None:
             num, den = PLocal(p, num), PLocal(p, den)
+    knopf = e.algorithm == "knopfmacher" and p is not None and y is None
+    fs = e.algorithm == "fs"
     orders = []
     for i, rec in enumerate(trace):
         if p is not None:
             orders.append(_replay_ord(num, y, den, value))
         q, d = rec.q, rec.division
+        # The window <.>_1 takes its values in [0, p).
+        if knopf and q and not 0 <= q.to_fraction() < p:
+            problems.append(f"step {rec.index}: term {q} is outside the window [0, {int(p)})")
         if rec.initial:
             num -= den * q
             continue
@@ -991,6 +997,8 @@ def reference_stripping_verify_expansion(p, value, e):
                 problems.append(f"step {rec.index}: a is not the previous step's r")
             if d.b != den:
                 problems.append(f"step {rec.index}: b is not the previous step's b*q")
+        # The classical greedy term is the least q with a*q >= b, for a > 0.
+        a, greedy = num, not fs or num > 0 and q == -(-den // num)
         num, den = num * q - den, den * q
         if y is not None:
             y = y * q
@@ -998,6 +1006,8 @@ def reference_stripping_verify_expansion(p, value, e):
             problems.append(f"step {rec.index}: r is not a*q - b")
         if rec.remainder is not None and rec.remainder != num:
             problems.append(f"step {rec.index}: remainder {rec.remainder} is not a*q - b")
+        if not greedy:
+            problems.append(f"step {rec.index}: remainder {num} is outside [0, {a})")
     if p is not None:
         orders.append(_replay_ord(num, y, den, value))
     for rec, o in zip(trace, orders):
@@ -1084,22 +1094,22 @@ def _run_with_edit(p, e, i, field, delta):
     if field == "tail_ord":
         j = min(i + 1, len(trace) - 1)
         t = trace[j].tail_ord
-        trace[j] = dataclasses.replace(trace[j], tail_ord=delta if t is None else t + delta)
+        trace[j] = trace[j]._replace(tail_ord=delta if t is None else t + delta)
     elif field == "q":
         q = bump(rec.q)
-        new_d = d and dataclasses.replace(d, q=q)
-        trace[i] = dataclasses.replace(rec, q=q, division=new_d)
+        new_d = d and d._replace(q=q)
+        trace[i] = rec._replace(q=q, division=new_d)
         terms = list(e.terms)
         terms[i] = q
-        return dataclasses.replace(e, terms=tuple(terms), trace=tuple(trace))
+        return e._replace(terms=tuple(terms), trace=tuple(trace))
     elif d is not None:
         name, attr = {"r_unit": ("r", "unit"), "r_exp": ("r", "exp"),
                       "a": ("a", "unit"), "b": ("b", "unit")}[field]
-        trace[i] = dataclasses.replace(rec, division=dataclasses.replace(
-            d, **{name: bump(getattr(d, name), attr)}))
+        trace[i] = rec._replace(division=d._replace(
+            **{name: bump(getattr(d, name), attr)}))
     elif field == "r_unit" and rec.remainder is not None:
-        trace[i] = dataclasses.replace(rec, remainder=rec.remainder + delta)
-    return dataclasses.replace(e, trace=tuple(trace))
+        trace[i] = rec._replace(remainder=rec.remainder + delta)
+    return e._replace(trace=tuple(trace))
 
 
 class TestClaimedReplay:
@@ -1130,7 +1140,7 @@ class TestClaimedReplay:
             e = _run_with_edit(prime, e, at % len(e.trace), field, delta)
         got = verify_expansion(prime, v, e)
         want = reference_stripping_verify_expansion(prime, v, e)
-        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        assert got == want
 
 
 class TestVerifierDoesNotStrip:
@@ -1234,8 +1244,8 @@ class TestGrowthFloor:
                 (v, modified_sylvester(Prime(101), 1, v))]
         floors = self._floors(monkeypatch)
         for value, e in runs:
-            moved = dataclasses.replace(e, trace=tuple(
-                dataclasses.replace(rec, tail_ord=rec.tail_ord + 1000) for rec in e.trace))
+            moved = e._replace(trace=tuple(
+                rec._replace(tail_ord=rec.tail_ord + 1000) for rec in e.trace))
             floors.clear()
             assert verify_expansion(e.p, value, e).ok
             want = list(floors)
@@ -1548,8 +1558,8 @@ class TestPowerLadder:
             # rise, fall and repeat, so every branch of _powers runs.
             ladder = ladders.setdefault(p, _powers(p))
             for got in (pk_divide(p, k, a, b), _pk_divide(p, k, a, b, ladder)):
-                for f in dataclasses.fields(DivisionStep):
-                    assert getattr(got, f.name) == getattr(want, f.name), f.name
+                for f in DivisionStep._fields:
+                    assert getattr(got, f) == getattr(want, f), f
             e = abs(a.exp + k - b.exp)
             kinds[p, want.case, want.rbar == 0, want.jumped, e >= _LADDER_FROM] += 1
         for p in (2, 3, 5, 7, 101):
@@ -1601,8 +1611,8 @@ class TestPowerLadder:
             adaptive = reference_division_expansion(
                 p, PLocal(p, a), PLocal(p, b), "adaptive", 1,
                 lambda i, t: 1 - t if 1 <= -t else 1)
-            sylvester = dataclasses.replace(want, algorithm="sylvester", trace=tuple(
-                dataclasses.replace(rec, division=None, lhs=None) for rec in want.trace))
+            sylvester = want._replace(algorithm="sylvester", trace=tuple(
+                rec._replace(division=None, lhs=None) for rec in want.trace))
             runs = ((pk_greedy(p, 1, a, b), want),
                     (adaptive_pk_greedy(p, 1, v), adaptive),
                     (modified_sylvester(p, 1, v), sylvester))
