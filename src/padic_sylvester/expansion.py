@@ -28,7 +28,7 @@ from .quadratic import (
     _surd_ratio,
     _surd_triple,
 )
-from .valuation import _LADDER_FROM, PLocal, POS_INF, Prime, _powers, _strip, ord_p
+from .valuation import PLocal, POS_INF, Prime, _below, _powers, _record_holds, _strip, ord_p
 
 TERMINATED = "terminated"
 CAP_REACHED = "cap_reached"
@@ -50,7 +50,6 @@ class StepRecord(NamedTuple):
     initial: bool = False
     tail_ord: "int | None" = None
     division: "DivisionStep | None" = None
-    lhs: "PLocal | None" = None
     remainder: "int | None" = None
 
 
@@ -123,7 +122,7 @@ def _chain(num, y, den, step, max_terms: "int | None"):
 
 def _pk_step(p: Prime, choose_k, records: bool = True):
     """The step q, r = pk_divide(p, k, num, den) with k = choose_k(ord(num/den));
-    its record carries the division and its lhs den when `records` is set.
+    its record carries the division when `records` is set.
     The run's steps share one ladder of powers of p (valuation._powers)."""
     power = _powers(p)
 
@@ -133,8 +132,7 @@ def _pk_step(p: Prime, choose_k, records: bool = True):
         d = _pk_divide(p, k, num, den, power)
         if d.q.is_zero():
             raise RuntimeError(f"quotient 0 at step {i}; k = {k} is too small here")
-        division, lhs = (d, den) if records else (None, None)
-        return d.q, d.r, StepRecord(i, d.q, k, tail_ord=tail_ord, division=division, lhs=lhs)
+        return d.q, d.r, StepRecord(i, d.q, k, tail_ord=tail_ord, division=d if records else None)
 
     return step
 
@@ -368,10 +366,10 @@ _FORM_FIELDS = ("initial flag", "division record", "remainder", "tail_ord")
 
 def _form_problems(e: Expansion) -> list[str]:
     """Check that each trace entry's index is its position and that each step
-    carries the fields its algorithm records: division records and lhs on
-    the p**k runs only, remainders on fs only, an initial flag on a
-    Knopfmacher run's first step only, no order without a prime, and k = 1 on
-    Knopfmacher steps and no k on fs steps."""
+    carries the fields its algorithm records: division records on the p**k
+    runs only, remainders on fs only, an initial flag on a Knopfmacher run's
+    first step only, no order without a prime, and k = 1 on Knopfmacher
+    steps and no k on fs steps."""
     alg = e.algorithm
     knopf, records, fs = alg == "knopfmacher", alg in ("pk", "adaptive"), alg == "fs"
     fixed_k = 1 if knopf else None
@@ -383,7 +381,7 @@ def _form_problems(e: Expansion) -> list[str]:
             problems.append(f"trace entry {i} has index {rec.index}")
         fits = (
             rec.initial == (knopf and i == 0),
-            (rec.division is not None) == records == (rec.lhs is not None),
+            (rec.division is not None) == records,
             (rec.remainder is not None) == fs,
             rec.tail_ord is None or e.p is not None,
         )
@@ -397,15 +395,13 @@ def _form_problems(e: Expansion) -> list[str]:
 
 def _division_record_problems(rec: StepRecord) -> list[str]:
     """Check a division record against its own step: its q is the step's
-    term, the step's lhs is its b and 0 <= rbar < unit(a); then recompute
-    its rbar, jump flag and case from its recorded a, b, r and the step's k."""
+    term and 0 <= rbar < unit(a); then recompute its rbar, jump flag and
+    case from its recorded a, b, r and the step's k."""
     d, k = rec.division, rec.k
     a, b, r = d.a, d.b, d.r
     problems = []
     if d.q != rec.q:
         problems.append(f"step {rec.index}: division q differs from the term")
-    if rec.lhs != b:
-        problems.append(f"step {rec.index}: lhs differs from division b")
     if not 0 <= d.rbar < a.unit:
         problems.append(f"step {rec.index}: rbar {d.rbar} is outside [0, unit(a))")
     if k is None or d.k != k:
@@ -475,15 +471,24 @@ def _floored_difference(x: PLocal, z: PLocal, floor, den_exp: int, power) -> PLo
     return PLocal(p, u, e + v)
 
 
-def _record_holds(a: PLocal, b: PLocal, q: PLocal, r: PLocal, power) -> bool:
-    """Whether b + r = a*q, a division record's equation. On a valid record
-    r's exponent is the larger, and its power of p over b comes from the
-    replay's ladder from _LADDER_FROM up."""
-    e = r.exp - b.exp
-    if not r or e < 0:
-        return b + r == a * q
-    pe = b.p**e if e < _LADDER_FROM else power(e)
-    return PLocal(b.p, b.unit + r.unit * pe, b.exp) == a * q
+# A claimed term exponent this many bits' worth of p past any valid one is
+# still replayed: its power takes milliseconds, and the whole replay then
+# lists every problem the claim causes. Beyond it the replay ends.
+_CLAIM_BITS = 1 << 18
+
+
+def _exponent_too_far(q: PLocal, o, rec: StepRecord, den: PLocal) -> bool:
+    """Whether term q of step rec, taken at a tail of order o over den, has an
+    exponent too far from any valid one for the replay to build its power.
+
+    A term the library makes has exponent -o on a step with k > -o and one
+    in [k, -o + log_p |unit(den)|] (pk_divide's case 2) on one with
+    k <= -o; a Knopfmacher head has exponent o where o <= 0. A step after a
+    zero tail, which no valid run takes, is measured from order 0."""
+    o = 0 if o == POS_INF else o
+    d = q.exp - o if rec.initial else q.exp + o
+    slack = (den.unit.bit_length() + _CLAIM_BITS) // (q.p.bit_length() - 1)
+    return abs(d) > max(0, -(rec.k or 0) - o) + slack
 
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
@@ -495,14 +500,18 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     terminated only on a nonzero final tail, and a certificate on exactly the
     certified runs, equal to the final tail and negative, and each step's
     fields as its algorithm records them. A zero reciprocal term is reported
-    and ends the replay.
+    and ends the replay, as does a term whose exponent is too far from the
+    tail's order to be valid (_exponent_too_far), before its power of p is
+    built.
 
-    Two rules that pick a term are checked as integer comparisons: an fs
+    Three rules that pick a term are checked as integer comparisons: an fs
     step's remainder r = a*q - b lies in [0, a), which makes q the classical
-    greedy term, and a Knopfmacher term's unit lies in [0, p**(1 - exp)),
-    the window <.>_1 (its value in [0, p)). The growth bound with k = 1
-    already gives the window's p-adic half, so the term is the window of
-    its tail's reciprocal.
+    greedy term; a rational sylvester step's lies in [0, a*p**k), the p**k
+    division's real bound, which _below shares with fs and settles by bit
+    lengths before it builds a power of p; and a Knopfmacher term's unit
+    lies in [0, p**(1 - exp)), the window <.>_1 (its value in [0, p)). The
+    growth bound with k = 1 already gives the window's p-adic half, so the
+    term is the window of its tail's reciprocal.
 
     The tail is an unreduced pair num/den over Z[1/p] (Z without a prime),
     which a term q steps to (num*q - den)/(den*q), an initial term to
@@ -533,10 +542,11 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
         problems.append("terms differ from the trace's q values")
     problems.extend(_form_problems(e))
-    zero = next((i for i, rec in enumerate(e.trace) if not rec.initial and not rec.q), None)
-    if zero is not None:
-        problems.append(f"step {e.trace[zero].index}: term is zero")
-    trace = e.trace[:zero]
+    # The step the replay ends before: a zero term, or a term too far off.
+    stop = next((i for i, rec in enumerate(e.trace) if not rec.initial and not rec.q), None)
+    if stop is not None:
+        problems.append(f"step {e.trace[stop].index}: term is zero")
+    trace = e.trace[:stop]
     for rec in trace:
         if rec.division is not None:
             problems.extend(_division_record_problems(rec))
@@ -554,16 +564,22 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     rational = p is not None and y is None
     power = _powers(p) if rational else None
     knopf, fs = rational and e.algorithm == "knopfmacher", e.algorithm == "fs"
+    sylvester = rational and e.algorithm == "sylvester"
     orders = []
     floor = None  # the growth bound on the order of the tail this step leaves
     for i, rec in enumerate(trace):
+        q, d = rec.q, rec.division
+        if p is not None and not isinstance(q, PLocal):
+            q = PLocal(p, q)
         if p is not None:
             o = _replay_ord(num, y, den, value, floor)
             orders.append(o)
+            if q and q.exp != -o and _exponent_too_far(q, o, rec, den):
+                problems.append(f"step {rec.index}: term exponent {q.exp} is too far from "
+                                f"the order {o} to be valid")
+                trace, stop = trace[:i], i
+                break
             floor = None if rec.k is None or o == POS_INF else rec.k + 2 * o
-        q, d = rec.q, rec.division
-        if rational and not isinstance(q, PLocal):
-            q = PLocal(p, q)
         # A window <.>_1 has its digits at exponents exp..0, so exp <= 0.
         if knopf and q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
             problems.append(f"step {rec.index}: term {q} is outside the window [0, {int(p)})")
@@ -595,9 +611,10 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             problems.append(f"step {rec.index}: r is not a*q - b")
         if rec.remainder is not None and rec.remainder != num:
             problems.append(f"step {rec.index}: remainder {rec.remainder} is not a*q - b")
-        if fs and not 0 <= num < a:
-            problems.append(f"step {rec.index}: remainder {num} is outside [0, {a})")
-    if p is not None:
+        if (fs or sylvester and rec.k is not None) and not _below(num, a, 0 if fs else rec.k):
+            bound = a if fs else PLocal(p, a.unit, a.exp + rec.k)  # a*p**k
+            problems.append(f"step {rec.index}: remainder {num} is outside [0, {bound})")
+    if p is not None and len(orders) == len(trace):  # a replay cut short has it
         orders.append(_replay_ord(num, y, den, value, floor))
     for rec, o in zip(trace, orders):
         if rec.tail_ord != (None if o == POS_INF else o):
@@ -612,11 +629,11 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
 
     sum_exact = None
     if e.status == TERMINATED:
-        sum_exact = zero is None and not num and not y
-        if zero is None and not sum_exact:
+        sum_exact = stop is None and not num and not y
+        if stop is None and not sum_exact:
             tail = _replay_tail(num, y, den, value)
             problems.append(f"terminated run does not sum to its input (tail {_tail_text(tail)})")
-    if e.status != TERMINATED and zero is None and not num and not y:
+    if e.status != TERMINATED and stop is None and not num and not y:
         problems.append(f"status {e.status} but the replayed tail is zero")
     c = e.certificate
     if e.status == CERTIFIED_NONTERMINATING and c is None:
@@ -624,7 +641,7 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     if c is not None:
         if e.status != CERTIFIED_NONTERMINATING:
             problems.append(f"certificate {c} on a run with status {e.status}")
-        if zero is None and c != _replay_tail(num, y, den, value):
+        if stop is None and c != _replay_tail(num, y, den, value):
             problems.append(f"certificate {c} is not the final tail")
         if not c < 0:
             problems.append(f"certificate {c} is not negative")

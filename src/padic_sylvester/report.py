@@ -7,6 +7,8 @@ is deterministic: no timestamps, fixed key order.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 
 from .division import DivisionStep
@@ -19,7 +21,7 @@ from .expansion import (
     VerificationReport,
 )
 from .quadratic import QuadElement
-from .valuation import PLocal, POS_INF, Prime
+from .valuation import _LADDER_FROM, PLocal, POS_INF, Prime
 
 SCHEMA = 1
 
@@ -43,12 +45,24 @@ def _ord_str(o):
     return str(o)
 
 
+def _power(p: int, e: int) -> int:
+    """p**e for e >= 0, or the ValueError str() would raise where its decimal
+    form alone passes the int/str digit limit (0: none), before building it.
+    Below _LADDER_FROM the power is cheap, and str() raises for it."""
+    if e < _LADDER_FROM:
+        return p**e
+    limit = sys.get_int_max_str_digits()
+    if limit and e >= limit / math.log10(p):
+        raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion")
+    return p**e
+
+
 def _plocal_str(x: PLocal) -> str:
     """The value of x in lowest terms. Its unit is prime to p, so no gcd is
     needed; zero is unit 0, exp 0 and renders as "0"."""
     if x.exp >= 0:
-        return str(x.unit * x.p ** x.exp)
-    return f"{x.unit}/{x.p ** -x.exp}"
+        return str(x.unit * _power(x.p, x.exp))
+    return f"{x.unit}/{_power(x.p, -x.exp)}"
 
 
 def _ratio_str(num: int, den: int) -> str:
@@ -76,8 +90,8 @@ def term_display(q, initial: bool = False) -> str:
             return f"{int(q.p)}/{q.unit}"
         return f"{int(q.p)}^{j}/{q.unit}"
     if q.exp >= 0:
-        return _ratio_str(1, q.unit * q.p ** q.exp)
-    return _ratio_str(q.p ** -q.exp, q.unit)
+        return _ratio_str(1, q.unit * _power(q.p, q.exp))
+    return _ratio_str(_power(q.p, -q.exp), q.unit)
 
 
 def value_display(value) -> str:
@@ -185,20 +199,12 @@ def _trace_division_json(d: "DivisionStep | None"):
     }
 
 
-def _trace_division_from_json(p: Prime, k: "int | None", d) -> "DivisionStep | None":
+def _trace_division_from_json(p: Prime, k: "int | None", q, d) -> "DivisionStep | None":
+    """The division record d of a step whose term, and so its q, is q."""
     if d is None:
         return None
-    return DivisionStep(
-        p=p,
-        k=k,
-        a=_plocal_from_json(p, d["a"]),
-        b=_plocal_from_json(p, d["b"]),
-        q=_plocal_from_json(p, d["q"]),
-        r=_plocal_from_json(p, d["r"]),
-        rbar=int(d["rbar"]),
-        jumped=bool(d["jumped"]),
-        case=d["case"],
-    )
+    return DivisionStep(p, k, _plocal_from_json(p, d["a"]), _plocal_from_json(p, d["b"]), q,
+                        _plocal_from_json(p, d["r"]), int(d["rbar"]), bool(d["jumped"]), d["case"])
 
 
 def _input_json(value):
@@ -241,14 +247,15 @@ def expansion_json(e: Expansion, verification: "VerificationReport | None" = Non
         terms.append(entry)
     trace = []
     for rec in e.trace:
+        division = _trace_division_json(rec.division)
         entry = {
             "index": str(rec.index),
             "k": None if rec.k is None else str(rec.k),
             "initial": rec.initial,
             "tail_ord": _ord_str(rec.tail_ord),
             "q": _plocal_json(rec.q) if isinstance(rec.q, PLocal) else str(rec.q),
-            "division": _trace_division_json(rec.division),
-            "lhs": _plocal_json(rec.lhs),
+            "division": division,
+            "lhs": None if division is None else division["b"],
             "remainder": None if rec.remainder is None else str(rec.remainder),
         }
         trace.append(entry)
@@ -273,7 +280,10 @@ def expansion_json(e: Expansion, verification: "VerificationReport | None" = Non
 def expansion_from_json(d: dict):
     """Rebuild (p, value, Expansion) from an expand report. Lossless for every
     field the library produced; an unknown command, algorithm or status
-    raises ValueError."""
+    raises ValueError. Each value is read once: the terms are the trace's q
+    values, a division's q is its step's, an index is its position and only
+    a Knopfmacher run's first step is initial. The report's other copies are
+    checked against the re-rendered report only."""
     if d.get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
     for key, known in _EXPAND_FIELDS.items():
@@ -282,43 +292,22 @@ def expansion_from_json(d: dict):
     p = None if d["p"] is None else Prime(int(d["p"]))
     k = None if d["k"] is None else int(d["k"])
     value = _input_from_json(p, d["input"])
-    terms = []
-    for entry in d["terms"]:
-        if "q" in entry:
-            terms.append(_int_term_from_json(p, entry["q"]))
-        else:
-            terms.append(_plocal_from_json(p, entry))
-    trace = []
-    for entry in d["trace"]:
+    initial = d["algorithm"] == "knopfmacher"
+    terms, trace = [], []
+    for i, entry in enumerate(d["trace"]):
         rec_k = None if entry["k"] is None else int(entry["k"])
         q = entry["q"]
         q = _int_term_from_json(p, q) if isinstance(q, str) else _plocal_from_json(p, q)
-        trace.append(
-            StepRecord(
-                index=int(entry["index"]),
-                q=q,
-                k=rec_k,
-                initial=bool(entry["initial"]),
-                tail_ord=None if entry["tail_ord"] is None else int(entry["tail_ord"]),
-                division=_trace_division_from_json(p, rec_k, entry["division"]),
-                lhs=None if entry["lhs"] is None else _plocal_from_json(p, entry["lhs"]),
-                remainder=None if entry["remainder"] is None else int(entry["remainder"]),
-            )
-        )
-    initial = bool(d["terms"] and d["terms"][0]["initial"])
+        terms.append(q)
+        trace.append(StepRecord(
+            i, q, rec_k, initial and i == 0,
+            None if entry["tail_ord"] is None else int(entry["tail_ord"]),
+            _trace_division_from_json(p, rec_k, q, entry["division"]),
+            None if entry["remainder"] is None else int(entry["remainder"]),
+        ))
     certificate = None if d["certificate"] is None else Fraction(d["certificate"])
-    e = Expansion(
-        algorithm=d["algorithm"],
-        value=value,
-        p=p,
-        k=k,
-        terms=tuple(terms),
-        status=d["status"],
-        trace=tuple(trace),
-        initial=initial,
-        certificate=certificate,
-    )
-    return p, value, e
+    return p, value, Expansion(d["algorithm"], value, p, k, tuple(terms), d["status"],
+                               tuple(trace), initial, certificate)
 
 
 def verification_json(v: VerificationReport) -> dict:

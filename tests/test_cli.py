@@ -463,7 +463,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("argv, tamper, problem", [
         (PK_473_25, lambda d: d["terms"][0].update(unit=str(int(d["terms"][0]["unit"]) + 1)),
-         "terms differ from the trace's q values"),
+         "terms[0].unit differs from the re-rendered report"),
         (PK_473_25, lambda d: d.update(expansion="1/2 + 3/5"),
          "expansion string differs from the terms"),
         (PK_473_25, lambda d: d["trace"][0]["division"].update(jumped=True),
@@ -476,11 +476,11 @@ class TestVerifyCommand:
          lambda d: (d["terms"][1].update(unit="0"), d["trace"][1]["q"].update(unit="0")),
          "step 1: term is zero"),
         (PK_473_25, lambda d: _bump(d["trace"][1]["lhs"], "unit", 3),
-         "step 1: lhs differs from division b"),
+         "trace[1].lhs.unit differs from the re-rendered report"),
         (PK_473_25, lambda d: _bump(d["trace"][1]["division"]["a"], "unit", 3),
          "step 1: a is not the previous step's r"),
         (PK_473_25, lambda d: _bump(d["trace"][1]["division"]["q"], "unit", 3),
-         "step 1: division q differs from the term"),
+         "trace[1].division.q.unit differs from the re-rendered report"),
         (PK_473_25, lambda d: _bump(d["trace"][1], "tail_ord", 1),
          "step 1: tail_ord 2 is not the order 1"),
         (PK_473_25, lambda d: _bump(d["trace"][0]["division"]["a"], "unit", 3),
@@ -498,7 +498,7 @@ class TestVerifyCommand:
         (("--alg", "fs", "--value", "5/11"), lambda d: _bump(d["trace"][0], "remainder", 1),
          "step 0: remainder 5 is not a*q - b"),
         (PK_473_25, lambda d: _bump(d["trace"][1], "index", 4),
-         "trace entry 1 has index 5"),
+         "trace[1].index differs from the re-rendered report"),
         # A lower k only weakens the growth bound, which the run still meets.
         (("--alg", "sylvester", "--p", "7", "--k", "1", "--max-terms", "4") + QUAD_XI,
          lambda d: _bump(d["trace"][2], "k", -1),
@@ -533,13 +533,17 @@ class TestVerifyCommand:
         (KNOPF_2_5, lambda d: d["trace"][0].update(k="2"),
          "step 0: k 2 is not the knopfmacher k 1"),
         (KNOPF_2_5, lambda d: d["trace"][0].update(initial=False),
-         "step 0: initial flag does not fit a knopfmacher run"),
+         "trace[0].initial differs from the re-rendered report"),
+        # An integer term, the form only fs writes, in a report with a prime.
+        (PK_473_25, lambda d: d["terms"].__setitem__(
+            0, {"initial": False, "display": "1/2", "q": "2"}),
+         "terms[0].q differs from the re-rendered report"),
     ], ids=["term", "expansion", "jumped", "case", "rbar", "zero-term", "lhs", "a", "q",
             "tail-ord", "first-a", "b", "rbar-bound", "r", "fs-remainder", "index",
             "step-k", "certificate-sign", "certificate-tail", "certificate-status",
             "adaptive-null-k", "status-cap", "status-certified", "display", "value",
             "verification-ok", "no-division", "no-remainder", "fs-tail-ord", "fs-k",
-            "knopf-k", "knopf-initial"])
+            "knopf-k", "knopf-initial", "int-term-with-prime"])
     def test_tampered_claim_fails(self, capsys, tmp_path, argv, tamper, problem):
         code, out, _ = run(capsys, "expand", *argv, "--output", "json")
         data = json.loads(out)
@@ -562,10 +566,8 @@ class TestVerifyCommand:
         (PK_473_25, lambda d: d.update(command="divide")),
         # An integer term, the form only fs writes, in a report with a prime.
         (PK_473_25, lambda d: d["trace"][0].update(q="2")),
-        (PK_473_25, lambda d: d["terms"].__setitem__(
-            0, {"initial": False, "display": "1/2", "q": "2"})),
     ], ids=["null-a", "null-q", "plocal-without-prime", "status", "algorithm", "command",
-            "int-trace-q-with-prime", "int-term-with-prime"])
+            "int-trace-q-with-prime"])
     def test_malformed_report_exits_1(self, capsys, tmp_path, argv, tamper):
         code, out, _ = run(capsys, "expand", *argv, "--output", "json")
         data = json.loads(out)
@@ -613,6 +615,88 @@ class TestVerifyCommand:
         assert "[step 4: tail_ord 9 is not the order +Infinity]" in out2
         assert "[order not increasing at step 4: +Infinity -> 9]" in out2
         assert err == ""
+
+    # Each field that copies a value the parser reads elsewhere: the terms
+    # (the trace's q values), indices and initial flags (the positions), lhs
+    # (the division's b) and the division's q (the step's).
+    COPIES = {
+        "pk": (PK_473_25, ("terms[1].unit", "terms[1].exp", "terms[1].value",
+                           "terms[1].display", "terms[1].initial", "trace[1].index",
+                           "trace[1].initial", "trace[1].lhs.unit", "trace[1].lhs.exp",
+                           "trace[1].lhs.value", "trace[1].division.q.unit",
+                           "trace[1].division.q.exp", "trace[1].division.q.value")),
+        "knopf": (("--alg", "knopf", "--p", "3", "--value", "3/7"),
+                  ("terms[0].initial", "terms[0].unit", "trace[0].initial",
+                   "trace[1].initial", "trace[1].index")),
+        "fs": (("--alg", "fs", "--value", "5/11"), ("terms[0].q", "terms[1].initial",
+                                                    "trace[0].index", "trace[0].initial")),
+        "sylvester-quad": (("--alg", "sylvester", "--p", "7", "--k", "1", "--max-terms", "3")
+                           + QUAD_XI, ("terms[2].unit", "terms[2].exp", "trace[2].index")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COPIES))
+    def test_each_copy_edited_alone_is_one_problem(self, name):
+        argv, paths = self.COPIES[name]
+        code, out, _ = _cli(("expand",) + argv + ("--output", "json"))
+        assert code == 0
+        for path in paths:
+            data = json.loads(out)
+            *keys, leaf = path.replace("[", ".").replace("]", "").split(".")
+            parent = data
+            for key in keys:
+                parent = parent[int(key) if key.isdigit() else key]
+            parent[leaf] = _edited(parent[leaf], 1)
+            code, text, err = _cli(("verify", "-", "--output", "json"), json.dumps(data))
+            assert (code, err) == (1, ""), path
+            problems = json.loads(text)["verification"]["problems"]
+            assert problems == [f"{path} differs from the re-rendered report"]
+
+    # Term exponents no valid run has, and a division record's r exponent:
+    # each used to cost seconds, or never finished, before verify failed.
+    FAR = {
+        "knopf-head": (("--alg", "knopf", "--p", "3", "--value", "3/7"),
+                       lambda d: [entry.update(unit="1", exp=str(10**400))
+                                  for entry in (d["terms"][0], d["trace"][0]["q"])],
+                       "[step 0: term exponent 1" + "0" * 400 + " is too far from the order 1 "
+                       "to be valid]"),
+        "pk-q": (PK_473_25, lambda d: d["trace"][1]["q"].update(exp="4000000"),
+                 "[step 1: term exponent 4000000 is too far from the order 1 to be valid]"),
+        "pk-r": (PK_473_25, lambda d: d["trace"][1]["division"]["r"].update(exp=str(10**400)),
+                 "[step 1: r is not a*q - b]"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAR))
+    def test_far_claimed_exponent_fails_at_once(self, name):
+        argv, tamper, problem = self.FAR[name]
+        code, out, _ = _cli(("expand",) + argv + ("--output", "json"))
+        data = json.loads(out)
+        tamper(data)
+        start = time.perf_counter()
+        code, out, err = _cli(("verify", "-"), json.dumps(data))
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (1, "")
+        assert problem in out
+        assert "[report cannot be re-rendered: Exceeds the limit" in out
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sylvester_term_moved_by_p_to_the_k_fails(self, sign):
+        # The last of 4 rational sylvester terms moved by +-p**k keeps every
+        # order and the growth bound; only 0 <= r < a*p**k breaks. The
+        # report is rendered from the run, so only the rule is broken.
+        p = Prime(101)
+        v = Fraction(10**8 + 7, 10**8 + 9)
+        e = modified_sylvester(p, 1, v, max_terms=4)
+        q = e.terms[-1]
+        bad_q = PLocal(p, q.unit + sign * 101 ** (e.k - q.exp), q.exp)
+        bad = e._replace(terms=e.terms[:-1] + (bad_q,),
+                         trace=e.trace[:-1] + (e.trace[-1]._replace(q=bad_q),))
+        v_bad = verify_expansion(p, v, bad)
+        r = "26158857*101^4" if sign > 0 else "-7046489*101^4"
+        assert v_bad.problems == [f"step 3: remainder {r} is outside [0, 16602673*101^4)"]
+        code, out, err = _cli(("verify", "-"), json.dumps(expansion_json(bad)))
+        assert (code, err) == (1, "")
+        assert out == (f"verification: FAILED orders=increasing growth=ok "
+                       f"[{v_bad.problems[0]}]\n")
 
     def test_garbage_report(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
@@ -667,6 +751,25 @@ class TestJsonRoundTrip:
         assert back == e
         assert value == e.value
         assert p == e.p
+
+    def test_parser_reads_each_value_once(self, monkeypatch):
+        # Per pk step: the q, and the division's a, b and r. The terms, the
+        # division's q and lhs are copies it never parses.
+        code, out, _ = _cli(("expand",) + PK_473_25 + ("--output", "json"))
+        built = []
+
+        class Counted(PLocal):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(report, "PLocal", Counted)
+        _, _, e = expansion_from_json(json.loads(out))
+        assert len(e.trace) == 4
+        assert len(built) == 4 * len(e.trace)
+        assert all(rec.division.q is rec.q is q for rec, q in zip(e.trace, e.terms))
 
 
 FUZZ_RUNS = {

@@ -16,7 +16,10 @@ import hashlib
 from collections import Counter
 import json
 import random
+import sys
+import time
 from fractions import Fraction
+import math
 from math import ceil, gcd, isqrt
 from pathlib import Path
 from unittest import mock
@@ -78,12 +81,11 @@ from padic_sylvester.expansion import (
     DEFAULT_MAX_TERMS,
     _floored_difference,
     _division_record_problems,
-    _record_holds,
     _replay_ord,
     _replay_tail,
 )
 from padic_sylvester.quadratic import PRECISION_CAP, _surd_ord, _surd_triple
-from padic_sylvester.valuation import _LADDER_FROM, _powers, _strip
+from padic_sylvester.valuation import _LADDER_FROM, _below, _powers, _record_holds, _strip
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -545,7 +547,7 @@ def reference_expansion_json(e, verification=None):
             "tail_ord": report._ord_str(rec.tail_ord),
             "q": reference_plocal_json(rec.q) if isinstance(rec.q, PLocal) else str(rec.q),
             "division": reference_division_json(rec.division),
-            "lhs": reference_plocal_json(rec.lhs),
+            "lhs": None if rec.division is None else reference_plocal_json(rec.division.b),
             "remainder": None if rec.remainder is None else str(rec.remainder),
         })
     out = {
@@ -643,6 +645,53 @@ class TestRenderers:
             return
         assert report.term_display(q, initial=initial) == want
 
+    @pytest.mark.parametrize("limit", [640, 4300])
+    def test_power_refuses_what_str_would(self, limit):
+        # Around the exponent where p**e passes the int/str digit limit, the
+        # renderers of a value with that exponent raise exactly when
+        # str(p**e) would, with str()'s message; from _LADDER_FROM up,
+        # _power raises before it builds the power.
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            for p in (2, 3, 7, 101, 2**61 - 1):
+                edge = int(limit / math.log10(p))
+                for e in range(max(edge - 3, 0), edge + 4):
+                    try:
+                        want = str(p**e)
+                    except ValueError:
+                        refuse = [lambda: report._power(p, e)] if e >= _LADDER_FROM else []
+                        for render in refuse + [
+                                lambda: report._plocal_str(PLocal(Prime(p), 1, e)),
+                                lambda: report._plocal_str(PLocal(Prime(p), 1, -e)),
+                                lambda: report.term_display(PLocal(Prime(p), -1, -e)),
+                                lambda: report.term_display(PLocal(Prime(p), 1, e))]:
+                            with pytest.raises(ValueError, match="^Exceeds the limit"):
+                                render()
+                    else:
+                        assert str(report._power(p, e)) == want
+                        assert report._plocal_str(PLocal(Prime(p), 1, e)) == want
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    def test_power_is_refused_before_it_is_built(self):
+        # 3**(10**400) could never be built; with no limit the power is. A
+        # positive unit over a power of p displays as p^j/unit, without it.
+        start = time.perf_counter()
+        for x in (PLocal(Prime(3), 1, 10**400), PLocal(Prime(3), -1, -(10**400))):
+            with pytest.raises(ValueError, match="^Exceeds the limit"):
+                report._plocal_str(x)
+            with pytest.raises(ValueError, match="^Exceeds the limit"):
+                report.term_display(x)
+        assert report.term_display(PLocal(Prime(3), 1, -(10**400))) == f"3^{10**400}/1"
+        assert time.perf_counter() - start < 1
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert report._plocal_str(PLocal(Prime(3), 2, 10**4)) == str(2 * 3**10**4)
+        finally:
+            sys.set_int_max_str_digits(saved)
+
 
 def _seeded_expansions(seed, count):
     """Every algorithm on `count` seeded rationals v of either sign: the
@@ -675,6 +724,18 @@ class TestWholeReports:
             assert json.dumps(report.expansion_json(e)) == json.dumps(reference_expansion_json(e))
             assert report.expansion_text(e, v) == reference_expansion_text(e, v)
             assert report.expansion_sum_text(e) == reference_sum_text(e)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_parse_and_render_again_is_identity(self, seed):
+        # The parser reads each value once and derives every copy, so the
+        # parsed run is the run and renders to the same report.
+        for e in _seeded_expansions(seed, 40):
+            v = verify_expansion(None if e.algorithm == "fs" else e.p, e.value, e)
+            for verification in (v, None):
+                d = json.loads(json.dumps(report.expansion_json(e, verification)))
+                p, value, back = report.expansion_from_json(d)
+                assert back == e
+                assert report.expansion_json(back, verification) == d
 
     @pytest.mark.parametrize("sign, expansion, sha256", [
         ("+", "1/9 + 7/66 + 7^3/4709 + 7^7/72282453",
@@ -948,8 +1009,9 @@ class TestVerifier:
 def reference_stripping_verify_expansion(p, value, e):
     """verify_expansion as it was before it checked claims: it puts each
     replayed num*q - den into canonical form, stripping every power of p.
-    It tests the fs and Knopfmacher term rules in its own terms: the least q
-    with a*q >= b, and a window value in [0, p)."""
+    It tests the fs, rational sylvester and Knopfmacher term rules in its own
+    terms: the least q with a*q >= b, a remainder in [0, a*p**k) as
+    Fractions, and a window value in [0, p)."""
     problems: list[str] = []
     if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
         problems.append("terms differ from the trace's q values")
@@ -975,6 +1037,7 @@ def reference_stripping_verify_expansion(p, value, e):
         if p is not None:
             num, den = PLocal(p, num), PLocal(p, den)
     knopf = e.algorithm == "knopfmacher" and p is not None and y is None
+    sylvester = e.algorithm == "sylvester" and p is not None and y is None
     fs = e.algorithm == "fs"
     orders = []
     for i, rec in enumerate(trace):
@@ -1008,6 +1071,10 @@ def reference_stripping_verify_expansion(p, value, e):
             problems.append(f"step {rec.index}: remainder {rec.remainder} is not a*q - b")
         if not greedy:
             problems.append(f"step {rec.index}: remainder {num} is outside [0, {a})")
+        if sylvester and rec.k is not None and \
+                not 0 <= num.to_fraction() < a.to_fraction() * Fraction(p) ** rec.k:
+            bound = PLocal(p, a.unit, a.exp + rec.k)
+            problems.append(f"step {rec.index}: remainder {num} is outside [0, {bound})")
     if p is not None:
         orders.append(_replay_ord(num, y, den, value))
     for rec, o in zip(trace, orders):
@@ -1141,6 +1208,25 @@ class TestClaimedReplay:
         got = verify_expansion(prime, v, e)
         want = reference_stripping_verify_expansion(prime, v, e)
         assert got == want
+
+
+class TestTermRuleComparison:
+    """The fs rule 0 <= r < a and the rational sylvester rule 0 <= r < a*p**k
+    share one comparison, which reads PLocals by bit lengths first."""
+
+    @PROPERTY
+    @given(plocals(), plocals(), st.integers(-300, 300), st.integers(-40, 40))
+    def test_matches_fractions(self, r, b, shift, k):
+        b = PLocal(r.p, b.unit, b.exp + shift)
+        assert _below(r, b, k) == (0 <= r.to_fraction() < b.to_fraction() * Fraction(r.p) ** k)
+        assert _below(r.unit, b.unit) == (0 <= r.unit < b.unit)
+
+    def test_wide_gaps_build_no_power(self):
+        p = Prime(101)
+        start = time.perf_counter()
+        assert not _below(PLocal(p, 5, 10**400), PLocal(p, 7))
+        assert _below(PLocal(p, 5), PLocal(p, 7, 10**400))
+        assert time.perf_counter() - start < 1
 
 
 class TestVerifierDoesNotStrip:
@@ -1353,7 +1439,6 @@ def reference_division_expansion(
                 k=k_i,
                 tail_ord=tail_ord,
                 division=step,
-                lhs=lhs,
             )
         )
         if step.r.is_zero():
@@ -1486,6 +1571,33 @@ class TestChainDriver:
         _same_run(got.padic, padic)
 
 
+class TestExponentBound:
+    """The replay ends at a term exponent too far from its tail's order to be
+    valid. Even with no allowance past the valid range, no run the library
+    makes trips it: case 2 of the p**k division (k <= -ord(tail), as in the
+    no-jump comparison) included."""
+
+    @PROPERTY
+    @given(st.sampled_from(SYLVESTER_PRIMES), small_values(0, 3), st.integers(-3, 3),
+           st.integers(0, 3))
+    def test_case_2_runs_need_no_allowance(self, p, v, power, below):
+        v *= Fraction(p) ** power
+        k = -ord_p(p, v) - below
+        while v * Fraction(p) ** k > 3:  # the classical greedy takes about v steps
+            k -= 1
+        e = check_nojump_correspondence(p, k, *value_operands(v)).padic
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(expansion, "_CLAIM_BITS", 0)
+            problems = verify_expansion(p, v, e).problems
+        assert not [prob for prob in problems if "too far" in prob]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_runs_need_no_allowance(self, seed, monkeypatch):
+        monkeypatch.setattr(expansion, "_CLAIM_BITS", 0)
+        for e in _seeded_expansions(seed, 40):
+            assert verify_expansion(None if e.algorithm == "fs" else e.p, e.value, e).ok
+
+
 class TestNoProductAfterFinalTerm:
     """den*q after the final term is never read and is the widest product of
     a run, so a terminated rational run forms den*q once per term but the
@@ -1597,6 +1709,16 @@ class TestPowerLadder:
                     assert _record_holds(a, b, q, r, power) == (b + r == a * q)
                     assert _record_holds(PLocal(p, 1), b, q, r, power) == (b + r == q)
 
+    def test_record_check_builds_no_power_wider_than_its_units(self):
+        # A claimed r whose exponent is 10**400 above or below b's cannot
+        # make b + r = a*q; the bit lengths say so before p**(10**400).
+        p = Prime(3)
+        a, b, q = PLocal(p, 473), PLocal(p, 25), PLocal(p, 2)
+        start = time.perf_counter()
+        for exp in (10**400, -(10**400)):
+            assert not _record_holds(a, b, q, PLocal(p, 307, exp), _powers(p))
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("p", [2, 101])
     def test_ladder_runs_match_reference(self, p):
         # The (10**n + 7)/(10**n + 9) ladder, n = 8..20; its largest terms
@@ -1612,7 +1734,7 @@ class TestPowerLadder:
                 p, PLocal(p, a), PLocal(p, b), "adaptive", 1,
                 lambda i, t: 1 - t if 1 <= -t else 1)
             sylvester = want._replace(algorithm="sylvester", trace=tuple(
-                rec._replace(division=None, lhs=None) for rec in want.trace))
+                rec._replace(division=None) for rec in want.trace))
             runs = ((pk_greedy(p, 1, a, b), want),
                     (adaptive_pk_greedy(p, 1, v), adaptive),
                     (modified_sylvester(p, 1, v), sylvester))
