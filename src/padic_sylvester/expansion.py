@@ -42,12 +42,12 @@ DEFAULT_MAX_TERMS = 64
 
 
 class StepRecord(NamedTuple):
-    """Per-step trace: the term produced, the k in force, and the division data."""
+    """Per-step trace: the term produced, the k in force, the order of the
+    tail it steps and the division data. A step's index is its position in
+    the trace; a Knopfmacher run's additive head is position 0."""
 
-    index: int
     q: "PLocal | int"
     k: "int | None" = None
-    initial: bool = False
     tail_ord: "int | None" = None
     division: "DivisionStep | None" = None
     remainder: "int | None" = None
@@ -132,7 +132,7 @@ def _pk_step(p: Prime, choose_k, records: bool = True):
         d = _pk_divide(p, k, num, den, power)
         if d.q.is_zero():
             raise RuntimeError(f"quotient 0 at step {i}; k = {k} is too small here")
-        return d.q, d.r, StepRecord(i, d.q, k, tail_ord=tail_ord, division=d if records else None)
+        return d.q, d.r, StepRecord(d.q, k, tail_ord, d if records else None)
 
     return step
 
@@ -155,7 +155,7 @@ def fs_greedy(a: int, b: int) -> Expansion:
 
     def step(i, num, y, den):
         q, r = classical_divide(num, den)
-        return q, r, StepRecord(index=i, q=q, remainder=r)
+        return q, r, StepRecord(q, remainder=r)
 
     terms, trace, status, _, _ = _chain(a, None, b, step, None)
     return Expansion("fs", value, None, None, terms, status, trace)
@@ -207,7 +207,7 @@ def knopfmacher_sylvester(p: Prime, v, max_terms: int = DEFAULT_MAX_TERMS) -> Ex
     v = Fraction(v)
     a0 = frac_part(p, v)
     num, den = (PLocal(p, x) for x in v.as_integer_ratio())
-    head = StepRecord(0, a0, 1, initial=True, tail_ord=num.exp - den.exp if num else None)
+    head = StepRecord(a0, 1, num.exp - den.exp if num else None)
     num -= den * a0
 
     def step(i, num, y, den):
@@ -215,7 +215,7 @@ def knopfmacher_sylvester(p: Prime, v, max_terms: int = DEFAULT_MAX_TERMS) -> Ex
             return None
         start = den.exp - num.exp  # ord(1/z)
         q = PLocal(p, _window(p, den.unit, num.unit, 1 - start), start)
-        return q, num * q - den, StepRecord(index=i + 1, q=q, k=1, tail_ord=-start)
+        return q, num * q - den, StepRecord(q, 1, -start)
 
     terms, trace, status, num, den = _chain(num, None, den, step, max_terms)
     certificate = None
@@ -296,7 +296,7 @@ def _surd_step(zeta: QuadElement, k: int):
             x, wy, g = -x, -wy, -g
         c = -_surd_floor(-x, -wy, g, D)
         q = PLocal(p, t + c * modulus, -o)
-        return q, n * q - m, StepRecord(index=i, q=q, k=k, tail_ord=o)
+        return q, n * q - m, StepRecord(q, k, o)
 
     return step
 
@@ -361,59 +361,27 @@ class VerificationReport(NamedTuple):
     problems: list[str]
 
 
-_FORM_FIELDS = ("initial flag", "division record", "remainder", "tail_ord")
-
-
-def _form_problems(e: Expansion) -> list[str]:
-    """Check that each trace entry's index is its position and that each step
-    carries the fields its algorithm records: division records on the p**k
-    runs only, remainders on fs only, an initial flag on a Knopfmacher run's
-    first step only, no order without a prime, and k = 1 on Knopfmacher
-    steps and no k on fs steps."""
-    alg = e.algorithm
-    knopf, records, fs = alg == "knopfmacher", alg in ("pk", "adaptive"), alg == "fs"
-    fixed_k = 1 if knopf else None
-    problems = []
-    if e.k is not None and (knopf or fs):
-        problems.append(f"k {e.k} does not apply to {alg}")
-    for i, rec in enumerate(e.trace):
-        if rec.index != i:
-            problems.append(f"trace entry {i} has index {rec.index}")
-        fits = (
-            rec.initial == (knopf and i == 0),
-            (rec.division is not None) == records,
-            (rec.remainder is not None) == fs,
-            rec.tail_ord is None or e.p is not None,
-        )
-        if not all(fits):
-            problems.extend(f"step {rec.index}: {name} does not fit a {alg} run"
-                            for name, ok in zip(_FORM_FIELDS, fits) if not ok)
-        if (knopf or fs) and rec.k != fixed_k:
-            problems.append(f"step {rec.index}: k {rec.k} is not the {alg} k {fixed_k}")
-    return problems
-
-
-def _division_record_problems(rec: StepRecord) -> list[str]:
-    """Check a division record against its own step: its q is the step's
-    term and 0 <= rbar < unit(a); then recompute its rbar, jump flag and
-    case from its recorded a, b, r and the step's k."""
+def _division_record_problems(rec: StepRecord, i: int) -> list[str]:
+    """Check the division record of step i against its own step: its q is
+    the step's term and 0 <= rbar < unit(a); then recompute its rbar, jump
+    flag and case from its recorded a, b, r and the step's k."""
     d, k = rec.division, rec.k
     a, b, r = d.a, d.b, d.r
     problems = []
     if d.q != rec.q:
-        problems.append(f"step {rec.index}: division q differs from the term")
+        problems.append(f"step {i}: division q differs from the term")
     if not 0 <= d.rbar < a.unit:
-        problems.append(f"step {rec.index}: rbar {d.rbar} is outside [0, unit(a))")
+        problems.append(f"step {i}: rbar {d.rbar} is outside [0, unit(a))")
     if k is None or d.k != k:
-        problems.append(f"step {rec.index}: division record has k {d.k}, the step has k {k}")
+        problems.append(f"step {i}: division record has k {d.k}, the step has k {k}")
         return problems
     # r = rbar * p**(ord(a) + k); comparing canonical forms needs no power of p.
     if PLocal(d.p, d.rbar, a.exp + k) != r:
-        problems.append(f"step {rec.index}: rbar {d.rbar} does not match r")
+        problems.append(f"step {i}: rbar {d.rbar} does not match r")
     if d.jumped != (not r.is_zero() and r.exp > a.exp + k):
-        problems.append(f"step {rec.index}: jump flag does not match r")
+        problems.append(f"step {i}: jump flag does not match r")
     if d.case != (CASE_1 if not b.is_zero() and k > b.exp - a.exp else CASE_2):
-        problems.append(f"step {rec.index}: case does not match a, b and k")
+        problems.append(f"step {i}: case does not match a, b and k")
     return problems
 
 
@@ -477,32 +445,41 @@ def _floored_difference(x: PLocal, z: PLocal, floor, den_exp: int, power) -> PLo
 _CLAIM_BITS = 1 << 18
 
 
-def _exponent_too_far(q: PLocal, o, rec: StepRecord, den: PLocal) -> bool:
-    """Whether term q of step rec, taken at a tail of order o over den, has an
-    exponent too far from any valid one for the replay to build its power.
+def _exponent_too_far(q: PLocal, o, k: "int | None", den: PLocal, head: bool) -> bool:
+    """Whether term q of a step with k, taken at a tail of order o over den,
+    has an exponent too far from any valid one for the replay to build its
+    power; head marks a Knopfmacher run's additive head.
 
     A term the library makes has exponent -o on a step with k > -o and one
     in [k, -o + log_p |unit(den)|] (pk_divide's case 2) on one with
     k <= -o; a Knopfmacher head has exponent o where o <= 0. A step after a
     zero tail, which no valid run takes, is measured from order 0."""
     o = 0 if o == POS_INF else o
-    d = q.exp - o if rec.initial else q.exp + o
+    d = q.exp - o if head else q.exp + o
     slack = (den.unit.bit_length() + _CLAIM_BITS) // (q.p.bit_length() - 1)
-    return abs(d) > max(0, -(rec.k or 0) - o) + slack
+    return abs(d) > max(0, -(k or 0) - o) + slack
 
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
-    """Replay an expansion from its input and check its claims: terms equal
-    to the trace's q values, trace indices equal to their positions, exact
-    sum on termination, strictly increasing remainder orders with the growth
-    bound ord(z_{i+1}) >= k_i + 2*ord(z_i) (orders need a prime), each
-    recorded ord(tail) and step k, each division record, a status other than
-    terminated only on a nonzero final tail, and a certificate on exactly the
-    certified runs, equal to the final tail and negative, and each step's
-    fields as its algorithm records them. A zero reciprocal term is reported
-    and ends the replay, as does a term whose exponent is too far from the
-    tail's order to be valid (_exponent_too_far), before its power of p is
-    built.
+    """Replay an expansion from its input and check its claims in one walk of
+    its trace. A step's index is its position, and position 0 of a
+    Knopfmacher run is its additive head. Each step is checked where it is
+    replayed, its problems together and in step order: the fields its
+    algorithm records (division records on the p**k runs only, remainders on
+    fs only, no order without a prime, k = 1 on Knopfmacher steps and none on
+    fs), a zero reciprocal term, its division record, its ord(tail) and k
+    against the replayed order, a term exponent too far from that order to
+    be valid (_exponent_too_far), then its term rule and link in the chain.
+    A zero or far term ends the replay before its power of p is built. The
+    run's claims follow: terms equal to the trace's q values, no run k on fs
+    or Knopfmacher, the input as value, the replay's prime as p (a quadratic
+    input's own; another prime ends the replay before its first step, so no
+    arithmetic mixes primes), an initial term on Knopfmacher runs only, an
+    exact sum on termination, a status other than terminated only on a
+    nonzero final tail, and a certificate on exactly the certified runs,
+    equal to the final tail and negative. Last come strictly increasing
+    orders with the growth bound ord(z_{i+1}) >= k_i + 2*ord(z_i) (orders
+    need a prime).
 
     Three rules that pick a term are checked as integer comparisons: an fs
     step's remainder r = a*q - b lies in [0, a), which makes q the classical
@@ -538,64 +515,80 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     squared (valuation._powers), as the drivers' division steps do. The
     last step skips den*q on a zero tail.
     """
-    problems: list[str] = []
-    if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
-        problems.append("terms differ from the trace's q values")
-    problems.extend(_form_problems(e))
-    # The step the replay ends before: a zero term, or a term too far off.
-    stop = next((i for i, rec in enumerate(e.trace) if not rec.initial and not rec.q), None)
-    if stop is not None:
-        problems.append(f"step {e.trace[stop].index}: term is zero")
-    trace = e.trace[:stop]
-    for rec in trace:
-        if rec.division is not None:
-            problems.extend(_division_record_problems(rec))
-
     y = None
     if isinstance(value, QuadElement):
         p = value.p
         num, y, den = _surd_triple(value)
     else:
-        num, den = Fraction(value).as_integer_ratio()
+        value = Fraction(value)
+        num, den = value.as_integer_ratio()
         if num < 0:  # a > 0, as the division drivers take their operands
             num, den = -num, -den
         if p is not None:
             num, den = PLocal(p, num), PLocal(p, den)
+    alg = e.algorithm
     rational = p is not None and y is None
     power = _powers(p) if rational else None
-    knopf, fs = rational and e.algorithm == "knopfmacher", e.algorithm == "fs"
-    sylvester = rational and e.algorithm == "sylvester"
+    knopf, fs, records = alg == "knopfmacher", alg == "fs", alg in ("pk", "adaptive")
+    fixed_k = 1 if knopf else None  # the k of every Knopfmacher or fs step
+    sylvester = rational and alg == "sylvester"
+    problems: list[str] = []
     orders = []
     floor = None  # the growth bound on the order of the tail this step leaves
-    for i, rec in enumerate(trace):
-        q, d = rec.q, rec.division
-        if p is not None and not isinstance(q, PLocal):
-            q = PLocal(p, q)
+    stop = None if e.p == p else 0  # the step the replay ends before
+    for i, rec in enumerate(e.trace):
+        q, d, head = rec.q, rec.division, knopf and i == 0
+        if (d is not None) != records:
+            problems.append(f"step {i}: division record does not fit a {alg} run")
+        if (rec.remainder is not None) != fs:
+            problems.append(f"step {i}: remainder does not fit a {alg} run")
+        if rec.tail_ord is not None and e.p is None:
+            problems.append(f"step {i}: tail_ord does not fit a {alg} run")
+        if (knopf or fs) and rec.k != fixed_k:
+            problems.append(f"step {i}: k {rec.k} is not the {alg} k {fixed_k}")
+        if stop is not None:
+            continue
+        if not head and not q:
+            problems.append(f"step {i}: term is zero")
+            stop = i
+            continue
+        if d is not None:
+            problems.extend(_division_record_problems(rec, i))
         if p is not None:
+            if not isinstance(q, PLocal):
+                q = PLocal(p, q)
             o = _replay_ord(num, y, den, value, floor)
             orders.append(o)
-            if q and q.exp != -o and _exponent_too_far(q, o, rec, den):
-                problems.append(f"step {rec.index}: term exponent {q.exp} is too far from "
+            if rec.tail_ord != (None if o == POS_INF else o):
+                problems.append(f"step {i}: tail_ord {rec.tail_ord} is not the order {o}")
+            if not head and alg in ("pk", "sylvester", "adaptive"):
+                want = e.k
+                if alg == "adaptive" and e.k is not None and o != POS_INF and e.k <= -o:
+                    want = 1 - o
+                if rec.k != want:
+                    problems.append(f"step {i}: k {rec.k} is not the {alg} k {want}")
+            if q and q.exp != -o and _exponent_too_far(q, o, rec.k, den, head):
+                problems.append(f"step {i}: term exponent {q.exp} is too far from "
                                 f"the order {o} to be valid")
-                trace, stop = trace[:i], i
-                break
+                stop = i
+                continue
             floor = None if rec.k is None or o == POS_INF else rec.k + 2 * o
         # A window <.>_1 has its digits at exponents exp..0, so exp <= 0.
-        if knopf and q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
-            problems.append(f"step {rec.index}: term {q} is outside the window [0, {int(p)})")
-        if rec.initial:
+        if knopf and rational and q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
+            problems.append(f"step {i}: term {q} is outside the window [0, {int(p)})")
+        if head:
             num -= den * q
             continue
         if d is not None and i == 0:
             if d.a * den == d.b * num:
                 num, den = d.a, d.b
             else:
-                problems.append(f"step {rec.index}: a/b differs from the input")
+                problems.append(f"step {i}: a/b differs from the input")
         elif d is not None:
             if d.a != num:
-                problems.append(f"step {rec.index}: a is not the previous step's r")
+                problems.append(f"step {i}: a is not the previous step's r")
             if d.b != den:
-                problems.append(f"step {rec.index}: b is not the previous step's b*q")
+                problems.append(f"step {i}: b is not the previous step's b*q")
         a = num
         if rational and d is not None and _record_holds(num, den, q, d.r, power):
             num = d.r  # b + r = a*q, so the record's r is a*q - b
@@ -605,28 +598,29 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             num = num * q - den
         if y is not None:
             y = y * q
-        if not (rational and i + 1 == len(trace) and not num):  # no later step reads its den
+        if not (rational and i + 1 == len(e.trace) and not num):  # no later step reads its den
             den = den * q
         if d is not None and d.r != num:
-            problems.append(f"step {rec.index}: r is not a*q - b")
+            problems.append(f"step {i}: r is not a*q - b")
         if rec.remainder is not None and rec.remainder != num:
-            problems.append(f"step {rec.index}: remainder {rec.remainder} is not a*q - b")
+            problems.append(f"step {i}: remainder {rec.remainder} is not a*q - b")
         if (fs or sylvester and rec.k is not None) and not _below(num, a, 0 if fs else rec.k):
             bound = a if fs else PLocal(p, a.unit, a.exp + rec.k)  # a*p**k
-            problems.append(f"step {rec.index}: remainder {num} is outside [0, {bound})")
-    if p is not None and len(orders) == len(trace):  # a replay cut short has it
+            problems.append(f"step {i}: remainder {num} is outside [0, {bound})")
+    # A replay ended at a far term already holds the order of the tail it stopped at.
+    if p is not None and len(orders) == (len(e.trace) if stop is None else stop):
         orders.append(_replay_ord(num, y, den, value, floor))
-    for rec, o in zip(trace, orders):
-        if rec.tail_ord != (None if o == POS_INF else o):
-            problems.append(f"step {rec.index}: tail_ord {rec.tail_ord} is not the order {o}")
-        if rec.initial or e.algorithm not in ("pk", "sylvester", "adaptive"):
-            continue
-        want = e.k
-        if e.algorithm == "adaptive" and e.k is not None and o != POS_INF and e.k <= -o:
-            want = 1 - o
-        if rec.k != want:
-            problems.append(f"step {rec.index}: k {rec.k} is not the {e.algorithm} k {want}")
 
+    if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
+        problems.append("terms differ from the trace's q values")
+    if e.k is not None and (knopf or fs):
+        problems.append(f"k {e.k} does not apply to {alg}")
+    if e.value != value:
+        problems.append(f"value {_tail_text(e.value)} is not the input {_tail_text(value)}")
+    if e.p != p:
+        problems.append(f"p {e.p and int(e.p)} is not the input's p {p and int(p)}")
+    if e.initial != knopf:
+        problems.append(f"initial flag {e.initial} does not fit a {alg} run")
     sum_exact = None
     if e.status == TERMINATED:
         sum_exact = stop is None and not num and not y
@@ -653,7 +647,7 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         growth_ok = True
         for i in range(len(orders) - 1):
             s, nxt = orders[i], orders[i + 1]
-            k_i = None if trace[i].initial else trace[i].k
+            k_i = None if knopf and i == 0 else e.trace[i].k
             if k_i is None:
                 # Additive initial term: only ord >= 1 is promised.
                 if not nxt >= 1:

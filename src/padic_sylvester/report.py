@@ -122,21 +122,21 @@ def expansion_text(e: Expansion, verification: "VerificationReport | None" = Non
         lines.append(f"certificate: remainder {frac_str(e.certificate)} is negative")
     if e.trace:
         lines.append("trace:")
-        for rec in e.trace:
-            lines.append("  " + _step_text(rec, e))
+        for i, rec in enumerate(e.trace):
+            lines.append("  " + _step_text(i, rec, e.initial and i == 0))
     if verification is not None:
         lines.append("verification: " + verification_text(verification))
     return "\n".join(lines)
 
 
-def _step_text(rec: StepRecord, e: Expansion) -> str:
-    bits = [f"step {rec.index}:"]
-    if rec.initial:
+def _step_text(i: int, rec: StepRecord, initial: bool) -> str:
+    bits = [f"step {i}:"]
+    if initial:
         bits.append(f"a0={term_display(rec.q, initial=True)}")
     else:
         bits.append(f"q={rec.q}")
         bits.append(f"term={term_display(rec.q)}")
-    if rec.k is not None and not rec.initial:
+    if rec.k is not None and not initial:
         bits.append(f"k={rec.k}")
     if rec.division is not None:
         d = rec.division
@@ -246,12 +246,12 @@ def expansion_json(e: Expansion, verification: "VerificationReport | None" = Non
             entry["q"] = str(q)
         terms.append(entry)
     trace = []
-    for rec in e.trace:
+    for i, rec in enumerate(e.trace):
         division = _trace_division_json(rec.division)
         entry = {
-            "index": str(rec.index),
+            "index": str(i),
             "k": None if rec.k is None else str(rec.k),
-            "initial": rec.initial,
+            "initial": e.initial and i == 0,
             "tail_ord": _ord_str(rec.tail_ord),
             "q": _plocal_json(rec.q) if isinstance(rec.q, PLocal) else str(rec.q),
             "division": division,
@@ -294,14 +294,13 @@ def expansion_from_json(d: dict):
     value = _input_from_json(p, d["input"])
     initial = d["algorithm"] == "knopfmacher"
     terms, trace = [], []
-    for i, entry in enumerate(d["trace"]):
+    for entry in d["trace"]:
         rec_k = None if entry["k"] is None else int(entry["k"])
         q = entry["q"]
         q = _int_term_from_json(p, q) if isinstance(q, str) else _plocal_from_json(p, q)
         terms.append(q)
         trace.append(StepRecord(
-            i, q, rec_k, initial and i == 0,
-            None if entry["tail_ord"] is None else int(entry["tail_ord"]),
+            q, rec_k, None if entry["tail_ord"] is None else int(entry["tail_ord"]),
             _trace_division_from_json(p, rec_k, q, entry["division"]),
             None if entry["remainder"] is None else int(entry["remainder"]),
         ))

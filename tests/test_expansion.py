@@ -435,3 +435,76 @@ class TestVerifyExpansion:
         e = knopfmacher_sylvester(P3, Fraction(2, 5))
         v = verify_expansion(P3, Fraction(2, 5), e)
         assert v.ok
+
+    def test_step_problems_come_together_in_step_order(self):
+        # q moved at step 1 (in the terms, the trace and its record) breaks
+        # the chain from there on; each step's problems come together, in
+        # step order, then the run's and last the growth bound's.
+        e = pk_greedy(P3, 1, PLocal(P3, 473), PLocal(P3, 25))
+        rec = e.trace[1]
+        q = PLocal(P3, rec.q.unit + 3, rec.q.exp)
+        trace = (e.trace[0], rec._replace(q=q, division=rec.division._replace(q=q)),
+                 *e.trace[2:])
+        bad = e._replace(terms=tuple(r.q for r in trace), trace=trace)
+        chain = ["a is not the previous step's r", "b is not the previous step's b*q",
+                 "r is not a*q - b"]
+        assert verify_expansion(P3, Fraction(473, 25), bad).problems == [
+            "step 1: r is not a*q - b",
+            "step 2: tail_ord 4 is not the order 2", *(f"step 2: {c}" for c in chain),
+            "step 3: tail_ord 9 is not the order 2", *(f"step 3: {c}" for c in chain),
+            "terminated run does not sum to its input (tail 9/40)",
+            "growth bound failed at step 1: ord 2 < 1 + 2*1",
+            "order not increasing at step 2: 2 -> 2",
+            "growth bound failed at step 2: ord 2 < 1 + 2*2",
+            "order not increasing at step 3: 2 -> 2",
+            "growth bound failed at step 3: ord 2 < 1 + 2*2",
+        ]
+
+
+def _pk_473_25():
+    return pk_greedy(P3, 1, PLocal(P3, 473), PLocal(P3, 25))
+
+
+XI = QuadElement.make(0, Fraction(1, 11), 11, "+", P7, 2)
+
+
+class TestVerifyInputClaims:
+    """A run's value, p and initial flag are claims about its input, and its
+    terms copy the trace's q values; each is checked like any other claim. A
+    run over another prime than the replay's is not replayed, so no
+    arithmetic mixes primes."""
+
+    @pytest.mark.parametrize("p, value, run, problems", [
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(value=Fraction(3, 7)),
+         ["value 3/7 is not the input 473/25"]),
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(p=Prime(5)),
+         ["p 5 is not the input's p 3"]),
+        (Prime(5), Fraction(473, 25), _pk_473_25, ["p 3 is not the input's p 5"]),
+        (None, Fraction(473, 25), _pk_473_25, ["p 3 is not the input's p None"]),
+        (P3, Fraction(2, 5),
+         lambda: knopfmacher_sylvester(P3, Fraction(2, 5))._replace(initial=False),
+         ["initial flag False does not fit a knopfmacher run"]),
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(initial=True),
+         ["initial flag True does not fit a pk run"]),
+        # A quadratic input is replayed over its own prime, whatever p is passed.
+        (P3, XI, lambda: modified_sylvester(P7, 1, XI, max_terms=3), []),
+        (P7, XI, lambda: modified_sylvester(P7, 1, XI, max_terms=3)._replace(p=P3),
+         ["p 3 is not the input's p 7"]),
+        (P3, Fraction(5, 11), lambda: fs_greedy(5, 11), ["p None is not the input's p 3"]),
+        (P3, Fraction(473, 25),
+         lambda: _pk_473_25()._replace(terms=(PLocal(P3, 3),) + _pk_473_25().terms[1:]),
+         ["terms differ from the trace's q values"]),
+    ], ids=["value", "run-p", "replay-p", "no-replay-p", "knopf-initial", "pk-initial",
+            "quadratic-own-p", "quadratic-p", "fs-with-p", "terms"])
+    def test_claim_is_one_problem(self, p, value, run, problems):
+        v = verify_expansion(p, value, run())
+        assert v.problems == problems
+        assert v.ok == (not problems)
+
+    @pytest.mark.parametrize("p", [Prime(5), None])
+    def test_other_prime_is_not_replayed(self, p):
+        # The replay ends before its first step, as at a zero term: the sum
+        # is not confirmed, yet no problem claims it wrong.
+        v = verify_expansion(p, Fraction(473, 25), _pk_473_25())
+        assert v.sum_exact is False
+        assert not any("sum" in problem for problem in v.problems)

@@ -539,11 +539,11 @@ def reference_expansion_json(e, verification=None):
             entry["q"] = str(q)
         terms.append(entry)
     trace = []
-    for rec in e.trace:
+    for i, rec in enumerate(e.trace):
         trace.append({
-            "index": str(rec.index),
+            "index": str(i),
             "k": None if rec.k is None else str(rec.k),
-            "initial": rec.initial,
+            "initial": e.initial and i == 0,
             "tail_ord": report._ord_str(rec.tail_ord),
             "q": reference_plocal_json(rec.q) if isinstance(rec.q, PLocal) else str(rec.q),
             "division": reference_division_json(rec.division),
@@ -569,14 +569,14 @@ def reference_expansion_json(e, verification=None):
     return out
 
 
-def reference_step_text(rec):
-    bits = [f"step {rec.index}:"]
-    if rec.initial:
+def reference_step_text(i, rec, initial):
+    bits = [f"step {i}:"]
+    if initial:
         bits.append(f"a0={reference_term_display(rec.q, initial=True)}")
     else:
         bits.append(f"q={rec.q}")
         bits.append(f"term={reference_term_display(rec.q)}")
-    if rec.k is not None and not rec.initial:
+    if rec.k is not None and not initial:
         bits.append(f"k={rec.k}")
     if rec.division is not None:
         d = rec.division
@@ -606,8 +606,8 @@ def reference_expansion_text(e, verification=None):
         lines.append(f"certificate: remainder {reference_frac_str(e.certificate)} is negative")
     if e.trace:
         lines.append("trace:")
-        for rec in e.trace:
-            lines.append("  " + reference_step_text(rec))
+        for i, rec in enumerate(e.trace):
+            lines.append("  " + reference_step_text(i, rec, e.initial and i == 0))
     if verification is not None:
         lines.append("verification: " + report.verification_text(verification))
     return "\n".join(lines)
@@ -787,7 +787,7 @@ def reference_rational_sylvester(p, k, zeta, max_terms=DEFAULT_MAX_TERMS):
         tail_ord = ord_p(p, cur)
         q = PLocal.from_fraction(p, tf + c * pk)
         terms.append(q)
-        trace.append(StepRecord(index=len(terms) - 1, q=q, k=k, tail_ord=tail_ord))
+        trace.append(StepRecord(q, k, tail_ord))
         cur = cur - 1 / q.to_fraction()
     return Expansion("sylvester", zeta, p, k, tuple(terms), status, tuple(trace))
 
@@ -811,7 +811,7 @@ def reference_quadratic_sylvester(p, k, zeta, max_terms=DEFAULT_MAX_TERMS):
         c = real_ceil((1 - cur * tf) / (cur * pk))
         q = PLocal.from_fraction(p, tf + c * pk)
         terms.append(q)
-        trace.append(StepRecord(index=len(terms) - 1, q=q, k=k, tail_ord=cur.ord()))
+        trace.append(StepRecord(q, k, cur.ord()))
         cur = cur - 1 / q.to_fraction()
     return Expansion("sylvester", zeta, p, k, tuple(terms), status, tuple(trace))
 
@@ -822,18 +822,18 @@ def reference_order_of(p, v):
     return ord_p(p, v)
 
 
-def reference_division_record_problems(rec):
+def reference_division_record_problems(rec, i):
     d, k = rec.division, rec.k
     a, b, r = d.a, d.b, d.r
     if k is None or d.k != k:
-        return [f"step {rec.index}: division record has k {d.k}, the step has k {k}"]
+        return [f"step {i}: division record has k {d.k}, the step has k {k}"]
     problems = []
     if PLocal(d.p, d.rbar, a.exp + k) != r:
-        problems.append(f"step {rec.index}: rbar {d.rbar} does not match r")
+        problems.append(f"step {i}: rbar {d.rbar} does not match r")
     if d.jumped != (not r.is_zero() and r.exp > a.exp + k):
-        problems.append(f"step {rec.index}: jump flag does not match r")
+        problems.append(f"step {i}: jump flag does not match r")
     if d.case != (CASE_1 if not b.is_zero() and k > b.exp - a.exp else CASE_2):
-        problems.append(f"step {rec.index}: case does not match a, b and k")
+        problems.append(f"step {i}: case does not match a, b and k")
     return problems
 
 
@@ -846,17 +846,18 @@ def reference_verify_expansion(p, value, e):
     padic = p is not None
     orders = [reference_order_of(p, cur)] if padic else []
     ks = []
-    for rec in e.trace:
+    for i, rec in enumerate(e.trace):
+        initial = e.initial and i == 0
         qf = rec.q.to_fraction() if isinstance(rec.q, PLocal) else Fraction(rec.q)
-        if rec.initial:
+        if initial:
             cur = cur - qf
         else:
             cur = cur - 1 / qf
         if padic:
             orders.append(reference_order_of(p, cur))
-            ks.append(None if rec.initial else rec.k)
+            ks.append(None if initial else rec.k)
         if rec.division is not None:
-            problems.extend(reference_division_record_problems(rec))
+            problems.extend(reference_division_record_problems(rec, i))
 
     sum_exact = None
     if e.status == TERMINATED:
@@ -1011,20 +1012,12 @@ def reference_stripping_verify_expansion(p, value, e):
     replayed num*q - den into canonical form, stripping every power of p.
     It tests the fs, rational sylvester and Knopfmacher term rules in its own
     terms: the least q with a*q >= b, a remainder in [0, a*p**k) as
-    Fractions, and a window value in [0, p)."""
+    Fractions, and a window value in [0, p). It lists a step's problems
+    together, in step order, before the run's own."""
     problems: list[str] = []
-    if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
-        problems.append("terms differ from the trace's q values")
-    for i, rec in enumerate(e.trace):
-        if rec.index != i:
-            problems.append(f"trace entry {i} has index {rec.index}")
-    zero = next((i for i, rec in enumerate(e.trace) if not rec.initial and not rec.q), None)
-    if zero is not None:
-        problems.append(f"step {e.trace[zero].index}: term is zero")
+    zero = next((i for i, rec in enumerate(e.trace)
+                 if not (e.initial and i == 0) and not rec.q), None)
     trace = e.trace[:zero]
-    for rec in trace:
-        if rec.division is not None:
-            problems.extend(_division_record_problems(rec))
 
     y = None
     if isinstance(value, QuadElement):
@@ -1041,52 +1034,58 @@ def reference_stripping_verify_expansion(p, value, e):
     fs = e.algorithm == "fs"
     orders = []
     for i, rec in enumerate(trace):
-        if p is not None:
-            orders.append(_replay_ord(num, y, den, value))
+        initial = e.initial and i == 0
         q, d = rec.q, rec.division
+        if d is not None:
+            problems.extend(_division_record_problems(rec, i))
+        if p is not None:
+            o = _replay_ord(num, y, den, value)
+            orders.append(o)
+            if rec.tail_ord != (None if o == POS_INF else o):
+                problems.append(f"step {i}: tail_ord {rec.tail_ord} is not the order {o}")
+            if not initial and e.algorithm in ("pk", "sylvester", "adaptive"):
+                want = e.k
+                if e.algorithm == "adaptive" and e.k is not None and o != POS_INF and e.k <= -o:
+                    want = 1 - o
+                if rec.k != want:
+                    problems.append(f"step {i}: k {rec.k} is not the {e.algorithm} k {want}")
         # The window <.>_1 takes its values in [0, p).
         if knopf and q and not 0 <= q.to_fraction() < p:
-            problems.append(f"step {rec.index}: term {q} is outside the window [0, {int(p)})")
-        if rec.initial:
+            problems.append(f"step {i}: term {q} is outside the window [0, {int(p)})")
+        if initial:
             num -= den * q
             continue
         if d is not None and i == 0:
             if d.a * den == d.b * num:
                 num, den = d.a, d.b
             else:
-                problems.append(f"step {rec.index}: a/b differs from the input")
+                problems.append(f"step {i}: a/b differs from the input")
         elif d is not None:
             if d.a != num:
-                problems.append(f"step {rec.index}: a is not the previous step's r")
+                problems.append(f"step {i}: a is not the previous step's r")
             if d.b != den:
-                problems.append(f"step {rec.index}: b is not the previous step's b*q")
+                problems.append(f"step {i}: b is not the previous step's b*q")
         # The classical greedy term is the least q with a*q >= b, for a > 0.
         a, greedy = num, not fs or num > 0 and q == -(-den // num)
         num, den = num * q - den, den * q
         if y is not None:
             y = y * q
         if d is not None and d.r != num:
-            problems.append(f"step {rec.index}: r is not a*q - b")
+            problems.append(f"step {i}: r is not a*q - b")
         if rec.remainder is not None and rec.remainder != num:
-            problems.append(f"step {rec.index}: remainder {rec.remainder} is not a*q - b")
+            problems.append(f"step {i}: remainder {rec.remainder} is not a*q - b")
         if not greedy:
-            problems.append(f"step {rec.index}: remainder {num} is outside [0, {a})")
+            problems.append(f"step {i}: remainder {num} is outside [0, {a})")
         if sylvester and rec.k is not None and \
                 not 0 <= num.to_fraction() < a.to_fraction() * Fraction(p) ** rec.k:
             bound = PLocal(p, a.unit, a.exp + rec.k)
-            problems.append(f"step {rec.index}: remainder {num} is outside [0, {bound})")
+            problems.append(f"step {i}: remainder {num} is outside [0, {bound})")
+    if zero is not None:
+        problems.append(f"step {zero}: term is zero")
     if p is not None:
         orders.append(_replay_ord(num, y, den, value))
-    for rec, o in zip(trace, orders):
-        if rec.tail_ord != (None if o == POS_INF else o):
-            problems.append(f"step {rec.index}: tail_ord {rec.tail_ord} is not the order {o}")
-        if rec.initial or e.algorithm not in ("pk", "sylvester", "adaptive"):
-            continue
-        want = e.k
-        if e.algorithm == "adaptive" and e.k is not None and o != POS_INF and e.k <= -o:
-            want = 1 - o
-        if rec.k != want:
-            problems.append(f"step {rec.index}: k {rec.k} is not the {e.algorithm} k {want}")
+    if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
+        problems.append("terms differ from the trace's q values")
 
     sum_exact = None
     if e.status == TERMINATED:
@@ -1114,7 +1113,7 @@ def reference_stripping_verify_expansion(p, value, e):
         growth_ok = True
         for i in range(len(orders) - 1):
             s, nxt = orders[i], orders[i + 1]
-            k_i = None if trace[i].initial else trace[i].k
+            k_i = None if e.initial and i == 0 else trace[i].k
             if k_i is None:
                 # Additive initial term: only ord >= 1 is promised.
                 if not nxt >= 1:
@@ -1370,7 +1369,7 @@ def reference_fs_greedy(a: int, b: int) -> Expansion:
     while True:
         q, r = classical_divide(divisor, lhs)
         terms.append(q)
-        trace.append(StepRecord(index=len(terms) - 1, q=q, remainder=r))
+        trace.append(StepRecord(q, remainder=r))
         if r == 0:
             break
         lhs *= q
@@ -1434,7 +1433,6 @@ def reference_division_expansion(
         terms.append(step.q)
         trace.append(
             StepRecord(
-                index=len(terms) - 1,
                 q=step.q,
                 k=k_i,
                 tail_ord=tail_ord,
@@ -1458,7 +1456,7 @@ def reference_knopfmacher_sylvester(p: Prime, v, max_terms: int = DEFAULT_MAX_TE
     v = Fraction(v)
     a0 = frac_part(p, v)
     terms: list[PLocal] = [a0]
-    trace = [StepRecord(index=0, q=a0, k=1, initial=True, tail_ord=reference_finite_ord(p, v))]
+    trace = [StepRecord(q=a0, k=1, tail_ord=reference_finite_ord(p, v))]
     zeta = v - a0.to_fraction()
     certificate = None
     recip = 0
@@ -1475,7 +1473,7 @@ def reference_knopfmacher_sylvester(p: Prime, v, max_terms: int = DEFAULT_MAX_TE
             break
         an = frac_part(p, 1 / zeta)
         terms.append(an)
-        trace.append(StepRecord(index=len(terms) - 1, q=an, k=1, tail_ord=ord_p(p, zeta)))
+        trace.append(StepRecord(q=an, k=1, tail_ord=ord_p(p, zeta)))
         zeta = zeta - 1 / an.to_fraction()
         recip += 1
     return Expansion(
@@ -1596,6 +1594,21 @@ class TestExponentBound:
         monkeypatch.setattr(expansion, "_CLAIM_BITS", 0)
         for e in _seeded_expansions(seed, 40):
             assert verify_expansion(None if e.algorithm == "fs" else e.p, e.value, e).ok
+
+    def test_far_term_ends_the_replay(self, monkeypatch):
+        # With no allowance, exponent 20 at step 1 of the 473/25 pk run is
+        # too far from -1: the replay ends there, with that step's tail order
+        # as its last, and lists no problem of the steps it did not replay.
+        monkeypatch.setattr(expansion, "_CLAIM_BITS", 0)
+        p = Prime(3)
+        e = pk_greedy(p, 1, PLocal(p, 473), PLocal(p, 25))
+        q = PLocal(p, e.trace[1].q.unit, 20)
+        trace = (e.trace[0], e.trace[1]._replace(q=q, division=e.trace[1].division._replace(q=q)),
+                 *e.trace[2:])
+        v = verify_expansion(p, Fraction(473, 25), e._replace(terms=(e.terms[0], q, *e.terms[2:]),
+                                                             trace=trace))
+        assert v.problems == ["step 1: term exponent 20 is too far from the order 1 to be valid"]
+        assert v.tail_orders == [0, 1]
 
 
 class TestNoProductAfterFinalTerm:

@@ -33,8 +33,8 @@ FIELDS = {
     DigitExpansion: (("p", "start", "digits"), {}),
     DivisionStep: (("p", "k", "a", "b", "q", "r", "rbar", "jumped", "case"), {}),
     StepRecord: (
-        ("index", "q", "k", "initial", "tail_ord", "division", "remainder"),
-        {"k": None, "initial": False, "tail_ord": None, "division": None, "remainder": None},
+        ("q", "k", "tail_ord", "division", "remainder"),
+        {"k": None, "tail_ord": None, "division": None, "remainder": None},
     ),
     Expansion: (
         ("algorithm", "value", "p", "k", "terms", "status", "trace", "initial", "certificate"),
@@ -90,8 +90,8 @@ def test_division_step_and_step_record_repr():
     )
     assert repr(rec.division) == division
     assert repr(rec) == (
-        f"StepRecord(index=1, q=PLocal(p=3, unit=5, exp=-1), k=1, initial=False, "
-        f"tail_ord=1, division={division}, remainder=None)"
+        f"StepRecord(q=PLocal(p=3, unit=5, exp=-1), k=1, tail_ord=1, "
+        f"division={division}, remainder=None)"
     )
 
 
