@@ -3,8 +3,8 @@
 Every digit window in the library is one call of `_window`: for p-adic
 units num and den, the first w base-p digits of num/den are those of the
 single integer num * den**-1 mod p**w. The one inverse is `_inv_mod`, a
-Newton iteration seeded mod p, and `_read_digits` reads the digits off by
-divmod by p. A rational r = (num/den) * p**start (`valuation._split`)
+Newton iteration over halving widths, and `_read_digits` reads the digits
+off by divmod by p. A rational r = (num/den) * p**start (`valuation._split`)
 opens its window at start; a quadratic element opens its window through
 `quadratic._surd_ratio`. No floating point is used.
 """
@@ -80,10 +80,15 @@ def frac_part(p: Prime, r) -> PLocal:
     return frac_part_k(p, 1, r)
 
 
-def _window(p: Prime, num: int, den: int, width: int) -> int:
+def _window(p: Prime, num: int, den: int, width: int, modulus: "int | None" = None) -> int:
     """num * den**-1 mod p**width, for den prime to p and width >= 1: the
-    first `width` base-p digits of the p-adic unit num/den as one integer."""
-    return num * _inv_mod(p, den, width) % p**width
+    first `width` base-p digits of the p-adic unit num/den as one integer.
+    modulus, if given, is p**width, which a caller that already holds it
+    passes down. num is reduced mod p**width before the product, so a num
+    wider than the window costs one division, not a wide product."""
+    if modulus is None:
+        modulus = p**width
+    return num % modulus * _inv_mod(p, den, width, modulus) % modulus
 
 
 def _read_digits(p: Prime, n: int, count: int) -> tuple[int, ...]:
@@ -166,36 +171,44 @@ def hensel_sqrt(p: Prime, d, r0: int, m: int) -> int:
     if m <= 0:
         raise ValueError("precision m must be positive")
     d = Fraction(d)
-    dm = _window(p, d.numerator, d.denominator, m)
-    return dm * _lift_inv_sqrt(p, dm, pow(s, -1, p), 1, m) % p**m
+    modulus = p**m
+    dm = _window(p, d.numerator, d.denominator, m, modulus)
+    return dm * _lift_inv_sqrt(p, dm, pow(s, -1, p), 1, m, modulus) % modulus
 
 
-def _lift_inv_sqrt(p: Prime, d: int, r: int, prec: int, m: int) -> int:
-    """Lift r, with d*r*r = 1 (mod p**prec), to modulus p**m by the Newton
+def _lift_inv_sqrt(p: Prime, d: int, r: int, prec: int, m: int, modulus: int) -> int:
+    """Lift r, with d*r*r = 1 (mod p**prec), to modulus = p**m by the Newton
     step r <- r*(3 - d*r*r)/2. Each step doubles the precision, up to m, and
     takes two products: unlike a step on the root itself, no inverse."""
     while prec < m:
         prec = min(2 * prec, m)
-        modulus = p**prec
-        h = r * ((1 - d * r * r) % modulus) % modulus
+        mod = p**prec if prec < m else modulus
+        h = r * ((1 - d * r * r) % mod) % mod
         # Halve h modulo the odd modulus.
-        r = (r + (h if h % 2 == 0 else h + modulus) // 2) % modulus
+        r = (r + (h if h % 2 == 0 else h + mod) // 2) % mod
     return r
 
 
-def _inv_mod(p: Prime, a: int, m: int) -> int:
-    """a**-1 modulo p**m for a prime to p, by the Newton step x <- x*(2 - a*x).
+# Moduli of at most this many bits are inverted by pow(a, -1, modulus), the
+# extended Euclid in C; wider ones by Newton's method (_inv_mod).
+_NEWTON_FROM_BITS = 64
 
-    Each step doubles the precision with two products. On a unit as wide as
-    the window (p = 7, CPython 3.11) that beats the extended Euclid of
-    pow(a, -1, p**m) from about 32 digits on, 8x at 2048; on windows of a
-    few digits it costs about a microsecond more per call.
+
+def _inv_mod(p: Prime, a: int, m: int, modulus: int) -> int:
+    """a**-1 modulo modulus = p**m, for a prime to p.
+
+    Above _NEWTON_FROM_BITS bits, the inverse x modulo p**h, h = ceil(m/2),
+    of a cut to h digits lifts to p**m by one Newton step x <- x*(2 - a*x):
+    each level's products are only as wide as the level, and the levels
+    halve down to one digit or to a modulus that pow(a, -1, modulus)
+    inverts. On p = 7 (CPython 3.11) that is ~1.4x faster than Newton on
+    the full-width a doubling up from one digit (2.6x at 1025 digits, where
+    the doubling overshoots) and ~15x faster than pow(a, -1, p**m) at 1000
+    to 2048 digits; below ~64 bits pow is the faster.
     """
-    modulus = p**m
+    if modulus.bit_length() <= _NEWTON_FROM_BITS or m == 1:
+        return pow(a, -1, modulus)
     a %= modulus
-    x = pow(a, -1, p)
-    prec = 1
-    while prec < m:
-        prec = min(2 * prec, m)
-        x = x * (2 - a * x) % (p**prec if prec < m else modulus)
-    return x
+    h = (m + 1) // 2
+    x = _inv_mod(p, a, h, p**h)
+    return x * (2 - a * x) % modulus

@@ -279,11 +279,11 @@ def _surd_step(zeta: QuadElement, k: int):
             _check_width(k - (m.exp + min(n.ord(), y.ord()) - norm.exp))
             if not prec:
                 inv_root, prec = pow(_simple_root(p, D, residue), -1, p), 1
-            inv_root = _lift_inv_sqrt(p, D, inv_root, prec, w)
+            inv_root = _lift_inv_sqrt(p, D, inv_root, prec, w, modulus)
             prec = max(prec, w)
             root = D * inv_root % modulus
         num, den = _surd_ratio(n, y, m, o, norm, root)
-        t = _window(p, den, num, w)
+        t = _window(p, den, num, w, modulus)
         # The ceiling of psi((1/z - t) / p**k), with 1/z = m*(n - y*sqrt(D))/norm
         # and t*p**-o the window's value, is that of
         # (mn - t*norm - sign*my*sqrt(D)) / (norm*p**k).
@@ -406,14 +406,19 @@ def _replay_tail(num, y, den, value) -> "Fraction | QuadElement":
 
 
 def _tail_text(tail) -> str:
-    """str(tail), or the bit lengths of its numerators and denominators where
-    str() would pass the int/str digit limit."""
+    """str(tail), for a replayed value in a problem text: a tail, a
+    remainder or its bound. Where str() would pass the int/str digit limit,
+    the bit lengths of its numerators and denominators, or of a PLocal's
+    unit, stand in for them."""
     try:
         return str(tail)
     except ValueError:
         def bits(x):
             return f"{x.numerator.bit_length()}-bit/{x.denominator.bit_length()}-bit"
 
+        if isinstance(tail, PLocal):
+            unit = f"{tail.unit.bit_length()}-bit"
+            return unit if tail.exp == 0 else f"{unit}*{int(tail.p)}^{tail.exp}"
         if isinstance(tail, Fraction):
             return bits(tail)
         return f"({bits(tail.x)}) + ({bits(tail.y)})*sqrt({tail.D})"
@@ -448,7 +453,9 @@ _CLAIM_BITS = 1 << 18
 def _exponent_too_far(q: PLocal, o, k: "int | None", den: PLocal, head: bool) -> bool:
     """Whether term q of a step with k, taken at a tail of order o over den,
     has an exponent too far from any valid one for the replay to build its
-    power; head marks a Knopfmacher run's additive head.
+    power; head marks a Knopfmacher run's additive head. k is the k the
+    algorithm gives the step, not the step's claimed one, so an edited k
+    widens no allowance.
 
     A term the library makes has exponent -o on a step with k > -o and one
     in [k, -o + log_p |unit(den)|] (pk_divide's case 2) on one with
@@ -561,13 +568,14 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             orders.append(o)
             if rec.tail_ord != (None if o == POS_INF else o):
                 problems.append(f"step {i}: tail_ord {rec.tail_ord} is not the order {o}")
+            want = fixed_k  # the k the algorithm gives this step
             if not head and alg in ("pk", "sylvester", "adaptive"):
                 want = e.k
                 if alg == "adaptive" and e.k is not None and o != POS_INF and e.k <= -o:
                     want = 1 - o
                 if rec.k != want:
                     problems.append(f"step {i}: k {rec.k} is not the {alg} k {want}")
-            if q and q.exp != -o and _exponent_too_far(q, o, rec.k, den, head):
+            if q and q.exp != -o and _exponent_too_far(q, o, want, den, head):
                 problems.append(f"step {i}: term exponent {q.exp} is too far from "
                                 f"the order {o} to be valid")
                 stop = i
@@ -606,7 +614,8 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             problems.append(f"step {i}: remainder {rec.remainder} is not a*q - b")
         if (fs or sylvester and rec.k is not None) and not _below(num, a, 0 if fs else rec.k):
             bound = a if fs else PLocal(p, a.unit, a.exp + rec.k)  # a*p**k
-            problems.append(f"step {i}: remainder {num} is outside [0, {bound})")
+            problems.append(f"step {i}: remainder {_tail_text(num)} is outside "
+                            f"[0, {_tail_text(bound)})")
     # A replay ended at a far term already holds the order of the tail it stopped at.
     if p is not None and len(orders) == (len(e.trace) if stop is None else stop):
         orders.append(_replay_ord(num, y, den, value, floor))

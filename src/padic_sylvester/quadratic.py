@@ -13,8 +13,10 @@ tail), so the norm's power of p comes out with one exact division and is
 not searched for from scratch); its unit part p**-o * (n + y*sqrt(D)) / m as
 a ratio num/den of p-adic integer units, given a root of D lifted far enough
 (`_surd_ratio`);
-and the floor of a real surd (x + w*sqrt(D)) / g, with one integer square
-root (`_surd_floor`). A digit window is then digits._window(p, num, den, w),
+and the floor of a real surd (x + w*sqrt(D)) / g (`_surd_floor`), from
+sqrt(D) taken only to the bits the quotient by g needs: a certified interval
+settles the floor, and an exact integer square root of w*w*D runs only
+where it cannot. A digit window is then digits._window(p, num, den, w),
 the one window of the library, and the window of 1/z is that of den/num.
 The quadratic Sylvester driver in expansion.py steps such a triple and calls
 the same kernels, so no Fraction or QuadElement arithmetic runs in its loop.
@@ -222,8 +224,34 @@ def real_compare(u: QuadElement, q) -> int:
     return 1 if real_floor(u - q) >= 0 else -1
 
 
+# Bits of sqrt(D) that _surd_floor takes beyond those the quotient by g
+# needs: an interval too wide to settle the floor then has odds near 2**-31.
+_FLOOR_GUARD = 32
+
+
 def _surd_floor(x: int, w: int, g: int, D: int) -> int:
-    """floor((x + w*sqrt(D)) / g) for integers x, w and g > 0, D not a square."""
+    """floor((x + w*sqrt(D)) / g) for integers x, w and g > 0, D not a square.
+
+    The quotient by g needs only about bits(w) - bits(g) bits of w*sqrt(D)
+    past its point, so sqrt(D) is taken to N = bits(w) - bits(g) + guard
+    bits, N >= 0: s = isqrt(D << 2N) has s <= sqrt(D)*2**N < s + 1, and
+    floor(|w|*sqrt(D)) lies between lo = (|w|*s) >> N and
+    hi = (|w|*s + |w|) >> N (for w < 0, floor(w*sqrt(D)) between -hi-1 and
+    -lo-1, as w*sqrt(D) is irrational). When x + lo and x + hi have one
+    quotient by g, that is the floor. Otherwise, and when N would reach
+    bits(w) (a narrow g, where the short root saves nothing), it is read off
+    the exact isqrt(w*w*D). The result never depends on the guard.
+    """
+    a = abs(w)
+    n = max(0, a.bit_length() - g.bit_length() + _FLOOR_GUARD)
+    if n < a.bit_length():
+        ws = a * isqrt(D << 2 * n)  # a*sqrt(D)*2**n lies in (ws, ws + a)
+        lo, hi = ws >> n, (ws + a) >> n
+        if w < 0:
+            lo, hi = -hi - 1, -lo - 1
+        f, r = divmod(x + lo, g)
+        if r + hi - lo < g:
+            return f
     t = w * w * D
     # w*sqrt(D) is irrational, so floor(sqrt(t)) never needs the exact case.
     f = isqrt(t) if w >= 0 else -isqrt(t) - 1

@@ -33,6 +33,8 @@ from padic_sylvester.cli import main
 from padic_sylvester.expansion import DEFAULT_MAX_TERMS
 from padic_sylvester.report import expansion_from_json, expansion_json
 
+SRC = str(Path(padic_sylvester.__file__).resolve().parents[1])
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -235,11 +237,9 @@ class TestClosedStdout:
     (the report's print fails) or buffered (the final flush fails). Help is
     printed the same way."""
 
-    SRC = str(Path(padic_sylvester.__file__).resolve().parents[1])
-
     def _run_closed(self, argv, unbuffered):
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = self.SRC
+        env["PYTHONPATH"] = SRC
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         read, write = os.pipe()
@@ -652,7 +652,10 @@ class TestVerifyCommand:
             assert problems == [f"{path} differs from the re-rendered report"]
 
     # Term exponents no valid run has, and a division record's r exponent:
-    # each used to cost seconds, or never finished, before verify failed.
+    # each used to cost seconds, or never finished, before verify failed. A
+    # step's claimed k of -10**6 widens no bound: the bound takes the k the
+    # algorithm gives the step (the run's k on pk, 1 on knopf). A rational
+    # sylvester remainder too wide for str() is printed by its bit length.
     FAR = {
         "knopf-head": (("--alg", "knopf", "--p", "3", "--value", "3/7"),
                        lambda d: [entry.update(unit="1", exp=str(10**400))
@@ -663,6 +666,19 @@ class TestVerifyCommand:
                  "[step 1: term exponent 4000000 is too far from the order 1 to be valid]"),
         "pk-r": (PK_473_25, lambda d: d["trace"][1]["division"]["r"].update(exp=str(10**400)),
                  "[step 1: r is not a*q - b]"),
+        "pk-k": (PK_473_25,
+                 lambda d: [d["trace"][1].update(k=str(-10**6)),
+                            d["trace"][1]["division"].update(k=str(-10**6)),
+                            d["trace"][1]["q"].update(exp=str(10**6))],
+                 "[step 1: term exponent 1000000 is too far from the order 1 to be valid]"),
+        "knopf-k": (("--alg", "knopf", "--p", "3", "--value", "3/7"),
+                    lambda d: [d["trace"][1].update(k=str(-10**6)),
+                               d["trace"][1]["q"].update(exp=str(10**6))],
+                    "[step 1: term exponent 1000000 is too far from the order 1 to be valid]"),
+        "sylvester-q": (("--alg", "sylvester", "--p", "3", "--k", "1", "--value", "473/25",
+                         "--max-terms", "3"),
+                        lambda d: d["trace"][1]["q"].update(exp="100000"),
+                        "[step 1: remainder 158509-bit is outside [0, 307*3^2)]"),
     }
 
     @pytest.mark.parametrize("name", sorted(FAR))
@@ -671,12 +687,17 @@ class TestVerifyCommand:
         code, out, _ = _cli(("expand",) + argv + ("--output", "json"))
         data = json.loads(out)
         tamper(data)
+        # In a subprocess with a timeout, so that a broken bound fails the
+        # test instead of hanging the suite.
+        env = dict(os.environ, PYTHONPATH=SRC)
         start = time.perf_counter()
-        code, out, err = _cli(("verify", "-"), json.dumps(data))
+        done = subprocess.run([sys.executable, "-m", "padic_sylvester.cli", "verify", "-"],
+                              input=json.dumps(data), capture_output=True, text=True,
+                              env=env, timeout=10)
         assert time.perf_counter() - start < 2
-        assert (code, err) == (1, "")
-        assert problem in out
-        assert "[report cannot be re-rendered: Exceeds the limit" in out
+        assert (done.returncode, done.stderr) == (1, "")
+        assert problem in done.stdout
+        assert "[report cannot be re-rendered: Exceeds the limit" in done.stdout
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_sylvester_term_moved_by_p_to_the_k_fails(self, sign):

@@ -4,12 +4,13 @@ oracles: exact powers for _strip, the per-digit Fraction loop that digits_of
 and frac_part_k used to run, the doubling-precision digit search that
 quad_ord used to run, the wide two-inverse image that quadratic digit
 windows were read from, the squares ladder that real_compare ran, the
-Fraction-based report renderers, the ceiling step that modified_sylvester
-ran on rationals and the QuadElement loop it ran on quadratic elements, the
-Fraction re-sum that verify_expansion ran and the stripping replay it ran
-next, the fs, Knopfmacher and p**k division loops that ran before every
-algorithm stepped one chain, and the division step that built each power of
-p from nothing, all kept here as references.
+full-width square root that _surd_floor took, the window as one
+extended-Euclid inverse, the Fraction-based report renderers, the ceiling
+step that modified_sylvester ran on rationals and the QuadElement loop it
+ran on quadratic elements, the Fraction re-sum that verify_expansion ran
+and the stripping replay it ran next, the fs, Knopfmacher and p**k division
+loops that ran before every algorithm stepped one chain, and the division
+step that built each power of p from nothing, all kept here as references.
 """
 
 import hashlib
@@ -65,9 +66,9 @@ from padic_sylvester import (
     value_operands,
     verify_expansion,
 )
-from padic_sylvester import expansion, quadratic, report, valuation
+from padic_sylvester import digits, expansion, quadratic, report, valuation
 from padic_sylvester.cli import main
-from padic_sylvester.digits import _residue
+from padic_sylvester.digits import _residue, _window
 from padic_sylvester.division import (
     CASE_1,
     CASE_2,
@@ -84,7 +85,7 @@ from padic_sylvester.expansion import (
     _replay_ord,
     _replay_tail,
 )
-from padic_sylvester.quadratic import PRECISION_CAP, _surd_ord, _surd_triple
+from padic_sylvester.quadratic import PRECISION_CAP, _surd_floor, _surd_ord, _surd_triple
 from padic_sylvester.valuation import _LADDER_FROM, _below, _powers, _record_holds, _strip
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -253,6 +254,69 @@ class TestDigitWindow:
         got = frac_part_k(p, k, r)
         want = reference_frac_part_k(p, k, r)
         assert (got.unit, got.exp) == (want.unit, want.exp)
+
+
+# The window as one inverse by the extended Euclid, the reference for
+# _window's Newton inverse on every width.
+def reference_window(p, num, den, width):
+    return num * pow(den, -1, p**width) % p**width
+
+
+def _newton_edge(p):
+    """The widest window whose modulus _inv_mod still inverts with pow."""
+    m = 1
+    while (p ** (m + 1)).bit_length() <= digits._NEWTON_FROM_BITS:
+        m += 1
+    return m
+
+
+WINDOW_PRIMES = [Prime(3), Prime(7), Prime(101)]
+
+
+@st.composite
+def windows(draw):
+    """(p, num, den, width): den a unit of either sign, num of either sign
+    and up to 200 digits wider than p**width, widths 1..3000 and the two
+    on each side of _inv_mod's switch to Newton."""
+    p = draw(st.sampled_from(WINDOW_PRIMES))
+    edge = _newton_edge(p)
+    width = draw(st.one_of(st.integers(1, 3000), st.integers(edge - 1, edge + 2)))
+    bits = (p**width).bit_length()
+    num = draw(st.integers(-(2 ** (bits + 200)), 2 ** (bits + 200)))
+    den = draw(st.integers(1, 2 ** (bits + draw(st.integers(0, 200)))))
+    den += den % p == 0
+    return p, num, den * draw(st.sampled_from([1, -1])), width
+
+
+class TestWindowKernel:
+    @PROPERTY
+    @given(windows())
+    def test_matches_extended_euclid(self, case):
+        p, num, den, width = case
+        assert _window(p, num, den, width) == reference_window(p, num, den, width)
+        assert _window(p, num, den, width, p**width) == reference_window(p, num, den, width)
+
+    @pytest.mark.parametrize("p", WINDOW_PRIMES, ids=int)
+    def test_each_side_of_the_newton_switch(self, p):
+        rng = random.Random(int(p))
+        edge = _newton_edge(p)
+        assert (p**edge).bit_length() <= digits._NEWTON_FROM_BITS < (p ** (edge + 1)).bit_length()
+        for width in [*range(1, 9), edge, edge + 1, 2 * edge + 1, 1025, 2047, 3000]:
+            for _ in range(3):
+                num = rng.getrandbits((p**width).bit_length() + 64) - 2 ** 63
+                den = rng.randrange(1, p ** (width + 3)) * p + rng.randrange(1, p)
+                for d in (den, -den):
+                    assert _window(p, num, d, width) == reference_window(p, num, d, width)
+
+    def test_prime_wider_than_the_switch(self):
+        # One digit of the prime 2**80 + 13 is already past the switch to
+        # Newton, so the halving must end at one digit, not at the switch.
+        p = Prime(2**80 + 13)
+        rng = random.Random(1)
+        for width in range(1, 9):
+            num = rng.getrandbits(81 * width + 64) - 2 ** (81 * width)
+            den = rng.randrange(1, p**width) * p + rng.randrange(1, p)
+            assert _window(p, num, den, width) == reference_window(p, num, den, width)
 
 
 class TestQuadDigits:
@@ -467,6 +531,96 @@ class TestRealCompare:
     def test_matches_squares_reference(self, case):
         u, q = case
         assert real_compare(u, q) == reference_real_compare(u, q)
+
+
+# The floor as it was before it took sqrt(D) to the precision the quotient
+# needs: one integer square root at full width.
+def reference_surd_floor(x, w, g, D):
+    t = w * w * D
+    f = isqrt(t) if w >= 0 else -isqrt(t) - 1
+    return (x + f) // g
+
+
+NONSQUARES = [d for d in range(2, 61) if isqrt(d) ** 2 != d]
+
+
+def _signed(draw, bits):
+    """An integer of exactly `bits` bits (0 for none) and either sign."""
+    n = draw(st.integers(2 ** bits // 2, 2**bits - 1)) if bits else 0
+    return n * draw(st.sampled_from([1, -1]))
+
+
+@st.composite
+def surd_floors(draw):
+    """(x, w, g, D): w of 0 to 40k bits and either sign, g from 1 up to 64
+    bits past w (narrow enough for the exact root, and wide enough for the
+    short one), and x of either sign about as wide as g*w*sqrt(D)."""
+    D = draw(st.sampled_from(NONSQUARES))
+    wbits = draw(st.sampled_from([0, 1, 10, 33, 64, 100, 1000, 10000, 40000]))
+    w = _signed(draw, wbits)
+    g = abs(_signed(draw, draw(st.integers(1, wbits + 64))))
+    x = _signed(draw, draw(st.integers(0, wbits + g.bit_length() + 4)))
+    return x, w, g, D
+
+
+class TestSurdFloor:
+    @PROPERTY
+    @given(surd_floors(), st.sampled_from([0, 1, quadratic._FLOOR_GUARD]))
+    def test_matches_isqrt_floor(self, case, guard):
+        # A guard of 0 or 1 leaves most intervals too wide to settle, so the
+        # exact fallback runs often; the result never depends on the guard.
+        with mock.patch.object(quadratic, "_FLOOR_GUARD", guard):
+            assert _surd_floor(*case) == reference_surd_floor(*case)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("D", [2, 11, 59])
+    def test_next_to_a_multiple_of_g(self, sign, D):
+        # x + floor(w*sqrt(D)) at g*j and at g*j - 1, where one unit moves
+        # the quotient: the bounds for w < 0 must be -hi-1 and -lo-1. A g
+        # just past the guard leaves an interval of a few units, so the
+        # floor is often its end.
+        rng = random.Random(D)
+        guard = quadratic._FLOOR_GUARD
+        sizes = [(100, guard + 2), (1000, guard + 8)] * 20
+        for wbits, gbits in sizes + [(1000, 200), (10000, 9000), (40000, 39950)]:
+            w = sign * (rng.getrandbits(wbits) | 1 << (wbits - 1))
+            g = rng.getrandbits(gbits) | 1 << (gbits - 1)
+            f = reference_surd_floor(0, w, 1, D)
+            j = rng.getrandbits(64)
+            for x, want in [(g * j - f, j), (g * j - f - 1, j - 1)]:
+                assert _surd_floor(x, w, g, D) == want == reference_surd_floor(x, w, g, D)
+
+    def test_short_root_settles_a_wide_quotient_alone(self):
+        # A 10k-bit w over a 9k-bit g: one square root, of about twice the
+        # quotient's 1k bits plus the guard, not of w*w*D's 20k bits.
+        rng = random.Random(7)
+        for D in NONSQUARES:
+            w = (rng.getrandbits(10000) | 1 << 9999) * rng.choice([1, -1])
+            g = rng.getrandbits(9000) | 1 << 8999
+            x = rng.getrandbits(10000) * rng.choice([1, -1])
+            with mock.patch.object(quadratic, "isqrt", wraps=isqrt) as spy:
+                assert _surd_floor(x, w, g, D) == reference_surd_floor(x, w, g, D)
+            (arg,), = [c.args for c in spy.call_args_list]
+            assert arg.bit_length() <= 2 * (1000 + quadratic._FLOOR_GUARD) + D.bit_length()
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_ambiguous_interval_falls_back_to_the_exact_root(self, sign):
+        # h + k*sqrt(2) = (3 + 2*sqrt(2))**200 solves Pell's h*h - 2*k*k = 1,
+        # so k*sqrt(2) = h - 1/(h + k*sqrt(2)) lies within 2**-500 below h.
+        # With x = g*j - sign*h, x + sign*k*sqrt(2) falls just below or
+        # above g*j, and the short root's interval, about g/2**guard wide,
+        # holds both sides: only the exact isqrt settles the floor.
+        h, k = 1, 0
+        for _ in range(200):
+            h, k = 3 * h + 4 * k, 2 * h + 3 * k
+        assert h * h - 2 * k * k == 1
+        g, j = 2**200 + 1, 12345
+        x, w = g * j - sign * h, sign * k
+        want = j - 1 if sign > 0 else j
+        with mock.patch.object(quadratic, "isqrt", wraps=isqrt) as spy:
+            assert _surd_floor(x, w, g, 2) == want == reference_surd_floor(x, w, g, 2)
+        assert [c.args for c in spy.call_args_list][-1] == (w * w * 2,)
+        assert len(spy.call_args_list) == 2
 
 
 # --- Report rendering ----------------------------------------------------
