@@ -99,6 +99,31 @@ def _pk_divide(p: Prime, k: int, a, b, power) -> DivisionStep:
     return DivisionStep(p, k, a, b, q, r, rbar, jumped, case)
 
 
+def _division_record_problems(rec, i: int) -> list[str]:
+    """Check the division record of step i (an expansion.StepRecord) against
+    its own step: its q is the step's term and 0 <= rbar < unit(a); then
+    recompute its rbar, jump flag and case from its recorded a, b, r and the
+    step's k."""
+    d, k = rec.division, rec.k
+    a, b, r = d.a, d.b, d.r
+    problems = []
+    if d.q != rec.q:
+        problems.append(f"step {i}: division q differs from the term")
+    if not 0 <= d.rbar < a.unit:
+        problems.append(f"step {i}: rbar {d.rbar} is outside [0, unit(a))")
+    if k is None or d.k != k:
+        problems.append(f"step {i}: division record has k {d.k}, the step has k {k}")
+        return problems
+    # r = rbar * p**(ord(a) + k); comparing canonical forms needs no power of p.
+    if PLocal(d.p, d.rbar, a.exp + k) != r:
+        problems.append(f"step {i}: rbar {d.rbar} does not match r")
+    if d.jumped != (not r.is_zero() and r.exp > a.exp + k):
+        problems.append(f"step {i}: jump flag does not match r")
+    if d.case != (CASE_1 if not b.is_zero() and k > b.exp - a.exp else CASE_2):
+        problems.append(f"step {i}: case does not match a, b and k")
+    return problems
+
+
 def brute_force_divide(p: Prime, k: int, a, b, budget: int = 10**6) -> DivisionStep:
     """Enumeration oracle for pk_divide.
 

@@ -3,31 +3,29 @@ greedy algorithms, together with run verification and the correspondence
 checks relating the p-adic and classical algorithms.
 
 An expansion of v is a list of q_i with v = Sum 1/q_i (plus an optional
-additive initial term for Knopfmacher). Every algorithm runs one exact chain,
-`_chain`: a term q steps the tail z = (num + y*sqrt(D))/den, y absent on a
-rational, to (num*q - den + y*q*sqrt(D))/(den*q). Only the step picking q
-differs: the p**k division algorithm (`pk`, `adaptive`, rational
-`sylvester`), <1/z>_k with a real ceiling (quadratic `sylvester`), the
-window <den/num>_1 (`knopf`) or classical division (`fs`).
+additive initial term for Knopfmacher). Expanding a value and verifying a
+run are one step loop, `_walk`: a term q steps the tail
+z = (num + y*sqrt(D))/den, y absent on a rational, to
+(num*q - den + y*q*sqrt(D))/(den*q). On expand each term comes from its
+algorithm's pick; on verify from the run's trace, checked against the
+algorithm's term rule. An algorithm (`_Algorithm`) is the k it gives a step,
+its pick, its rule and the record it carries, defined in one place each: the
+p**k division algorithm (`pk`, `adaptive`, rational `sylvester`), <1/z>_k
+with a real ceiling (quadratic `sylvester`), the window <den/num>_1 after an
+additive head (`knopf`) or classical division (`fs`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from typing import NamedTuple
 
-from .digits import _lift_inv_sqrt, _simple_root, _window, frac_part
-from .division import CASE_1, CASE_2, DivisionStep, _pk_divide, classical_divide
+from .digits import _window
+from .division import DivisionStep, _division_record_problems, _pk_divide, classical_divide
 from .errors import HypothesisViolated, KTooSmall, PreconditionViolated
-from .quadratic import (
-    QuadElement,
-    _check_width,
-    _surd_floor,
-    _surd_ord,
-    _surd_ratio,
-    _surd_triple,
-)
+from .quadratic import QuadElement, _surd_ord, _surd_triple, _sylvester_terms
 from .valuation import PLocal, POS_INF, Prime, _below, _powers, _record_holds, _strip, ord_p
 
 TERMINATED = "terminated"
@@ -95,46 +93,111 @@ def value_operands(value) -> tuple[int, int]:
     return (n, d) if n > 0 else (-n, -d)
 
 
-def _chain(num, y, den, step, max_terms: "int | None"):
-    """Step the tail (num + y*sqrt(D)) / den, y None on a rational, until it
-    is zero, max_terms terms are made (None: no cap) or step returns None.
-    step(i, num, y, den) returns the i-th term q, num*q - den and a record;
-    den*q, the run's widest product, is skipped once the tail is zero.
-    Returns (terms, trace, status, num, den); status is TERMINATED on a zero
-    tail, else CAP_REACHED."""
-    terms, trace = [], []
-    while num or y:
-        if max_terms is not None and len(terms) >= max_terms:
-            break
-        stepped = step(len(terms), num, y, den)
-        if stepped is None:
-            break
-        q, num, rec = stepped
-        terms.append(q)
-        trace.append(rec)
-        if y:
-            y = y * q
-        if num or y:
-            den = den * q
-    status = CAP_REACHED if num or y else TERMINATED
-    return tuple(terms), tuple(trace), status, num, den
+class _Algorithm(NamedTuple):
+    """One algorithm's step, for expand and verify alike. k(o): the k it
+    gives a step at tail order o (None without a prime). pick(i, num, y,
+    den, o, norm, k): expand's (q, r, division) for step i, r the next num
+    where the pick knows it (None: num*q - den), or None to end the run;
+    norm is a quadratic tail's. rule(i, a, num, q, k): verify's problem, or
+    None, with a term q that stepped numerator a to num at the claimed k.
+    record: the field every step carries ("division", "remainder" or
+    None). head: whether step 0 is an additive head, stepping num to
+    num - den*q. power: a rational run's ladder of powers of p
+    (valuation._powers). takes_k: whether a run's k applies."""
+
+    k: object
+    pick: object
+    rule: object = None
+    record: "str | None" = None
+    head: bool = False
+    power: object = None
+    takes_k: bool = True
 
 
-def _pk_step(p: Prime, choose_k, records: bool = True):
-    """The step q, r = pk_divide(p, k, num, den) with k = choose_k(ord(num/den));
-    its record carries the division when `records` is set.
-    The run's steps share one ladder of powers of p (valuation._powers)."""
-    power = _powers(p)
+def _division_algorithm(p, k_of, power, record="division", rule=None):
+    """The step q, r = pk_divide(p, k, num, den) with k = k_of(ord(num/den)),
+    recording the division where `record` is set. The run's steps share one
+    ladder of powers of p, `power`."""
 
-    def step(i, num, y, den):
-        tail_ord = num.exp - den.exp
-        k = choose_k(tail_ord)
+    def pick(i, num, y, den, o, norm, k):
         d = _pk_divide(p, k, num, den, power)
         if d.q.is_zero():
             raise RuntimeError(f"quotient 0 at step {i}; k = {k} is too small here")
-        return d.q, d.r, StepRecord(d.q, k, tail_ord, d if records else None)
+        return d.q, d.r, d
 
-    return step
+    return _Algorithm(k_of, pick, rule, record, False, power)
+
+
+def _sylvester_algorithm(p, k, zeta, power):
+    """modified_sylvester's step. On a quadratic zeta its term is
+    quadratic._sylvester_terms', with no rule checked yet (the ceiling's
+    real condition would sit beside it). On a rational it is the p**k
+    division's, whose terms the ceiling gives there, recording no division.
+    Its rule: a step's remainder r = a*q - b lies in [0, a*p**k), the p**k
+    division's real bound, which _below shares with fs and settles by bit
+    lengths before it builds a power of p."""
+    if isinstance(zeta, QuadElement):
+        term = _sylvester_terms(zeta, k)
+        return _Algorithm(lambda o: k, lambda i, n, y, m, o, norm, k: (
+            term(n, y, m, o, norm), None, None))
+
+    def rule(i, a, num, q, k):
+        if k is not None and not _below(num, a, k):
+            bound = PLocal(p, a.unit, a.exp + k)  # a*p**k
+            return f"step {i}: remainder {_tail_text(num)} is outside [0, {_tail_text(bound)})"
+
+    return _division_algorithm(p, lambda o: k, power, None, rule)
+
+
+def _knopf_algorithm(p, k, value, power):
+    """Knopfmacher's steps, all with k = 1: the head a_0 = <v>_1, then
+    a_n = <1/z_n>_1 until z_n < 0 (den > 0, as every a_n > 0, so the sign
+    is num's). <x>_1 is the window of x's digits from ord(x) through 0.
+
+    Its rule: a term's unit lies in [0, p**(1 - exp)), the window <.>_1 (its
+    value in [0, p)). The growth bound with k = 1 already gives the window's
+    p-adic half, so the term is the window of its tail's reciprocal."""
+
+    def pick(i, num, y, den, o, norm, k):
+        if i and num.unit < 0:
+            return None
+        top, bottom, start = (den, num, -o) if i else (num, den, o)  # <1/z>_1 or <z>_1
+        if start >= 1:
+            return PLocal.zero(p), None, None
+        return PLocal(p, _window(p, top.unit, bottom.unit, 1 - start), start), None, None
+
+    def rule(i, a, num, q, k):
+        # A window <.>_1 has its digits at exponents exp..0, so exp <= 0.
+        if q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
+            return f"step {i}: term {q} is outside the window [0, {int(p)})"
+
+    return _Algorithm(lambda o: 1, pick, rule, head=True, power=power, takes_k=False)
+
+
+def _fs_algorithm(p, k, value, power):
+    """The classical step q, r = classical_divide(num, den) over Z, recording
+    r. Its rule: r = a*q - b lies in [0, a), which makes q the classical
+    greedy term."""
+
+    def rule(i, a, num, q, k):
+        if not _below(num, a):
+            return f"step {i}: remainder {_tail_text(num)} is outside [0, {_tail_text(a)})"
+
+    return _Algorithm(lambda o: None, lambda i, num, y, den, o, norm, k: (
+        *classical_divide(num, den), None), rule, "remainder", takes_k=False)
+
+
+# Each algorithm from a run's p, k, input and ladder of powers of p. adaptive
+# gives a step at order o the run's k, or the minimal valid k' = 1 - o where
+# k > -o fails (a run claiming no k, none).
+_ALGORITHMS = {
+    "pk": lambda p, k, value, power: _division_algorithm(p, lambda o: k, power),
+    "adaptive": lambda p, k, value, power: _division_algorithm(
+        p, lambda o: k if k is None or k > -o else 1 - o, power),
+    "sylvester": _sylvester_algorithm,
+    "knopfmacher": _knopf_algorithm,
+    "fs": _fs_algorithm,
+}
 
 
 def fs_greedy(a: int, b: int) -> Expansion:
@@ -152,12 +215,7 @@ def fs_greedy(a: int, b: int) -> Expansion:
     value = Fraction(a, b)
     if value <= -1:
         raise PreconditionViolated(f"a/b must exceed -1, got {value}")
-
-    def step(i, num, y, den):
-        q, r = classical_divide(num, den)
-        return q, r, StepRecord(q, remainder=r)
-
-    terms, trace, status, _, _ = _chain(a, None, b, step, None)
+    terms, trace, status, _, _ = _expand("fs", None, None, a, None, b, value)
     return Expansion("fs", value, None, None, terms, status, trace)
 
 
@@ -180,8 +238,9 @@ def pk_greedy(p: Prime, k: int, a, b) -> Expansion:
     value_ord = a.exp - b.exp
     if k <= -value_ord:
         raise KTooSmall(f"need k > {-value_ord} for this value, got k = {k}")
-    terms, trace, status, _, _ = _chain(a, None, b, _pk_step(p, lambda t: k), None)
-    return Expansion("pk", a.to_fraction() / b.to_fraction(), p, k, terms, status, trace)
+    value = a.to_fraction() / b.to_fraction()
+    terms, trace, status, _, _ = _expand("pk", p, k, a, None, b, value)
+    return Expansion("pk", value, p, k, terms, status, trace)
 
 
 def adaptive_pk_greedy(p: Prime, k: int, value) -> Expansion:
@@ -190,9 +249,9 @@ def adaptive_pk_greedy(p: Prime, k: int, value) -> Expansion:
     a finite expansion regardless of the requested k.
     """
     a, b = value_operands(value)
-    step = _pk_step(p, lambda tail_ord: 1 - tail_ord if k <= -tail_ord else k)
-    terms, trace, status, _, _ = _chain(PLocal(p, a), None, PLocal(p, b), step, None)
-    return Expansion("adaptive", Fraction(a, b), p, k, terms, status, trace)
+    value = Fraction(a, b)
+    terms, trace, status, _, _ = _expand("adaptive", p, k, PLocal(p, a), None, PLocal(p, b), value)
+    return Expansion("adaptive", value, p, k, terms, status, trace)
 
 
 def knopfmacher_sylvester(p: Prime, v, max_terms: int = DEFAULT_MAX_TERMS) -> Expansion:
@@ -205,24 +264,13 @@ def knopfmacher_sylvester(p: Prime, v, max_terms: int = DEFAULT_MAX_TERMS) -> Ex
     so a negative remainder never returns to zero.
     """
     v = Fraction(v)
-    a0 = frac_part(p, v)
     num, den = (PLocal(p, x) for x in v.as_integer_ratio())
-    head = StepRecord(a0, 1, num.exp - den.exp if num else None)
-    num -= den * a0
-
-    def step(i, num, y, den):
-        if num.unit < 0:  # den > 0, as every a_n > 0: the tail is negative
-            return None
-        start = den.exp - num.exp  # ord(1/z)
-        q = PLocal(p, _window(p, den.unit, num.unit, 1 - start), start)
-        return q, num * q - den, StepRecord(q, 1, -start)
-
-    terms, trace, status, num, den = _chain(num, None, den, step, max_terms)
+    terms, trace, status, num, den = _expand("knopfmacher", p, None, num, None, den, v, max_terms)
     certificate = None
     if status == CAP_REACHED and num.unit < 0:  # a negative tail beats the cap
         status, certificate = CERTIFIED_NONTERMINATING, num.to_fraction() / den.to_fraction()
     return Expansion(
-        "knopfmacher", v, p, None, (a0, *terms), status, (head, *trace),
+        "knopfmacher", v, p, None, terms, status, trace,
         initial=True, certificate=certificate,
     )
 
@@ -236,69 +284,170 @@ def modified_sylvester(
     with psi the real embedding and the standard ceiling (least integer >= x).
     On a rational these are the p**k division algorithm's terms, so a rational
     runs its step, recording each term, k and order but no division. A
-    quadratic element runs the same chain with y*sqrt(D)/den riding along
-    (_surd_step). At most max_terms terms are made.
+    quadratic element runs the same loop with y*sqrt(D)/den riding along
+    (quadratic._sylvester_terms). At most max_terms terms are made.
     """
     if isinstance(zeta, QuadElement):
         if zeta.is_zero():
             raise PreconditionViolated("cannot expand zero")
-        p, start_ord, step = zeta.p, zeta.ord(), _surd_step(zeta, k)
+        p, start_ord = zeta.p, zeta.ord()
         num, y, den = _surd_triple(zeta)
     else:
         zeta = Fraction(zeta)
         a, b = value_operands(zeta)
         num, y, den = PLocal(p, a), None, PLocal(p, b)
-        start_ord, step = num.exp - den.exp, _pk_step(p, lambda t: k, records=False)
+        start_ord = num.exp - den.exp
     if k <= -start_ord:
         raise KTooSmall(f"need k > {-start_ord} for this value, got k = {k}")
-    terms, trace, status, _, _ = _chain(num, y, den, step, max_terms)
+    terms, trace, status, _, _ = _expand("sylvester", p, k, num, y, den, zeta, max_terms)
     return Expansion("sylvester", zeta, p, k, terms, status, trace)
 
 
-def _surd_step(zeta: QuadElement, k: int):
-    """modified_sylvester's step on a quadratic tail z = (n + y*sqrt(D)) / m
-    over Z[1/p]. The norm n**2 - D*y**2 gives o = ord(z), found from the floor
-    the growth bound ord(z) >= k + 2*ord(previous z) puts under it;
-    t = <1/z>_k is the window of z's unit ratio num/den inverted, one inverse
-    modulo p**w, w = k + o, with sqrt(D) lifted from the previous step's root
-    (as 1/sqrt(D), whose Newton step needs no inverse); the ceiling is one
-    floor of a real surd."""
-    p, D, residue, sign = zeta.p, zeta.D, zeta.residue, zeta.real_sign
-    root, inv_root, prec = 0, 0, 0  # sqrt(D) and 1/sqrt(D) mod p**prec
-    floor = None  # the growth bound on ord(z), none on the first step
+def _replay_ord(num, y, den, value, floor=None):
+    """Order of a replayed tail (num + y*sqrt(D)) / den over Z[1/p]; y is
+    None on a rational. floor, a lower bound for it or None, only speeds up
+    finding a quadratic order (_surd_ord)."""
+    if y:
+        return _surd_ord(num, y, den, value.D, value.residue, floor)[0]
+    return POS_INF if num.is_zero() else num.exp - den.exp
 
-    def step(i, n, y, m):
-        nonlocal root, inv_root, prec, floor
-        o, norm = _surd_ord(n, y, m, D, residue, floor)
-        floor = k + 2 * o
-        w = k + o
-        modulus = p**w
+
+def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
+    """The one step loop of algorithm `name` with p and k: expand (e None)
+    or verify run e from the tail, an unreduced pair num/den over Z[1/p] (Z
+    without a prime), a quadratic one with y*sqrt(D) riding along. A
+    rational run with a prime shares one ladder of powers of p between its
+    steps (valuation._powers). Each step finds the tail's order o (none
+    without a prime) from the floor the growth bound k + 2*ord(z) of the
+    step before puts under it, and k = alg.k(o); its term q comes from
+    alg.pick on expand and from e's trace on verify. q steps num to the
+    record's r (on verify once one product shows b + r = a*q), else to
+    num*q - den, whose power of p the floor takes out with one exact division
+    on a rational tail with a prime (_floored_difference); y to y*q; and den
+    to den*q unless the tail is zero and no later step reads it. The head,
+    position 0 of a Knopfmacher run, steps num to num - den*q. Expand stops
+    on a zero tail, after max_terms reciprocal terms or where the pick ends
+    the run. Verify lists each step's problems together, in step order: the
+    fields its algorithm records, a zero reciprocal term, its division
+    record, its ord(tail) and k against the replayed order and alg.k, a term
+    exponent too far from that order (_exponent_too_far), its link in the
+    chain and its term rule. The first division record's a/b must be the
+    input, and its a, b then seed the pair; each later a, b must be the pair
+    and each r the next num, which gives b = a*q - r and the chain; a
+    classical remainder must be the next num too. A zero or far term ends
+    the replay before its power of p is built, a run over another prime
+    than p before its first step; later steps get only the field checks.
+    Returns (alg, trace, num, y, den, problems, orders, stop): orders end
+    with the tail the replay stops at, stop is the step it stops before or
+    None."""
+    alg = _ALGORITHMS[name](p, k, value, None if p is None or y is not None else _powers(p))
+    expand = e is None
+    trace = [] if expand else e.trace
+    k_of, pick, rule, power, heads = alg.k, alg.pick, alg.rule, alg.power, alg.head
+    divisions, remainders = alg.record == "division", alg.record == "remainder"
+    units = num, y, den
+    problems, orders, floor = [], [], None
+    stop = None if expand or e.p == p else 0
+    for i in count():
+        head = heads and i == 0
+        if expand:
+            if not head and (not (num or y) or max_terms is not None and i - heads >= max_terms):
+                break
+        elif i == len(trace):
+            if p is not None and len(orders) == (i if stop is None else stop):
+                orders.append(_replay_ord(num, y, den, value, floor))
+            break
+        else:
+            rec = trace[i]
+            q, d = rec.q, rec.division
+            if (d is not None) != divisions:
+                problems.append(f"step {i}: division record does not fit a {name} run")
+            if (rec.remainder is not None) != remainders:
+                problems.append(f"step {i}: remainder does not fit a {name} run")
+            if rec.tail_ord is not None and e.p is None:
+                problems.append(f"step {i}: tail_ord does not fit a {name} run")
+            if stop is not None:
+                continue
+            if not head and not q:
+                problems.append(f"step {i}: term is zero")
+                stop = i
+                continue
+            if d is not None:
+                problems.extend(_division_record_problems(rec, i))
+            if p is not None and not isinstance(q, PLocal):
+                q = PLocal(p, q)
+        o = norm = None  # a quadratic tail's norm gives its order
         if y:
-            # The cap applies to the window of 1/z's coefficients, as
-            # quad_frac_part_k(z.inv(), k) opens it.
-            _check_width(k - (m.exp + min(n.ord(), y.ord()) - norm.exp))
-            if not prec:
-                inv_root, prec = pow(_simple_root(p, D, residue), -1, p), 1
-            inv_root = _lift_inv_sqrt(p, D, inv_root, prec, w, modulus)
-            prec = max(prec, w)
-            root = D * inv_root % modulus
-        num, den = _surd_ratio(n, y, m, o, norm, root)
-        t = _window(p, den, num, w, modulus)
-        # The ceiling of psi((1/z - t) / p**k), with 1/z = m*(n - y*sqrt(D))/norm
-        # and t*p**-o the window's value, is that of
-        # (mn - t*norm - sign*my*sqrt(D)) / (norm*p**k).
-        mn_e, tn_e, my_e, g_e = m.exp + n.exp, norm.exp - o, m.exp + y.exp, norm.exp + k
-        e = min(mn_e, tn_e, my_e, g_e)
-        x = m.unit * n.unit * p ** (mn_e - e) - t * norm.unit * p ** (tn_e - e)
-        wy = -sign * m.unit * y.unit * p ** (my_e - e)
-        g = norm.unit * p ** (g_e - e)
-        if g < 0:
-            x, wy, g = -x, -wy, -g
-        c = -_surd_floor(-x, -wy, g, D)
-        q = PLocal(p, t + c * modulus, -o)
-        return q, n * q - m, StepRecord(q, k, o)
+            o, norm = _surd_ord(num, y, den, value.D, value.residue, floor)
+        elif p is not None:
+            o = num.exp - den.exp if num.unit else POS_INF
+        k, claim = k_of(o), None if o == POS_INF else o
+        if expand:
+            stepped = pick(i, num, y, den, o, norm, k)
+            if stepped is None:
+                break
+            q, r, d = stepped
+            rec = StepRecord(q, k, claim, d if divisions else None, r if remainders else None)
+            trace.append(rec)
+        else:
+            r = None if d is None else d.r
+            if p is not None:
+                orders.append(o)
+                if rec.tail_ord != claim:
+                    problems.append(f"step {i}: tail_ord {rec.tail_ord} is not the order {o}")
+            if rec.k != k:
+                problems.append(f"step {i}: k {rec.k} is not the {name} k {k}")
+            if p is not None and q and q.exp != (o if head else -o) and _exponent_too_far(
+                    q, o, k, num, den, head, (*units, *(s.q for s in trace))):
+                problems.append(f"step {i}: term exponent {q.exp} is too far from "
+                                f"the order {o} to be valid")
+                stop = i
+                continue
+        if p is not None:
+            floor = None if rec.k is None or o == POS_INF else rec.k + 2 * o
+        a = num
+        if head:
+            num -= den * q
+        else:
+            if not expand and d is not None:
+                if i == 0 and d.a * den == d.b * num:
+                    num, den = d.a, d.b
+                elif i == 0:
+                    problems.append(f"step {i}: a/b differs from the input")
+                else:
+                    if d.a != num:
+                        problems.append(f"step {i}: a is not the previous step's r")
+                    if d.b != den:
+                        problems.append(f"step {i}: b is not the previous step's b*q")
+                a = num
+            if r is not None and (expand or power and _record_holds(num, den, q, r, power)):
+                num = r  # b + r = a*q, so the record's r is a*q - b
+            elif power:
+                num = _floored_difference(num * q, den, floor, den.exp + q.exp, power)
+            else:
+                num = num * q - den
+            if y is not None:
+                y = y * q
+            if num or y or not expand and i + 1 < len(trace):
+                den = den * q
+            if expand:
+                continue
+            if d is not None and d.r != num:
+                problems.append(f"step {i}: r is not a*q - b")
+            if rec.remainder is not None and rec.remainder != num:
+                problems.append(f"step {i}: remainder {rec.remainder} is not a*q - b")
+        problem = not expand and rule and rule(i, a, num, q, rec.k)
+        if problem:
+            problems.append(problem)
+    return alg, trace, num, y, den, problems, orders, stop
 
-    return step
+
+def _expand(name: str, p, k, num, y, den, value, max_terms: "int | None" = None):
+    """(terms, trace, status, num, den) of expanding the tail by algorithm
+    `name`; status is TERMINATED on a zero final tail, else CAP_REACHED."""
+    _, trace, num, y, den, *_ = _walk(name, p, k, num, y, den, value, max_terms=max_terms)
+    status = CAP_REACHED if num or y else TERMINATED
+    return tuple([rec.q for rec in trace]), tuple(trace), status, num, den
 
 
 class NoJumpCorrespondence(NamedTuple):
@@ -327,9 +476,8 @@ def check_nojump_correspondence(p: Prime, k: int, a: int, b: int) -> NoJumpCorre
     aa, bb = value_operands(value)
     scaled = value * Fraction(p) ** k
     classical = fs_greedy(*value_operands(scaled))
-    terms, trace, status, _, _ = _chain(
-        PLocal(p, aa), None, PLocal(p, bb), _pk_step(p, lambda t: k), len(classical.terms) + 4
-    )
+    terms, trace, status, _, _ = _expand(
+        "pk", p, k, PLocal(p, aa), None, PLocal(p, bb), value, len(classical.terms) + 4)
     padic = Expansion("pk", value, p, k, terms, status, trace)
     jumps = tuple(i for i, rec in enumerate(padic.trace) if rec.division.jumped)
     pk = Fraction(p) ** k
@@ -361,41 +509,8 @@ class VerificationReport(NamedTuple):
     problems: list[str]
 
 
-def _division_record_problems(rec: StepRecord, i: int) -> list[str]:
-    """Check the division record of step i against its own step: its q is
-    the step's term and 0 <= rbar < unit(a); then recompute its rbar, jump
-    flag and case from its recorded a, b, r and the step's k."""
-    d, k = rec.division, rec.k
-    a, b, r = d.a, d.b, d.r
-    problems = []
-    if d.q != rec.q:
-        problems.append(f"step {i}: division q differs from the term")
-    if not 0 <= d.rbar < a.unit:
-        problems.append(f"step {i}: rbar {d.rbar} is outside [0, unit(a))")
-    if k is None or d.k != k:
-        problems.append(f"step {i}: division record has k {d.k}, the step has k {k}")
-        return problems
-    # r = rbar * p**(ord(a) + k); comparing canonical forms needs no power of p.
-    if PLocal(d.p, d.rbar, a.exp + k) != r:
-        problems.append(f"step {i}: rbar {d.rbar} does not match r")
-    if d.jumped != (not r.is_zero() and r.exp > a.exp + k):
-        problems.append(f"step {i}: jump flag does not match r")
-    if d.case != (CASE_1 if not b.is_zero() and k > b.exp - a.exp else CASE_2):
-        problems.append(f"step {i}: case does not match a, b and k")
-    return problems
-
-
-def _replay_ord(num, y, den, value, floor=None):
-    """Order of a replayed tail (num + y*sqrt(D)) / den over Z[1/p]; y is
-    None on a rational. floor, a lower bound for it or None, only speeds up
-    finding a quadratic order (_surd_ord)."""
-    if y:
-        return _surd_ord(num, y, den, value.D, value.residue, floor)[0]
-    return POS_INF if num.is_zero() else num.exp - den.exp
-
-
 def _replay_tail(num, y, den, value) -> "Fraction | QuadElement":
-    """A replayed tail as a value, for problem texts and the certificate."""
+    """A replayed tail as a value, for problem texts."""
     def frac(a):
         return a.to_fraction() if isinstance(a, PLocal) else Fraction(a)
 
@@ -450,8 +565,8 @@ def _floored_difference(x: PLocal, z: PLocal, floor, den_exp: int, power) -> PLo
 _CLAIM_BITS = 1 << 18
 
 
-def _exponent_too_far(q: PLocal, o, k: "int | None", den: PLocal, head: bool) -> bool:
-    """Whether term q of a step with k, taken at a tail of order o over den,
+def _exponent_too_far(q, o, k, num, den, head, units) -> bool:
+    """Whether term q of a step with k, taken at a tail num/den of order o,
     has an exponent too far from any valid one for the replay to build its
     power; head marks a Knopfmacher run's additive head. k is the k the
     algorithm gives the step, not the step's claimed one, so an edited k
@@ -460,67 +575,49 @@ def _exponent_too_far(q: PLocal, o, k: "int | None", den: PLocal, head: bool) ->
     A term the library makes has exponent -o on a step with k > -o and one
     in [k, -o + log_p |unit(den)|] (pk_divide's case 2) on one with
     k <= -o; a Knopfmacher head has exponent o where o <= 0. A step after a
-    zero tail, which no valid run takes, is measured from order 0."""
+    zero tail, which no valid run takes, is measured from order 0. An
+    exponent may pass that range by _CLAIM_BITS and den's unit bits' worth
+    of p. The run allows one budget for all its steps: the operand of
+    num*q - den (a head's num - den*q) that its power of p widens, by at
+    least bits(p) - 1 bits an exponent, must fit in the bits of `units`,
+    those the run spells out (its input's and its terms'), plus
+    _CLAIM_BITS. Every value a valid run's replay builds fits in those
+    units, while a claimed run k or allowances compounding from step to step
+    would widen it without limit."""
     o = 0 if o == POS_INF else o
-    d = q.exp - o if head else q.exp + o
-    slack = (den.unit.bit_length() + _CLAIM_BITS) // (q.p.bit_length() - 1)
-    return abs(d) > max(0, -(k or 0) - o) + slack
+    bits = q.p.bit_length() - 1
+    if abs(q.exp - o if head else q.exp + o) > max(0, -(k or 0) - o) + (
+            den.unit.bit_length() + _CLAIM_BITS) // bits:
+        return True
+    x, z = (num, den * q) if head else (num * q, den)  # the step's difference x - z
+    gap = (x.exp - z.exp) * bits
+    wide = x.unit.bit_length() + gap if gap > 0 else z.unit.bit_length() - gap
+    return wide > _CLAIM_BITS + sum(u.unit.bit_length() for u in units if isinstance(u, PLocal))
 
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
     """Replay an expansion from its input and check its claims in one walk of
-    its trace. A step's index is its position, and position 0 of a
-    Knopfmacher run is its additive head. Each step is checked where it is
-    replayed, its problems together and in step order: the fields its
-    algorithm records (division records on the p**k runs only, remainders on
-    fs only, no order without a prime, k = 1 on Knopfmacher steps and none on
-    fs), a zero reciprocal term, its division record, its ord(tail) and k
-    against the replayed order, a term exponent too far from that order to
-    be valid (_exponent_too_far), then its term rule and link in the chain.
-    A zero or far term ends the replay before its power of p is built. The
-    run's claims follow: terms equal to the trace's q values, no run k on fs
-    or Knopfmacher, the input as value, the replay's prime as p (a quadratic
-    input's own; another prime ends the replay before its first step, so no
-    arithmetic mixes primes), an initial term on Knopfmacher runs only, an
-    exact sum on termination, a status other than terminated only on a
-    nonzero final tail, and a certificate on exactly the certified runs,
-    equal to the final tail and negative. Last come strictly increasing
-    orders with the growth bound ord(z_{i+1}) >= k_i + 2*ord(z_i) (orders
-    need a prime).
+    its trace (_walk), its algorithm built from its own k as expanding
+    builds it. A step's index is its position, and position 0 of a
+    Knopfmacher run is its additive head. Each step's problems come
+    together, in step order; its term is checked against its algorithm's
+    rule, explained where the algorithm is defined (the quadratic ceiling
+    has none yet). The run's claims follow: terms equal to the trace's q
+    values, no run k on fs or Knopfmacher, the input as value, the replay's
+    prime as p (a quadratic input's own; another prime ends the replay
+    before its first step, so no arithmetic mixes primes), an initial term
+    on Knopfmacher runs only, an exact sum on termination, a status other
+    than terminated only on a nonzero final tail, and a certificate on
+    exactly the certified runs, equal to the final tail (compared by cross-
+    multiplying over Z[1/p], building no Fraction) and negative. Last come
+    strictly increasing orders with the growth bound
+    ord(z_{i+1}) >= k_i + 2*ord(z_i) (orders need a prime).
 
-    Three rules that pick a term are checked as integer comparisons: an fs
-    step's remainder r = a*q - b lies in [0, a), which makes q the classical
-    greedy term; a rational sylvester step's lies in [0, a*p**k), the p**k
-    division's real bound, which _below shares with fs and settles by bit
-    lengths before it builds a power of p; and a Knopfmacher term's unit
-    lies in [0, p**(1 - exp)), the window <.>_1 (its value in [0, p)). The
-    growth bound with k = 1 already gives the window's p-adic half, so the
-    term is the window of its tail's reciprocal.
-
-    The tail is an unreduced pair num/den over Z[1/p] (Z without a prime),
-    which a term q steps to (num*q - den)/(den*q), an initial term to
-    (num - den*q)/den, and whose orders are its exponents. A quadratic tail
-    (num + y*sqrt(D))/den steps the same pair, with y stepped to y*q, and
-    reads its orders off the norm num**2 - D*y**2.
-
-    The first division record's a/b must be the input, and its a, b then seed
-    the pair; each later a, b must be the pair and each r the next num, which
-    gives b = a*q - r and the chain. A classical remainder must be the next
-    num too.
-
-    Each order a step leaves is found from the floor the growth bound
-    k + 2*ord(z) puts under it, with the step's k and the replayed order of
-    the tail z it leaves from, as the quadratic driver finds it; the
-    report's tail_ord values are only compared. A rational num with a
-    division record takes its r once one product shows b + r = a*q (on a
-    valid record, a sum whose unit is already prime to p); one without takes
-    the floor's power of p out of num*q - den with one exact division, and a
-    quadratic tail takes it out of its norm the same way. A floor that fails
-    only costs that division before the full strip (valuation._strip), so
-    the problems are those of the plain replay. The record checks and the
-    floors take their powers of p from one ladder, each the last one
-    squared (valuation._powers), as the drivers' division steps do. The
-    last step skips den*q on a zero tail.
+    Each order is found from the floor the growth bound puts under it, with
+    the step's claimed k (a quadratic one off the norm num**2 - D*y**2, as
+    expanding finds it); the report's tail_ord values are only compared. A
+    floor that fails only costs one division before the full strip
+    (valuation._strip), so the problems are those of the plain replay.
     """
     y = None
     if isinstance(value, QuadElement):
@@ -533,103 +630,21 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             num, den = -num, -den
         if p is not None:
             num, den = PLocal(p, num), PLocal(p, den)
-    alg = e.algorithm
-    rational = p is not None and y is None
-    power = _powers(p) if rational else None
-    knopf, fs, records = alg == "knopfmacher", alg == "fs", alg in ("pk", "adaptive")
-    fixed_k = 1 if knopf else None  # the k of every Knopfmacher or fs step
-    sylvester = rational and alg == "sylvester"
-    problems: list[str] = []
-    orders = []
-    floor = None  # the growth bound on the order of the tail this step leaves
-    stop = None if e.p == p else 0  # the step the replay ends before
-    for i, rec in enumerate(e.trace):
-        q, d, head = rec.q, rec.division, knopf and i == 0
-        if (d is not None) != records:
-            problems.append(f"step {i}: division record does not fit a {alg} run")
-        if (rec.remainder is not None) != fs:
-            problems.append(f"step {i}: remainder does not fit a {alg} run")
-        if rec.tail_ord is not None and e.p is None:
-            problems.append(f"step {i}: tail_ord does not fit a {alg} run")
-        if (knopf or fs) and rec.k != fixed_k:
-            problems.append(f"step {i}: k {rec.k} is not the {alg} k {fixed_k}")
-        if stop is not None:
-            continue
-        if not head and not q:
-            problems.append(f"step {i}: term is zero")
-            stop = i
-            continue
-        if d is not None:
-            problems.extend(_division_record_problems(rec, i))
-        if p is not None:
-            if not isinstance(q, PLocal):
-                q = PLocal(p, q)
-            o = _replay_ord(num, y, den, value, floor)
-            orders.append(o)
-            if rec.tail_ord != (None if o == POS_INF else o):
-                problems.append(f"step {i}: tail_ord {rec.tail_ord} is not the order {o}")
-            want = fixed_k  # the k the algorithm gives this step
-            if not head and alg in ("pk", "sylvester", "adaptive"):
-                want = e.k
-                if alg == "adaptive" and e.k is not None and o != POS_INF and e.k <= -o:
-                    want = 1 - o
-                if rec.k != want:
-                    problems.append(f"step {i}: k {rec.k} is not the {alg} k {want}")
-            if q and q.exp != -o and _exponent_too_far(q, o, want, den, head):
-                problems.append(f"step {i}: term exponent {q.exp} is too far from "
-                                f"the order {o} to be valid")
-                stop = i
-                continue
-            floor = None if rec.k is None or o == POS_INF else rec.k + 2 * o
-        # A window <.>_1 has its digits at exponents exp..0, so exp <= 0.
-        if knopf and rational and q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
-            problems.append(f"step {i}: term {q} is outside the window [0, {int(p)})")
-        if head:
-            num -= den * q
-            continue
-        if d is not None and i == 0:
-            if d.a * den == d.b * num:
-                num, den = d.a, d.b
-            else:
-                problems.append(f"step {i}: a/b differs from the input")
-        elif d is not None:
-            if d.a != num:
-                problems.append(f"step {i}: a is not the previous step's r")
-            if d.b != den:
-                problems.append(f"step {i}: b is not the previous step's b*q")
-        a = num
-        if rational and d is not None and _record_holds(num, den, q, d.r, power):
-            num = d.r  # b + r = a*q, so the record's r is a*q - b
-        elif rational:
-            num = _floored_difference(num * q, den, floor, den.exp + q.exp, power)
-        else:
-            num = num * q - den
-        if y is not None:
-            y = y * q
-        if not (rational and i + 1 == len(e.trace) and not num):  # no later step reads its den
-            den = den * q
-        if d is not None and d.r != num:
-            problems.append(f"step {i}: r is not a*q - b")
-        if rec.remainder is not None and rec.remainder != num:
-            problems.append(f"step {i}: remainder {rec.remainder} is not a*q - b")
-        if (fs or sylvester and rec.k is not None) and not _below(num, a, 0 if fs else rec.k):
-            bound = a if fs else PLocal(p, a.unit, a.exp + rec.k)  # a*p**k
-            problems.append(f"step {i}: remainder {_tail_text(num)} is outside "
-                            f"[0, {_tail_text(bound)})")
-    # A replay ended at a far term already holds the order of the tail it stopped at.
-    if p is not None and len(orders) == (len(e.trace) if stop is None else stop):
-        orders.append(_replay_ord(num, y, den, value, floor))
+    if e.algorithm not in _ALGORITHMS:
+        raise PreconditionViolated(f"no algorithm {e.algorithm!r} to replay")
+    alg, _, num, y, den, problems, orders, stop = _walk(e.algorithm, p, e.k, num, y, den, value, e)
+    heads = alg.head
 
     if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
         problems.append("terms differ from the trace's q values")
-    if e.k is not None and (knopf or fs):
-        problems.append(f"k {e.k} does not apply to {alg}")
+    if e.k is not None and not alg.takes_k:
+        problems.append(f"k {e.k} does not apply to {e.algorithm}")
     if e.value != value:
         problems.append(f"value {_tail_text(e.value)} is not the input {_tail_text(value)}")
     if e.p != p:
         problems.append(f"p {e.p and int(e.p)} is not the input's p {p and int(p)}")
-    if e.initial != knopf:
-        problems.append(f"initial flag {e.initial} does not fit a {alg} run")
+    if e.initial != heads:
+        problems.append(f"initial flag {e.initial} does not fit a {e.algorithm} run")
     sum_exact = None
     if e.status == TERMINATED:
         sum_exact = stop is None and not num and not y
@@ -644,19 +659,17 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     if c is not None:
         if e.status != CERTIFIED_NONTERMINATING:
             problems.append(f"certificate {c} on a run with status {e.status}")
-        if stop is None and c != _replay_tail(num, y, den, value):
+        if stop is None and (y or num * c.denominator != den * c.numerator):
             problems.append(f"certificate {c} is not the final tail")
         if not c < 0:
             problems.append(f"certificate {c} is not negative")
 
-    strictly_increasing = None
-    growth_ok = None
+    strictly_increasing = growth_ok = None
     if orders:
-        strictly_increasing = True
-        growth_ok = True
+        strictly_increasing = growth_ok = True
         for i in range(len(orders) - 1):
             s, nxt = orders[i], orders[i + 1]
-            k_i = None if knopf and i == 0 else e.trace[i].k
+            k_i = None if heads and i == 0 else e.trace[i].k
             if k_i is None:
                 # Additive initial term: only ord >= 1 is promised.
                 if not nxt >= 1:
@@ -668,15 +681,6 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
                 problems.append(f"order not increasing at step {i}: {s} -> {nxt}")
             if s != POS_INF and not nxt >= k_i + 2 * s:
                 growth_ok = False
-                problems.append(
-                    f"growth bound failed at step {i}: ord {nxt} < {k_i} + 2*{s}"
-                )
-
-    return VerificationReport(
-        ok=not problems,
-        sum_exact=sum_exact,
-        tail_orders=orders,
-        strictly_increasing=strictly_increasing,
-        growth_ok=growth_ok,
-        problems=problems,
-    )
+                problems.append(f"growth bound failed at step {i}: ord {nxt} < {k_i} + 2*{s}")
+    return VerificationReport(not problems, sum_exact, orders, strictly_increasing, growth_ok,
+                              problems)

@@ -18,8 +18,9 @@ sqrt(D) taken only to the bits the quotient by g needs: a certified interval
 settles the floor, and an exact integer square root of w*w*D runs only
 where it cannot. A digit window is then digits._window(p, num, den, w),
 the one window of the library, and the window of 1/z is that of den/num.
-The quadratic Sylvester driver in expansion.py steps such a triple and calls
-the same kernels, so no Fraction or QuadElement arithmetic runs in its loop.
+The quadratic Sylvester step (`_sylvester_terms`, which expansion.py's step
+loop calls) works on such a triple with the same kernels, so no Fraction or
+QuadElement arithmetic runs in its loop.
 """
 
 from __future__ import annotations
@@ -27,7 +28,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .digits import DigitExpansion, _read_digits, _simple_root, _window, hensel_sqrt
+from .digits import (
+    DigitExpansion,
+    _lift_inv_sqrt,
+    _read_digits,
+    _simple_root,
+    _window,
+    hensel_sqrt,
+)
 from .errors import DivByZero, EmbeddingMismatch, EvenPrime, PrecisionExhausted
 from .valuation import PLocal, POS_INF, Prime, _strip, ord_p
 
@@ -344,6 +352,50 @@ def _check_width(width: int) -> None:
         raise PrecisionExhausted(
             f"digit window of {width} exceeds the {PRECISION_CAP}-digit cap"
         )
+
+
+def _sylvester_terms(u: QuadElement, k: int):
+    """term(n, y, m, o, norm): the Sylvester term of one run's step on u at
+    the tail z = (n + y*sqrt(D)) / m over Z[1/p], of order o and norm
+    n**2 - D*y**2 (_surd_ord). It corrects t = <1/z>_k into
+    q = t + ceil((1 - t*psi(z)) / (p**k * psi(z))) * p**k. t is the window
+    of z's unit ratio num/den inverted, one inverse modulo p**w, w = k + o,
+    with sqrt(D) lifted from the previous step's root (as 1/sqrt(D), whose
+    Newton step needs no inverse); the ceiling is one floor of a real surd.
+    A check that a claimed term is the ceiling's, q >= 1/psi(z) > q - p**k,
+    belongs beside it."""
+    p, D, residue, sign = u.p, u.D, u.residue, u.real_sign
+    root, inv_root, prec = 0, 0, 0  # sqrt(D) and 1/sqrt(D) mod p**prec
+
+    def term(n, y, m, o, norm):
+        nonlocal root, inv_root, prec
+        w = k + o
+        modulus = p**w
+        if y:
+            # The cap applies to the window of 1/z's coefficients, as
+            # quad_frac_part_k(z.inv(), k) opens it.
+            _check_width(k - (m.exp + min(n.ord(), y.ord()) - norm.exp))
+            if not prec:
+                inv_root, prec = pow(_simple_root(p, D, residue), -1, p), 1
+            inv_root = _lift_inv_sqrt(p, D, inv_root, prec, w, modulus)
+            prec = max(prec, w)
+            root = D * inv_root % modulus
+        num, den = _surd_ratio(n, y, m, o, norm, root)
+        t = _window(p, den, num, w, modulus)
+        # The ceiling of psi((1/z - t) / p**k), with 1/z = m*(n - y*sqrt(D))/norm
+        # and t*p**-o the window's value, is that of
+        # (mn - t*norm - sign*my*sqrt(D)) / (norm*p**k).
+        mn_e, tn_e, my_e, g_e = m.exp + n.exp, norm.exp - o, m.exp + y.exp, norm.exp + k
+        e = min(mn_e, tn_e, my_e, g_e)
+        x = m.unit * n.unit * p ** (mn_e - e) - t * norm.unit * p ** (tn_e - e)
+        wy = -sign * m.unit * y.unit * p ** (my_e - e)
+        g = norm.unit * p ** (g_e - e)
+        if g < 0:
+            x, wy, g = -x, -wy, -g
+        c = -_surd_floor(-x, -wy, g, D)
+        return PLocal(p, t + c * modulus, -o)
+
+    return term
 
 
 def _quad_window(u: QuadElement, k: "int | None", count: int = 0) -> tuple[int, int]:

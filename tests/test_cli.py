@@ -699,6 +699,59 @@ class TestVerifyCommand:
         assert problem in done.stdout
         assert "[report cannot be re-rendered: Exceeds the limit" in done.stdout
 
+    @staticmethod
+    def _pk_run_k(K):
+        """The 473/25 pk report with the run's k, every step's k and its
+        division's k set to -K, and step 1's term exponent set to K: each
+        step's own bound allows the exponent, as the claimed run k gives
+        pk_divide's case 2."""
+        def tamper(d):
+            d["k"] = str(-K)
+            for entry in d["trace"]:
+                entry["k"] = entry["division"]["k"] = str(-K)
+            d["trace"][1]["q"]["exp"] = str(K)
+        problem = f"[step 1: term exponent {K} is too far from the order 1 to be valid]"
+        return PK_473_25, tamper, problem
+
+    @staticmethod
+    def _knopf_appended(*exps):
+        """The 2/5 knopf report at p = 3 capped at 1 term (certified at its
+        head) with terms 3**e appended, each at the largest exponent the
+        step's own bound allows: the allowances compound, as each term moves
+        the next step's order by as much."""
+        def tamper(d):
+            for e in exps:
+                d["trace"].append(dict(d["trace"][0], index=str(len(d["trace"])), initial=False,
+                                       q={"unit": "1", "exp": str(e), "value": "1"}))
+        return (("--alg", "knopf", "--p", "3", "--value", "2/5", "--max-terms", "1"), tamper,
+                "[step 2: term exponent 786438 is too far from the order -262146 to be valid]")
+
+    RUN_WIDE = {
+        "pk-run-k-1e7": lambda: TestVerifyCommand._pk_run_k(10**7),
+        "pk-run-k-1e400": lambda: TestVerifyCommand._pk_run_k(10**400),
+        "knopf-2-terms": lambda: TestVerifyCommand._knopf_appended(262146, 786438),
+        "knopf-3-terms": lambda: TestVerifyCommand._knopf_appended(262146, 786438, 1835022),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUN_WIDE))
+    def test_run_wide_budget_fails_at_once(self, name):
+        # A run's k is a claim too, and per-step allowances compound: one
+        # budget for the whole replay ends these at once, where a replay
+        # bounded only per step builds each power of p and takes seconds to
+        # minutes, or never ends (K = 10**400).
+        argv, tamper, problem = self.RUN_WIDE[name]()
+        code, out, _ = _cli(("expand",) + argv + ("--output", "json"))
+        data = json.loads(out)
+        tamper(data)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "padic_sylvester.cli", "verify", "-"],
+                              input=json.dumps(data), capture_output=True, text=True,
+                              env=env, timeout=10)
+        assert time.perf_counter() - start < 2
+        assert (done.returncode, done.stderr) == (1, "")
+        assert problem in done.stdout
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_sylvester_term_moved_by_p_to_the_k_fails(self, sign):
         # The last of 4 rational sylvester terms moved by +-p**k keeps every

@@ -508,3 +508,46 @@ class TestVerifyInputClaims:
         v = verify_expansion(p, Fraction(473, 25), _pk_473_25())
         assert v.sum_exact is False
         assert not any("sum" in problem for problem in v.problems)
+
+
+class TestVerifyRecordsAndCertificate:
+    def test_division_q_is_the_term(self):
+        # A division record whose q alone differs from its step's term.
+        e = _pk_473_25()
+        rec = e.trace[2]
+        d = rec.division._replace(q=PLocal(P3, rec.q.unit + 3, rec.q.exp))
+        bad = e._replace(trace=e.trace[:2] + (rec._replace(division=d),) + e.trace[3:])
+        assert verify_expansion(P3, Fraction(473, 25), bad).problems == [
+            "step 2: division q differs from the term"]
+
+    def test_step_after_a_zero_tail_reads_den_times_q(self):
+        # The last step repeated after the tail reached zero: the replay still
+        # forms den*q for it, so its record's b is checked against b*q.
+        e = _pk_473_25()
+        bad = e._replace(terms=e.terms + e.terms[-1:], trace=e.trace + e.trace[-1:])
+        assert verify_expansion(P3, Fraction(473, 25), bad).problems == [
+            "step 4: tail_ord 9 is not the order +Infinity",
+            "step 4: a is not the previous step's r",
+            "step 4: b is not the previous step's b*q",
+            "step 4: r is not a*q - b",
+            "terminated run does not sum to its input (tail -19683/1150)",
+            "order not increasing at step 4: +Infinity -> 9",
+        ]
+
+    @pytest.mark.parametrize("p, v, cap", [(P3, Fraction(2, 5), 1), (Prime(2), Fraction(2, 5), 1),
+                                           (Prime(5), Fraction(7, 3), 6)])
+    def test_certificate_is_compared_without_fractions(self, p, v, cap, monkeypatch):
+        # The certificate is cross-multiplied with the final tail over Z[1/p]:
+        # no replayed value becomes a Fraction, whose gcds grow quadratically
+        # with a tail's width. A wrong certificate is still caught.
+        e = knopfmacher_sylvester(p, v, max_terms=cap)
+        assert e.status == CERTIFIED_NONTERMINATING
+
+        def refuse(self):
+            raise AssertionError("a replayed value became a Fraction")
+
+        monkeypatch.setattr(PLocal, "to_fraction", refuse)
+        assert verify_expansion(p, v, e).ok
+        wrong = e._replace(certificate=e.certificate - 1)
+        assert verify_expansion(p, v, wrong).problems == [
+            f"certificate {wrong.certificate} is not the final tail"]

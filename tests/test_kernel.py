@@ -1749,6 +1749,20 @@ class TestExponentBound:
         for e in _seeded_expansions(seed, 40):
             assert verify_expansion(None if e.algorithm == "fs" else e.p, e.value, e).ok
 
+    def test_head_is_measured_from_its_order(self, monkeypatch):
+        # A Knopfmacher head's valid exponent is its tail's order o, not -o:
+        # 2/3^5 has head 2*3^-5, and one exponent off is near, even with no
+        # allowance; only the claims it breaks are listed.
+        monkeypatch.setattr(expansion, "_CLAIM_BITS", 0)
+        p, v = Prime(3), Fraction(2, 3**5)
+        e = knopfmacher_sylvester(p, v)
+        a0 = PLocal(p, 2, -4)
+        bad = e._replace(terms=(a0,), trace=(e.trace[0]._replace(q=a0),))
+        assert verify_expansion(p, v, bad).problems == [
+            "terminated run does not sum to its input (tail -4/243)",
+            "initial step left order -5 < 1",
+        ]
+
     def test_far_term_ends_the_replay(self, monkeypatch):
         # With no allowance, exponent 20 at step 1 of the 473/25 pk run is
         # too far from -1: the replay ends there, with that step's tail order
