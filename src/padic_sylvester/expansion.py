@@ -95,40 +95,41 @@ def value_operands(value) -> tuple[int, int]:
 
 class _Algorithm(NamedTuple):
     """One algorithm's step, for expand and verify alike. k(o): the k it
-    gives a step at tail order o (None without a prime). pick(i, num, y,
-    den, o, norm, k): expand's (q, r, division) for step i, r the next num
-    where the pick knows it (None: num*q - den), or None to end the run;
-    norm is a quadratic tail's. rule(i, a, num, q, k): verify's problem, or
-    None, with a term q that stepped numerator a to num at the claimed k.
+    gives a step at tail order o (None without a prime, where only a k the
+    algorithm fixes is asked for). pick(i, num, y, den, o, norm, k, power):
+    expand's (q, r, division) for step i, r the next num where the pick
+    knows it (None: num*q - den), or None to end the run; norm is a
+    quadratic tail's, power a rational run's ladder of powers of p
+    (valuation._powers). rule(i, a, num, q, k): verify's problem, or None,
+    with a term q that stepped numerator a to num at the claimed k.
     record: the field every step carries ("division", "remainder" or
     None). head: whether step 0 is an additive head, stepping num to
-    num - den*q. power: a rational run's ladder of powers of p
-    (valuation._powers). takes_k: whether a run's k applies."""
+    num - den*q. takes_k: whether k comes from the run, so that a run's k
+    applies."""
 
     k: object
     pick: object
     rule: object = None
     record: "str | None" = None
     head: bool = False
-    power: object = None
     takes_k: bool = True
 
 
-def _division_algorithm(p, k_of, power, record="division", rule=None):
+def _division_algorithm(p, k_of, record="division", rule=None):
     """The step q, r = pk_divide(p, k, num, den) with k = k_of(ord(num/den)),
     recording the division where `record` is set. The run's steps share one
-    ladder of powers of p, `power`."""
+    ladder of powers of p."""
 
-    def pick(i, num, y, den, o, norm, k):
+    def pick(i, num, y, den, o, norm, k, power):
         d = _pk_divide(p, k, num, den, power)
         if d.q.is_zero():
             raise RuntimeError(f"quotient 0 at step {i}; k = {k} is too small here")
         return d.q, d.r, d
 
-    return _Algorithm(k_of, pick, rule, record, False, power)
+    return _Algorithm(k_of, pick, rule, record)
 
 
-def _sylvester_algorithm(p, k, zeta, power):
+def _sylvester_algorithm(p, k, zeta):
     """modified_sylvester's step. On a quadratic zeta its term is
     quadratic._sylvester_terms', with no rule checked yet (the ceiling's
     real condition would sit beside it). On a rational it is the p**k
@@ -138,18 +139,18 @@ def _sylvester_algorithm(p, k, zeta, power):
     lengths before it builds a power of p."""
     if isinstance(zeta, QuadElement):
         term = _sylvester_terms(zeta, k)
-        return _Algorithm(lambda o: k, lambda i, n, y, m, o, norm, k: (
+        return _Algorithm(lambda o: k, lambda i, n, y, m, o, norm, k, power: (
             term(n, y, m, o, norm), None, None))
 
     def rule(i, a, num, q, k):
-        if k is not None and not _below(num, a, k):
+        if k is not None and p is not None and not _below(num, a, k):
             bound = PLocal(p, a.unit, a.exp + k)  # a*p**k
             return f"step {i}: remainder {_tail_text(num)} is outside [0, {_tail_text(bound)})"
 
-    return _division_algorithm(p, lambda o: k, power, None, rule)
+    return _division_algorithm(p, lambda o: k, None, rule)
 
 
-def _knopf_algorithm(p, k, value, power):
+def _knopf_algorithm(p, k, value):
     """Knopfmacher's steps, all with k = 1: the head a_0 = <v>_1, then
     a_n = <1/z_n>_1 until z_n < 0 (den > 0, as every a_n > 0, so the sign
     is num's). <x>_1 is the window of x's digits from ord(x) through 0.
@@ -158,7 +159,7 @@ def _knopf_algorithm(p, k, value, power):
     value in [0, p)). The growth bound with k = 1 already gives the window's
     p-adic half, so the term is the window of its tail's reciprocal."""
 
-    def pick(i, num, y, den, o, norm, k):
+    def pick(i, num, y, den, o, norm, k, power):
         if i and num.unit < 0:
             return None
         top, bottom, start = (den, num, -o) if i else (num, den, o)  # <1/z>_1 or <z>_1
@@ -168,13 +169,13 @@ def _knopf_algorithm(p, k, value, power):
 
     def rule(i, a, num, q, k):
         # A window <.>_1 has its digits at exponents exp..0, so exp <= 0.
-        if q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
+        if p is not None and q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
             return f"step {i}: term {q} is outside the window [0, {int(p)})"
 
-    return _Algorithm(lambda o: 1, pick, rule, head=True, power=power, takes_k=False)
+    return _Algorithm(lambda o: 1, pick, rule, head=True, takes_k=False)
 
 
-def _fs_algorithm(p, k, value, power):
+def _fs_algorithm(p, k, value):
     """The classical step q, r = classical_divide(num, den) over Z, recording
     r. Its rule: r = a*q - b lies in [0, a), which makes q the classical
     greedy term."""
@@ -183,17 +184,17 @@ def _fs_algorithm(p, k, value, power):
         if not _below(num, a):
             return f"step {i}: remainder {_tail_text(num)} is outside [0, {_tail_text(a)})"
 
-    return _Algorithm(lambda o: None, lambda i, num, y, den, o, norm, k: (
+    return _Algorithm(lambda o: None, lambda i, num, y, den, o, norm, k, power: (
         *classical_divide(num, den), None), rule, "remainder", takes_k=False)
 
 
-# Each algorithm from a run's p, k, input and ladder of powers of p. adaptive
-# gives a step at order o the run's k, or the minimal valid k' = 1 - o where
-# k > -o fails (a run claiming no k, none).
+# Each algorithm from a run's p, k and input. adaptive gives a step at order
+# o the run's k, or the minimal valid k' = 1 - o where k > -o fails (a run
+# claiming no k, none).
 _ALGORITHMS = {
-    "pk": lambda p, k, value, power: _division_algorithm(p, lambda o: k, power),
-    "adaptive": lambda p, k, value, power: _division_algorithm(
-        p, lambda o: k if k is None or k > -o else 1 - o, power),
+    "pk": lambda p, k, value: _division_algorithm(p, lambda o: k),
+    "adaptive": lambda p, k, value: _division_algorithm(
+        p, lambda o: k if k is None or k > -o else 1 - o),
     "sylvester": _sylvester_algorithm,
     "knopfmacher": _knopf_algorithm,
     "fs": _fs_algorithm,
@@ -319,8 +320,9 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
     rational run with a prime shares one ladder of powers of p between its
     steps (valuation._powers). Each step finds the tail's order o (none
     without a prime) from the floor the growth bound k + 2*ord(z) of the
-    step before puts under it, and k = alg.k(o); its term q comes from
-    alg.pick on expand and from e's trace on verify. q steps num to the
+    step before puts under it, and k = alg.k(o) (without a prime, the
+    claimed k where alg.takes_k); its term q comes from alg.pick on expand
+    and from e's trace on verify. q steps num to the
     record's r (on verify once one product shows b + r = a*q), else to
     num*q - den, whose power of p the floor takes out with one exact division
     on a rational tail with a prime (_floored_difference); y to y*q; and den
@@ -340,13 +342,13 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
     Returns (alg, trace, num, y, den, problems, orders, stop): orders end
     with the tail the replay stops at, stop is the step it stops before or
     None."""
-    alg = _ALGORITHMS[name](p, k, value, None if p is None or y is not None else _powers(p))
+    alg = _ALGORITHMS[name](p, k, value)
+    power = None if p is None or y is not None else _powers(p)
     expand = e is None
     trace = [] if expand else e.trace
-    k_of, pick, rule, power, heads = alg.k, alg.pick, alg.rule, alg.power, alg.head
+    k_of, pick, rule, heads = alg.k, alg.pick, alg.rule, alg.head
     divisions, remainders = alg.record == "division", alg.record == "remainder"
-    units = num, y, den
-    problems, orders, floor = [], [], None
+    start, problems, orders, floor, budget = (num, y, den), [], [], None, None
     stop = None if expand or e.p == p else 0
     for i in count():
         head = heads and i == 0
@@ -381,28 +383,32 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
             o, norm = _surd_ord(num, y, den, value.D, value.residue, floor)
         elif p is not None:
             o = num.exp - den.exp if num.unit else POS_INF
-        k, claim = k_of(o), None if o == POS_INF else o
+        # Without a prime no order gives a k from the run, so none is checked.
+        k = rec.k if p is None and alg.takes_k else k_of(o)
+        claim = None if o == POS_INF else o
         if expand:
-            stepped = pick(i, num, y, den, o, norm, k)
+            stepped = pick(i, num, y, den, o, norm, k, power)
             if stepped is None:
                 break
             q, r, d = stepped
             rec = StepRecord(q, k, claim, d if divisions else None, r if remainders else None)
             trace.append(rec)
         else:
-            r = None if d is None else d.r
+            r = d and d.r
             if p is not None:
                 orders.append(o)
                 if rec.tail_ord != claim:
                     problems.append(f"step {i}: tail_ord {rec.tail_ord} is not the order {o}")
             if rec.k != k:
                 problems.append(f"step {i}: k {rec.k} is not the {name} k {k}")
-            if p is not None and q and q.exp != (o if head else -o) and _exponent_too_far(
-                    q, o, k, num, den, head, (*units, *(s.q for s in trace))):
-                problems.append(f"step {i}: term exponent {q.exp} is too far from "
-                                f"the order {o} to be valid")
-                stop = i
-                continue
+            if p is not None and q and q.exp != (o if head else -o):
+                budget = budget or _CLAIM_BITS + sum(  # the units the run spells out
+                    u.unit.bit_length() for u in (*start, *e.terms) if isinstance(u, PLocal))
+                if _exponent_too_far(q, o, k, num, den, head, budget):
+                    problems.append(f"step {i}: term exponent {q.exp} is too far from "
+                                    f"the order {o} to be valid")
+                    stop = i
+                    continue
         if p is not None:
             floor = None if rec.k is None or o == POS_INF else rec.k + 2 * o
         a = num
@@ -565,7 +571,7 @@ def _floored_difference(x: PLocal, z: PLocal, floor, den_exp: int, power) -> PLo
 _CLAIM_BITS = 1 << 18
 
 
-def _exponent_too_far(q, o, k, num, den, head, units) -> bool:
+def _exponent_too_far(q, o, k, num, den, head, budget) -> bool:
     """Whether term q of a step with k, taken at a tail num/den of order o,
     has an exponent too far from any valid one for the replay to build its
     power; head marks a Knopfmacher run's additive head. k is the k the
@@ -579,8 +585,8 @@ def _exponent_too_far(q, o, k, num, den, head, units) -> bool:
     exponent may pass that range by _CLAIM_BITS and den's unit bits' worth
     of p. The run allows one budget for all its steps: the operand of
     num*q - den (a head's num - den*q) that its power of p widens, by at
-    least bits(p) - 1 bits an exponent, must fit in the bits of `units`,
-    those the run spells out (its input's and its terms'), plus
+    least bits(p) - 1 bits an exponent, must fit in `budget`, the bits of
+    the units the run spells out (its input's and its terms') plus
     _CLAIM_BITS. Every value a valid run's replay builds fits in those
     units, while a claimed run k or allowances compounding from step to step
     would widen it without limit."""
@@ -592,7 +598,7 @@ def _exponent_too_far(q, o, k, num, den, head, units) -> bool:
     x, z = (num, den * q) if head else (num * q, den)  # the step's difference x - z
     gap = (x.exp - z.exp) * bits
     wide = x.unit.bit_length() + gap if gap > 0 else z.unit.bit_length() - gap
-    return wide > _CLAIM_BITS + sum(u.unit.bit_length() for u in units if isinstance(u, PLocal))
+    return wide > budget
 
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
@@ -633,7 +639,6 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     if e.algorithm not in _ALGORITHMS:
         raise PreconditionViolated(f"no algorithm {e.algorithm!r} to replay")
     alg, _, num, y, den, problems, orders, stop = _walk(e.algorithm, p, e.k, num, y, den, value, e)
-    heads = alg.head
 
     if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
         problems.append("terms differ from the trace's q values")
@@ -643,14 +648,14 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         problems.append(f"value {_tail_text(e.value)} is not the input {_tail_text(value)}")
     if e.p != p:
         problems.append(f"p {e.p and int(e.p)} is not the input's p {p and int(p)}")
-    if e.initial != heads:
+    if e.initial != alg.head:
         problems.append(f"initial flag {e.initial} does not fit a {e.algorithm} run")
     sum_exact = None
     if e.status == TERMINATED:
         sum_exact = stop is None and not num and not y
         if stop is None and not sum_exact:
-            tail = _replay_tail(num, y, den, value)
-            problems.append(f"terminated run does not sum to its input (tail {_tail_text(tail)})")
+            tail = _tail_text(_replay_tail(num, y, den, value))
+            problems.append(f"terminated run does not sum to its input (tail {tail})")
     if e.status != TERMINATED and stop is None and not num and not y:
         problems.append(f"status {e.status} but the replayed tail is zero")
     c = e.certificate
@@ -669,7 +674,7 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         strictly_increasing = growth_ok = True
         for i in range(len(orders) - 1):
             s, nxt = orders[i], orders[i + 1]
-            k_i = None if heads and i == 0 else e.trace[i].k
+            k_i = None if alg.head and i == 0 else e.trace[i].k
             if k_i is None:
                 # Additive initial term: only ord >= 1 is promised.
                 if not nxt >= 1:

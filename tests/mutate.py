@@ -4,16 +4,16 @@ A mutant (tests/mutants.py) is one exact edit of one source file: `find`,
 which must occur exactly once, is replaced by `replace`. For each mutant the
 runner copies src/, tests/ and bench/quad_pool.json to a temporary
 directory, applies the edit there and runs pytest with -x on the mutant's
-`tests` under a timeout (the mutant's own `timeout`, where a broken bound
-hangs a test). A failing run kills the mutant, and the first failing test
-is printed; a run past the timeout counts as killed too, and is reported
-as timed out. A mutant with a
+`tests` under a timeout (TIMEOUT, or the mutant's own `timeout` where a
+broken bound hangs a test). JOBS mutants run at once. A failing run kills
+the mutant, and the first failing test is printed; a run past the timeout
+counts as killed too, and is reported as timed out. A mutant with a
 `survives` reason is expected to pass the tests (an equivalent mutant, which
 changes no result); it must survive, so that a stale reason shows.
 
-    python tests/mutate.py                  # every mutant, one at a time
-    python tests/mutate.py --jobs 2 NAME..  # the named mutants, two at once
-    python tests/mutate.py --self-test      # the runner on a toy project
+    python tests/mutate.py              # every mutant
+    python tests/mutate.py NAME..       # the named mutants
+    python tests/mutate.py --self-test  # the runner on a toy project
 
 Exit status 0 when every mutant is killed or survives as expected, 1 when a
 mutant survives unexpectedly, dies though expected to survive, no longer
@@ -36,6 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "bench/quad_pool.json")
+TIMEOUT = 120  # seconds per mutant, unless it sets its own
+JOBS = min(2, os.cpu_count() or 1)  # pytest runs at once: one per core, two at most
 
 
 def _copy(root: Path, dest: Path) -> None:
@@ -59,7 +61,7 @@ def _apply(dest: Path, m: dict) -> "str | None":
     return None
 
 
-def run_one(root: Path, m: dict, timeout: float) -> tuple[str, float, str]:
+def run_one(root: Path, m: dict) -> tuple[str, float, str]:
     """(outcome, seconds, detail) of one mutant: killed, survived, timed out,
     stale or error."""
     start = time.perf_counter()
@@ -74,7 +76,7 @@ def run_one(root: Path, m: dict, timeout: float) -> tuple[str, float, str]:
                 *m["tests"]]
         try:
             done = subprocess.run(argv, cwd=dest, env=env, capture_output=True, text=True,
-                                  timeout=m.get("timeout") or timeout)
+                                  timeout=m.get("timeout") or TIMEOUT)
         except subprocess.TimeoutExpired:
             return "timed out", time.perf_counter() - start, ""
     seconds = time.perf_counter() - start
@@ -94,14 +96,14 @@ def verdict(m: dict, outcome: str) -> bool:
     return outcome in ("killed", "timed out")
 
 
-def run(root: Path, mutants: list, timeout: float, jobs: int) -> int:
+def run(root: Path, mutants: list) -> int:
     bad = 0
     start = time.perf_counter()
 
     def one(m):
-        return m, run_one(root, m, timeout)
+        return m, run_one(root, m)
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
         for m, (outcome, seconds, detail) in pool.map(one, mutants):
             ok = verdict(m, outcome)
             bad += not ok
@@ -123,7 +125,7 @@ SELF_TEST_MUTANTS = [
 ]
 
 
-def self_test(timeout: float) -> int:
+def self_test() -> int:
     """Run three mutants of a toy project: one the test kills, one
     equivalent one that survives, one whose source text is gone. Each must
     get that outcome."""
@@ -137,7 +139,7 @@ def self_test(timeout: float) -> int:
         want = {"must-die": "killed", "must-survive": "survived", "must-be-stale": "stale"}
         bad = 0
         for m in SELF_TEST_MUTANTS:
-            outcome = run_one(root, m, timeout)[0]
+            outcome = run_one(root, m)[0]
             killable = m["name"] != "must-be-stale"
             ok = outcome == want[m["name"]] and verdict(m, outcome) == killable
             bad += not ok
@@ -148,12 +150,10 @@ def self_test(timeout: float) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("names", nargs="*", help="run only these mutants")
-    ap.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant")
-    ap.add_argument("--jobs", type=int, default=1, help="mutants run at once")
     ap.add_argument("--self-test", action="store_true", help="check the runner itself")
     ns = ap.parse_args(argv)
     if ns.self_test:
-        return self_test(ns.timeout)
+        return self_test()
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     from mutants import MUTANTS
 
@@ -161,7 +161,7 @@ def main(argv=None) -> int:
     unknown = set(ns.names) - {m["name"] for m in MUTANTS}
     if unknown:
         ap.error(f"no such mutant: {', '.join(sorted(unknown))}")
-    return run(ROOT, mutants, ns.timeout, ns.jobs)
+    return run(ROOT, mutants)
 
 
 if __name__ == "__main__":

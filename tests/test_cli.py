@@ -404,6 +404,7 @@ class TestCompareCommand:
 
 PK_473_25 = ("--alg", "pk", "--p", "3", "--k", "1", "--value", "473/25")
 KNOPF_2_5 = ("--alg", "knopf", "--p", "3", "--value", "2/5")
+FS_5_121 = ("--alg", "fs", "--value", "5/121")
 
 
 def _bump(entry, key, by):
@@ -538,12 +539,23 @@ class TestVerifyCommand:
         (PK_473_25, lambda d: d["terms"].__setitem__(
             0, {"initial": False, "display": "1/2", "q": "2"}),
          "terms[0].q differs from the re-rendered report"),
+        # An fs report, which has no prime, relabelled as a run that needs
+        # one: its steps are replayed over Z, with no order to give a k from
+        # the run and no window or p**k bound to check a term against.
+        (FS_5_121, lambda d: d.update(algorithm="adaptive", k="1"),
+         "step 0: division record does not fit a adaptive run"),
+        (FS_5_121, lambda d: d.update(algorithm="knopfmacher"),
+         "step 0: k None is not the knopfmacher k 1"),
+        (FS_5_121, lambda d: (d.update(algorithm="sylvester", k="1"),
+                              d["terms"][0].update(q="24"), d["trace"][0].update(q="24", k="1")),
+         "step 0: remainder does not fit a sylvester run"),
     ], ids=["term", "expansion", "jumped", "case", "rbar", "zero-term", "lhs", "a", "q",
             "tail-ord", "first-a", "b", "rbar-bound", "r", "fs-remainder", "index",
             "step-k", "certificate-sign", "certificate-tail", "certificate-status",
             "adaptive-null-k", "status-cap", "status-certified", "display", "value",
             "verification-ok", "no-division", "no-remainder", "fs-tail-ord", "fs-k",
-            "knopf-k", "knopf-initial", "int-term-with-prime"])
+            "knopf-k", "knopf-initial", "int-term-with-prime", "no-prime-adaptive",
+            "no-prime-knopf", "no-prime-sylvester"])
     def test_tampered_claim_fails(self, capsys, tmp_path, argv, tamper, problem):
         code, out, _ = run(capsys, "expand", *argv, "--output", "json")
         data = json.loads(out)
