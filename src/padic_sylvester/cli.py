@@ -92,11 +92,13 @@ def _quad_input(ns, p: Prime) -> "QuadElement | None":
 
 def _emit(ns, text, payload) -> None:
     """Print the report in the requested format. text and payload are
-    zero-argument renderers; only the requested one runs."""
-    if ns.output == "json":
-        print(json.dumps(payload(), indent=2))
-    else:
-        print(text())
+    zero-argument renderers; only the requested one runs. A report with a
+    value past the int/str digit limit prints nothing and is an error."""
+    try:
+        out = json.dumps(payload(), indent=2) if ns.output == "json" else text()
+    except ValueError as exc:  # str() of a value past the int/str digit limit
+        raise UsageError(f"report cannot be printed: {exc}")
+    print(out)
 
 
 def _cmd_expand(ns) -> int:

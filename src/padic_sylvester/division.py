@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, HypothesisViolated, NonPositiveDivisor
-from .valuation import _LADDER_FROM, PLocal, Prime, ord_p
+from .valuation import PLocal, Prime, ord_p
 
 CASE_1 = "case1"
 CASE_2 = "case2"
@@ -64,9 +64,9 @@ def pk_divide(p: Prime, k: int, a, b) -> DivisionStep:
 
 
 def _pk_divide(p: Prime, k: int, a, b, power) -> DivisionStep:
-    """pk_divide with case 1's p**(alpha+k-beta) taken from power, from
-    _LADDER_FROM up: a run's ladder (valuation._powers) squares each step's
-    power up from the last one."""
+    """pk_divide with case 1's p**(alpha+k-beta) taken from power: a run's
+    ladder (valuation._powers) squares each step's power up from the last
+    one."""
     a = PLocal.from_fraction(p, a)
     b = PLocal.from_fraction(p, b)
     if a.unit <= 0:
@@ -82,8 +82,7 @@ def _pk_divide(p: Prime, k: int, a, b, power) -> DivisionStep:
         # widest power of p is never built.
         num = bhat
         if rbar:
-            e = alpha + k - beta
-            num += rbar * (p**e if e < _LADDER_FROM else power(e))
+            num += rbar * power(alpha + k - beta)
         case = CASE_1
         q_exp = beta - alpha
     else:

@@ -304,13 +304,14 @@ def modified_sylvester(
     return Expansion("sylvester", zeta, p, k, terms, status, trace)
 
 
-def _replay_ord(num, y, den, value, floor=None):
-    """Order of a replayed tail (num + y*sqrt(D)) / den over Z[1/p]; y is
-    None on a rational. floor, a lower bound for it or None, only speeds up
-    finding a quadratic order (_surd_ord)."""
+def _tail_ord(p, num, y, den, value, floor):
+    """(o, norm): the order over Z[1/p] of the tail (num + y*sqrt(D))/den
+    (None without a prime) and the norm a quadratic tail's order is read off
+    (None on a rational, whose y is None). floor, a lower bound for o or
+    None, only speeds up finding a quadratic order (_surd_ord)."""
     if y:
-        return _surd_ord(num, y, den, value.D, value.residue, floor)[0]
-    return POS_INF if num.is_zero() else num.exp - den.exp
+        return _surd_ord(num, y, den, value.D, value.residue, floor)
+    return (None if p is None else num.exp - den.exp if num.unit else POS_INF), None
 
 
 def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
@@ -318,30 +319,29 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
     or verify run e from the tail, an unreduced pair num/den over Z[1/p] (Z
     without a prime), a quadratic one with y*sqrt(D) riding along. A
     rational run with a prime shares one ladder of powers of p between its
-    steps (valuation._powers). Each step finds the tail's order o (none
-    without a prime) from the floor the growth bound k + 2*ord(z) of the
-    step before puts under it, and k = alg.k(o) (without a prime, the
-    claimed k where alg.takes_k); its term q comes from alg.pick on expand
-    and from e's trace on verify. q steps num to the
-    record's r (on verify once one product shows b + r = a*q), else to
-    num*q - den, whose power of p the floor takes out with one exact division
-    on a rational tail with a prime (_floored_difference); y to y*q; and den
-    to den*q unless the tail is zero and no later step reads it. The head,
-    position 0 of a Knopfmacher run, steps num to num - den*q. Expand stops
-    on a zero tail, after max_terms reciprocal terms or where the pick ends
-    the run. Verify lists each step's problems together, in step order: the
-    fields its algorithm records, a zero reciprocal term, its division
-    record, its ord(tail) and k against the replayed order and alg.k, a term
-    exponent too far from that order (_exponent_too_far), its link in the
-    chain and its term rule. The first division record's a/b must be the
-    input, and its a, b then seed the pair; each later a, b must be the pair
-    and each r the next num, which gives b = a*q - r and the chain; a
-    classical remainder must be the next num too. A zero or far term ends
-    the replay before its power of p is built, a run over another prime
-    than p before its first step; later steps get only the field checks.
-    Returns (alg, trace, num, y, den, problems, orders, stop): orders end
-    with the tail the replay stops at, stop is the step it stops before or
-    None."""
+    steps (valuation._powers). Each step finds the tail's order o
+    (_tail_ord) above the floor the growth bound k + 2*ord(z) of the step
+    before puts under it, and k = alg.k(o) (without a prime, the claimed k
+    where alg.takes_k); its term q comes from alg.pick on expand and from
+    e's trace on verify. q steps num to the pick's or the record's r (on
+    verify once one product shows b + r = a*q), else to num*q - den, whose
+    power of p the floor takes out with one exact division on a rational
+    tail with a prime (_floored_difference); y to y*q; and den to den*q
+    unless the tail is zero and no later step reads it. The head, position
+    0 of a Knopfmacher run, steps num to num - den*q. Expand stops on a zero
+    tail, after max_terms reciprocal terms or where the pick ends the run.
+
+    Verify checks a step at three points, so that its problems come
+    together and in step order: before the order, its recorded fields, a
+    zero reciprocal term and its division record; before the arithmetic,
+    its ord(tail) and k, a term exponent too far from the order
+    (_exponent_too_far) and its a, b against the pair; after it, its r and
+    remainder against the next num and its term rule. A step-0 record whose
+    a/b is the input seeds the pair. A zero or far term ends the replay
+    before its power of p is built, a run over another prime than p before
+    its first step; later steps get only the field checks. Returns (alg,
+    trace, num, y, den, problems, orders, stop): orders end with the tail
+    the replay stops at, stop is the step it stops before or None."""
     alg = _ALGORITHMS[name](p, k, value)
     power = None if p is None or y is not None else _powers(p)
     expand = e is None
@@ -350,16 +350,16 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
     divisions, remainders = alg.record == "division", alg.record == "remainder"
     start, problems, orders, floor, budget = (num, y, den), [], [], None, None
     stop = None if expand or e.p == p else 0
-    for i in count():
+    d = trace[0].division if trace and stop is None and not heads else None
+    seeded = d is not None and d.a * den == d.b * num
+    if seeded:
+        num, den = d.a, d.b
+    for i in (count() if expand else range(len(trace))):
         head = heads and i == 0
         if expand:
             if not head and (not (num or y) or max_terms is not None and i - heads >= max_terms):
                 break
-        elif i == len(trace):
-            if p is not None and len(orders) == (i if stop is None else stop):
-                orders.append(_replay_ord(num, y, den, value, floor))
-            break
-        else:
+        else:  # before the order
             rec = trace[i]
             q, d = rec.q, rec.division
             if (d is not None) != divisions:
@@ -378,11 +378,7 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
                 problems.extend(_division_record_problems(rec, i))
             if p is not None and not isinstance(q, PLocal):
                 q = PLocal(p, q)
-        o = norm = None  # a quadratic tail's norm gives its order
-        if y:
-            o, norm = _surd_ord(num, y, den, value.D, value.residue, floor)
-        elif p is not None:
-            o = num.exp - den.exp if num.unit else POS_INF
+        o, norm = _tail_ord(p, num, y, den, value, floor)
         # Without a prime no order gives a k from the run, so none is checked.
         k = rec.k if p is None and alg.takes_k else k_of(o)
         claim = None if o == POS_INF else o
@@ -393,8 +389,7 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
             q, r, d = stepped
             rec = StepRecord(q, k, claim, d if divisions else None, r if remainders else None)
             trace.append(rec)
-        else:
-            r = d and d.r
+        else:  # before the arithmetic
             if p is not None:
                 orders.append(o)
                 if rec.tail_ord != claim:
@@ -409,42 +404,42 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
                                     f"the order {o} to be valid")
                     stop = i
                     continue
+            r = None
+            if d is not None and not head:
+                if i == 0 and not seeded:
+                    problems.append(f"step {i}: a/b differs from the input")
+                if i and d.a != num:
+                    problems.append(f"step {i}: a is not the previous step's r")
+                if i and d.b != den:
+                    problems.append(f"step {i}: b is not the previous step's b*q")
+                if power and _record_holds(num, den, q, d.r, power):
+                    r = d.r  # b + r = a*q, so the record's r is a*q - b
         if p is not None:
             floor = None if rec.k is None or o == POS_INF else rec.k + 2 * o
         a = num
         if head:
             num -= den * q
         else:
-            if not expand and d is not None:
-                if i == 0 and d.a * den == d.b * num:
-                    num, den = d.a, d.b
-                elif i == 0:
-                    problems.append(f"step {i}: a/b differs from the input")
-                else:
-                    if d.a != num:
-                        problems.append(f"step {i}: a is not the previous step's r")
-                    if d.b != den:
-                        problems.append(f"step {i}: b is not the previous step's b*q")
-                a = num
-            if r is not None and (expand or power and _record_holds(num, den, q, r, power)):
-                num = r  # b + r = a*q, so the record's r is a*q - b
+            if r is not None:
+                num = r
             elif power:
                 num = _floored_difference(num * q, den, floor, den.exp + q.exp, power)
             else:
                 num = num * q - den
             if y is not None:
                 y = y * q
-            if num or y or not expand and i + 1 < len(trace):
+            if num or y or i + 1 < len(trace):
                 den = den * q
-            if expand:
-                continue
-            if d is not None and d.r != num:
+        if not expand:  # after the arithmetic
+            if not head and d is not None and d.r != num:
                 problems.append(f"step {i}: r is not a*q - b")
-            if rec.remainder is not None and rec.remainder != num:
+            if not head and rec.remainder is not None and rec.remainder != num:
                 problems.append(f"step {i}: remainder {rec.remainder} is not a*q - b")
-        problem = not expand and rule and rule(i, a, num, q, rec.k)
-        if problem:
-            problems.append(problem)
+            problem = rule and rule(i, a, num, q, rec.k)
+            if problem:
+                problems.append(problem)
+    if not expand and p is not None and len(orders) == (len(trace) if stop is None else stop):
+        orders.append(_tail_ord(p, num, y, den, value, floor)[0])
     return alg, trace, num, y, den, problems, orders, stop
 
 
@@ -617,13 +612,9 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     exactly the certified runs, equal to the final tail (compared by cross-
     multiplying over Z[1/p], building no Fraction) and negative. Last come
     strictly increasing orders with the growth bound
-    ord(z_{i+1}) >= k_i + 2*ord(z_i) (orders need a prime).
-
-    Each order is found from the floor the growth bound puts under it, with
-    the step's claimed k (a quadratic one off the norm num**2 - D*y**2, as
-    expanding finds it); the report's tail_ord values are only compared. A
-    floor that fails only costs one division before the full strip
-    (valuation._strip), so the problems are those of the plain replay.
+    ord(z_{i+1}) >= k_i + 2*ord(z_i) (orders need a prime). The report's
+    tail_ord values are only compared: each order is found from the floor
+    the growth bound puts under it, which never changes the result.
     """
     y = None
     if isinstance(value, QuadElement):

@@ -24,6 +24,8 @@ def _is_prime(n: int) -> bool:
     for w in _MR_WITNESSES:
         if n % w == 0:
             return n == w
+    if n < 43 * 43:  # a composite this small has a prime factor of at most 41
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -76,8 +78,8 @@ class _PositiveInfinity(float):
 POS_INF = _PositiveInfinity()
 
 
-# Below this exponent p**e is one cheap builtin call, and the callers build
-# it directly rather than pay a ladder's Python call for it.
+# Below this exponent p**e is one cheap builtin call, and a ladder builds it
+# directly, leaving its state as it was.
 _LADDER_FROM = 64
 
 
@@ -90,13 +92,15 @@ def _powers(p: int):
     power squared times p**(e - 2*last): one squaring, where p**e from
     nothing squares its way up from p. The last exponent asked for again
     costs nothing; any other exponent below twice it is built from nothing.
-    e must be nonnegative. Each run makes its own ladder, and asks it only
-    for exponents from _LADDER_FROM up.
+    An exponent below _LADDER_FROM is built from nothing and leaves the
+    ladder as it was. e must be nonnegative. Each run makes its own ladder.
     """
     last, last_power = 0, 1
 
     def power(e: int) -> int:
         nonlocal last, last_power
+        if e < _LADDER_FROM:
+            return p**e
         if e != last:
             if 2 * last <= e:
                 last_power = last_power * last_power * p ** (e - 2 * last)
@@ -125,7 +129,7 @@ def _strip(p: int, n: int, floor: int = 0, power=None) -> tuple[int, int]:
     if n % p:
         return 0, n
     if 0 < floor and floor * (p.bit_length() - 1) <= n.bit_length():
-        q, rem = divmod(n, p**floor if power is None or floor < _LADDER_FROM else power(floor))
+        q, rem = divmod(n, p**floor if power is None else power(floor))
         if not rem:
             v, u = _strip(p, q)
             return v + floor, u
@@ -336,18 +340,16 @@ class PLocal:
 def _record_holds(a: PLocal, b: PLocal, q: PLocal, r: PLocal, power) -> bool:
     """Whether b + r = a*q, a division record's equation. On a valid record
     r's exponent is the larger, and its power of p over b comes from power,
-    a run's ladder (_powers), from _LADDER_FROM up. For e = r.exp - b.exp
-    != 0 the sum's unit is that of b or r plus the other's times p**|e|,
-    which must be unit(a*q): bit lengths rule out a wider power before it
-    is built."""
+    a run's ladder (_powers). For e = r.exp - b.exp != 0 the sum's unit is
+    that of b or r plus the other's times p**|e|, which must be unit(a*q):
+    bit lengths rule out a wider power before it is built."""
     aq, e = a * q, r.exp - b.exp
     if abs(e) >= _LADDER_FROM and b and r and abs(e) * (b.p.bit_length() - 1) > 1 + max(
             aq.unit.bit_length(), b.unit.bit_length(), r.unit.bit_length()):
         return False
     if not r or e < 0:
         return b + r == aq
-    pe = b.p**e if e < _LADDER_FROM else power(e)
-    return PLocal(b.p, b.unit + r.unit * pe, b.exp) == aq
+    return PLocal(b.p, b.unit + r.unit * power(e), b.exp) == aq
 
 
 def _below(r, b, k: int = 0) -> bool:

@@ -42,13 +42,13 @@ MUTANTS = [
     M("k-no-prime", "k = rec.k if p is None and alg.takes_k else k_of(o)", "k = k_of(o)", [CLI]),
     M("far-exponent", "if _exponent_too_far(q, o, k, num, den, head, budget):", "if False:",
       [KERNEL, CLI]),
-    M("first-a-b", "if i == 0 and d.a * den == d.b * num:", "if i == 0:"),
-    M("chain-a", "if d.a != num:", "if False:"),
-    M("chain-b", "if d.b != den:", "if False:"),
-    M("chain-r", "if d is not None and d.r != num:", "if False:"),
-    M("chain-remainder", "if rec.remainder is not None and rec.remainder != num:", "if False:"),
-    M("rule-call", "problem = not expand and rule and rule(i, a, num, q, rec.k)",
-      "problem = None"),
+    M("first-a-b", "seeded = d is not None and d.a * den == d.b * num", "seeded = d is not None"),
+    M("chain-a", "if i and d.a != num:", "if False:"),
+    M("chain-b", "if i and d.b != den:", "if False:"),
+    M("chain-r", "if not head and d is not None and d.r != num:", "if False:"),
+    M("chain-remainder", "if not head and rec.remainder is not None and rec.remainder != num:",
+      "if False:"),
+    M("rule-call", "problem = rule and rule(i, a, num, q, rec.k)", "problem = None"),
     # Each algorithm's term rule, beside its pick.
     M("rule-fs", "        if not _below(num, a):", "        if False:"),
     M("rule-sylvester", "if k is not None and p is not None and not _below(num, a, k):",
@@ -104,23 +104,22 @@ MUTANTS = [
       "_CLAIM_BITS) // bits:", [KERNEL]),
     M("exponent-slack-case-2", "> max(0, -(k or 0) - o) + (", "> (", [KERNEL]),
     M("exponent-head", "abs(q.exp - o if head else q.exp + o)", "abs(q.exp + o)", [KERNEL, CLI]),
-    M("record-trusted", "(expand or power and _record_holds(num, den, q, r, power))",
-      "(expand or power)", [KERNEL]),
+    M("record-trusted", "if power and _record_holds(num, den, q, d.r, power):", "if power:",
+      [KERNEL]),
     M("head-sign", "num -= den * q", "num = den * q - num"),
-    M("den-product-after-final-term", "if num or y or not expand and i + 1 < len(trace):",
-      "if True:", [KERNEL]),
-    M("den-skip-before-later-steps", "if num or y or not expand and i + 1 < len(trace):",
-      "if num or y:"),
+    M("den-product-after-final-term", "if num or y or i + 1 < len(trace):", "if True:",
+      [KERNEL]),
+    M("den-skip-before-later-steps", "if num or y or i + 1 < len(trace):", "if num or y:"),
     M("adaptive-k", "lambda o: k if k is None or k > -o else 1 - o", "lambda o: k"),
     M("below-bits", "return d * bits < b.unit.bit_length() and r.unit * r.p**d < b.unit",
       "return r.unit * r.p**d < b.unit", ["tests/test_kernel.py::TestTermRuleComparison"],
-      file=VAL, timeout=30),
+      file=VAL),
     M("below-low", "return 0 <= r < b", "return r < b", file=VAL),
     M("record-guard",
       "if abs(e) >= _LADDER_FROM and b and r and abs(e) * (b.p.bit_length() - 1) > 1 + max(",
       "if False and abs(e) >= _LADDER_FROM and b and r and "
       "abs(e) * (b.p.bit_length() - 1) > 1 + max(",
-      ["tests/test_kernel.py::TestPowerLadder"], file=VAL, timeout=30),
+      ["tests/test_kernel.py::TestPowerLadder"], file=VAL),
     M("ladder-square", "last_power = last_power * last_power * p ** (e - 2 * last)",
       "last_power = last_power * p ** (e - last)", [KERNEL], file=VAL),
     M("render-guard", "if limit and e >= limit / math.log10(p):", "if False:", [CLI, KERNEL],

@@ -295,6 +295,29 @@ class TestRendersOnlyRequestedFormat:
         assert code == 0 and json.loads(out)["status"] == "terminated"
 
 
+class TestUnprintableReport:
+    """A report with a value past CPython's int/str digit limit prints
+    nothing: one error line that keeps str()'s message, and exit 1, in
+    either output format. Each runs in a subprocess with a timeout."""
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--which", "nojump", "--p", "3", "--k", "-20000", "--value", "1/2"),
+        ("expand", "--alg", "pk", "--p", "101", "--k", "1",
+         "--value", f"{10**16 + 7}/{10**16 + 9}"),
+    ], ids=["compare-nojump", "expand-pk"])
+    def test_error_line(self, argv, output):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "padic_sylvester.cli", *argv,
+                               "--output", output], capture_output=True, text=True,
+                              env=env, timeout=10)
+        assert time.perf_counter() - start < 2
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: report cannot be printed: Exceeds the limit (")
+        assert done.stderr.count("\n") == 1
+
+
 class TestDivideCommand:
     def test_first_step(self, capsys):
         code, out, _ = run(capsys, "divide", "--p", "3", "--k", "1", "--value", "473/25")

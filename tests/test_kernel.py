@@ -16,7 +16,9 @@ step that built each power of p from nothing, all kept here as references.
 import hashlib
 from collections import Counter
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -82,8 +84,8 @@ from padic_sylvester.expansion import (
     DEFAULT_MAX_TERMS,
     _floored_difference,
     _division_record_problems,
-    _replay_ord,
     _replay_tail,
+    _tail_ord,
 )
 from padic_sylvester.quadratic import PRECISION_CAP, _surd_floor, _surd_ord, _surd_triple
 from padic_sylvester.valuation import _LADDER_FROM, _below, _powers, _record_holds, _strip
@@ -163,6 +165,21 @@ class _PowerLog(Prime):
         if mod is None:
             self.log.append(exp)
         return int.__pow__(int(self), exp, mod)
+
+
+def _timed_in_subprocess(setup: str, call: str):
+    """[result, seconds] of the expression call after setup, run in a fresh
+    interpreter with the library on its path and PLocal and Prime imported.
+    Its timeout turns a call that builds a huge power of p into a failure
+    instead of a hang of the suite."""
+    code = (f"import json, time\nfrom padic_sylvester import PLocal, Prime\n{setup}\n"
+            f"start = time.perf_counter()\ngot = {call}\n"
+            f"print(json.dumps([got, time.perf_counter() - start]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(valuation.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 class TestStrip:
@@ -1193,7 +1210,7 @@ def reference_stripping_verify_expansion(p, value, e):
         if d is not None:
             problems.extend(_division_record_problems(rec, i))
         if p is not None:
-            o = _replay_ord(num, y, den, value)
+            o = _tail_ord(p, num, y, den, value, None)[0]
             orders.append(o)
             if rec.tail_ord != (None if o == POS_INF else o):
                 problems.append(f"step {i}: tail_ord {rec.tail_ord} is not the order {o}")
@@ -1237,7 +1254,7 @@ def reference_stripping_verify_expansion(p, value, e):
     if zero is not None:
         problems.append(f"step {zero}: term is zero")
     if p is not None:
-        orders.append(_replay_ord(num, y, den, value))
+        orders.append(_tail_ord(p, num, y, den, value, None)[0])
     if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
         problems.append("terms differ from the trace's q values")
 
@@ -1375,11 +1392,13 @@ class TestTermRuleComparison:
         assert _below(r.unit, b.unit) == (0 <= r.unit < b.unit)
 
     def test_wide_gaps_build_no_power(self):
-        p = Prime(101)
-        start = time.perf_counter()
-        assert not _below(PLocal(p, 5, 10**400), PLocal(p, 7))
-        assert _below(PLocal(p, 5), PLocal(p, 7, 10**400))
-        assert time.perf_counter() - start < 1
+        got, seconds = _timed_in_subprocess(
+            "from padic_sylvester.valuation import _below\n"
+            "p = Prime(101)",
+            "[_below(PLocal(p, 5, 10**400), PLocal(p, 7)),"
+            " _below(PLocal(p, 5), PLocal(p, 7, 10**400))]")
+        assert got == [False, True]
+        assert seconds < 1
 
 
 class TestVerifierDoesNotStrip:
@@ -1861,18 +1880,22 @@ class TestPowerLadder:
                 assert kinds[p, case, False, False, False]
 
     def test_powers_match_builtin_pow(self):
-        # Every exponent gives p**e. The last one asked again builds no
-        # power, one at least twice the last builds p**(e - 2*last), and any
-        # other p**e.
+        # Every exponent gives p**e. One below _LADDER_FROM builds p**e and
+        # leaves the ladder as it was; from there up, the last one asked
+        # again builds no power, one at least twice the last builds
+        # p**(e - 2*last), and any other p**e.
         rng = random.Random(16)
         for p in (2, 3, 101):
             log = []
             power = _powers(_PowerLog(p, log))
             last = 0
             for e in [0, 64, 64, 128, 300, 299, 1000, 2000, 2000, 5, 4001] + [
-                    rng.randrange(5000) for _ in range(50)]:
+                    rng.randrange(5000) for _ in range(50)] + list(range(_LADDER_FROM)):
                 log.clear()
                 assert power(e) == p**e
+                if e < _LADDER_FROM:
+                    assert log == [e]
+                    continue
                 assert log == ([] if e == last else [e - 2 * last] if 2 * last <= e else [e])
                 last = e
 
@@ -1893,12 +1916,14 @@ class TestPowerLadder:
     def test_record_check_builds_no_power_wider_than_its_units(self):
         # A claimed r whose exponent is 10**400 above or below b's cannot
         # make b + r = a*q; the bit lengths say so before p**(10**400).
-        p = Prime(3)
-        a, b, q = PLocal(p, 473), PLocal(p, 25), PLocal(p, 2)
-        start = time.perf_counter()
-        for exp in (10**400, -(10**400)):
-            assert not _record_holds(a, b, q, PLocal(p, 307, exp), _powers(p))
-        assert time.perf_counter() - start < 1
+        got, seconds = _timed_in_subprocess(
+            "from padic_sylvester.valuation import _powers, _record_holds\n"
+            "p = Prime(3)\n"
+            "a, b, q = PLocal(p, 473), PLocal(p, 25), PLocal(p, 2)",
+            "[_record_holds(a, b, q, PLocal(p, 307, exp), _powers(p))"
+            " for exp in (10**400, -(10**400))]")
+        assert got == [False, False]
+        assert seconds < 1
 
     @pytest.mark.parametrize("p", [2, 101])
     def test_ladder_runs_match_reference(self, p):

@@ -51,6 +51,20 @@ class TestPrime:
             with pytest.raises(NotPrime, match="is not prime"):
                 Prime(n)
 
+    def test_agrees_with_a_sieve_below_2000(self):
+        # Below 43**2 the trial divisions by the witnesses decide alone;
+        # 43**2 = 1849 is the first composite that Miller-Rabin must reject.
+        sieve = [False, False] + [True] * 1998
+        for i in range(2, 45):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(range(i * i, 2000, i))
+        for n, prime in enumerate(sieve):
+            if prime:
+                assert Prime(n) == n
+            else:
+                with pytest.raises(NotPrime):
+                    Prime(n)
+
     def test_rejects_strong_pseudoprimes_to_the_witnesses(self):
         # 399165290221 * 798330580441 passes every witness up to 37.
         with pytest.raises(NotPrime, match="is not prime"):
