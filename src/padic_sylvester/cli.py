@@ -31,7 +31,7 @@ from .expansion import (
     verify_expansion,
 )
 from .quadratic import QuadElement, _check_width, quad_digits
-from .valuation import PLocal, Prime
+from .valuation import Prime
 
 
 class UsageError(Exception):
@@ -84,9 +84,7 @@ def _quad_input(ns, p: Prime) -> "QuadElement | None":
             p,
             ns.padic_residue,
         )
-    except PadicSylvesterError as exc:
-        raise UsageError(f"quadratic input: {exc}")
-    except ValueError as exc:
+    except (PadicSylvesterError, ValueError) as exc:
         raise UsageError(f"quadratic input: {exc}")
 
 
@@ -136,7 +134,7 @@ def _cmd_expand(ns) -> int:
             k = _need_k(ns)
             value = _parse_fraction(ns.value, "--value")
             a, b = value_operands(value)
-            e = pk_greedy(p, k, PLocal(p, a), PLocal(p, b))
+            e = pk_greedy(p, k, a, b)
         elif alg == "adaptive":
             k = _need_k(ns)
             value = _parse_fraction(ns.value, "--value")
@@ -160,7 +158,7 @@ def _cmd_divide(ns) -> int:
         raise UsageError("--value is required (the fraction a/b; the step divides b by a)")
     value = _parse_fraction(ns.value, "--value")
     a, b = value_operands(value)
-    step = pk_divide(p, k, PLocal(p, a), PLocal(p, b))
+    step = pk_divide(p, k, a, b)
     _emit(ns, lambda: report.division_text(step), lambda: report.division_json(step))
     return 0
 
@@ -272,7 +270,8 @@ def _cmd_verify(ns) -> int:
     try:
         data = json.loads(raw)
         p, value, e = report.expansion_from_json(data)
-    except (ValueError, KeyError, TypeError, AttributeError, PadicSylvesterError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError,
+            PadicSylvesterError) as exc:
         raise UsageError(f"report: not a valid expand report ({exc})")
     v = verify_expansion(p, value, e)
     try:

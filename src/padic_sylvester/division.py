@@ -60,13 +60,6 @@ def pk_divide(p: Prime, k: int, a, b) -> DivisionStep:
     k > beta - alpha and rbar = 0, the last step of every terminating run,
     q is unit(b)/unit(a) * p**(beta-alpha) and no power of p is built.
     """
-    return _pk_divide(p, k, a, b, p.__pow__)
-
-
-def _pk_divide(p: Prime, k: int, a, b, power) -> DivisionStep:
-    """pk_divide with case 1's p**(alpha+k-beta) taken from power: a run's
-    ladder (valuation._powers) squares each step's power up from the last
-    one."""
     a = PLocal.from_fraction(p, a)
     b = PLocal.from_fraction(p, b)
     if a.unit <= 0:
@@ -74,6 +67,13 @@ def _pk_divide(p: Prime, k: int, a, b, power) -> DivisionStep:
     if b.is_zero():
         zero = PLocal.zero(p)
         return DivisionStep(p, k, a, b, zero, zero, 0, False, CASE_2)
+    return _pk_divide(p, k, a, b, p.__pow__)
+
+
+def _pk_divide(p: Prime, k: int, a: PLocal, b: PLocal, power) -> DivisionStep:
+    """pk_divide on a run's PLocals over p, a > 0 and b != 0, with case 1's
+    p**(alpha+k-beta) taken from power: a run's ladder (valuation._powers)
+    squares each step's power up from the last one."""
     alpha, ahat = a.exp, a.unit
     beta, bhat = b.exp, b.unit
     rbar = -bhat * pow(p, beta - alpha - k, ahat) % ahat

@@ -95,15 +95,14 @@ def value_operands(value) -> tuple[int, int]:
 
 class _Algorithm(NamedTuple):
     """One algorithm's step, for expand and verify alike. k(o): the k it
-    gives a step at tail order o (None without a prime, where only a k the
-    algorithm fixes is asked for). pick(i, num, y, den, o, norm, k, power):
-    expand's (q, r, division) for step i, r the next num where the pick
-    knows it (None: num*q - den), or None to end the run; norm is a
-    quadratic tail's, power a rational run's ladder of powers of p
-    (valuation._powers). rule(i, a, num, q, k): verify's problem, or None,
-    with a term q that stepped numerator a to num at the claimed k.
-    record: the field every step carries ("division", "remainder" or
-    None). head: whether step 0 is an additive head, stepping num to
+    gives a step at tail order o (None on fs, which has no prime). pick(i,
+    num, y, den, o, norm, k, power): expand's (q, r, division) for step i, r
+    the next num where the pick knows it (None: num*q - den), or None to end
+    the run; norm is a quadratic tail's, power a rational run's ladder of
+    powers of p (valuation._powers). rule(i, a, num, q, k): verify's
+    problem, or None, with a term q that stepped numerator a to num at the
+    claimed k. record: the field every step carries ("division", "remainder"
+    or None). head: whether step 0 is an additive head, stepping num to
     num - den*q. takes_k: whether k comes from the run, so that a run's k
     applies."""
 
@@ -143,7 +142,7 @@ def _sylvester_algorithm(p, k, zeta):
             term(n, y, m, o, norm), None, None))
 
     def rule(i, a, num, q, k):
-        if k is not None and p is not None and not _below(num, a, k):
+        if k is not None and not _below(num, a, k):
             bound = PLocal(p, a.unit, a.exp + k)  # a*p**k
             return f"step {i}: remainder {_tail_text(num)} is outside [0, {_tail_text(bound)})"
 
@@ -169,7 +168,7 @@ def _knopf_algorithm(p, k, value):
 
     def rule(i, a, num, q, k):
         # A window <.>_1 has its digits at exponents exp..0, so exp <= 0.
-        if p is not None and q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
+        if q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
             return f"step {i}: term {q} is outside the window [0, {int(p)})"
 
     return _Algorithm(lambda o: 1, pick, rule, head=True, takes_k=False)
@@ -216,8 +215,7 @@ def fs_greedy(a: int, b: int) -> Expansion:
     value = Fraction(a, b)
     if value <= -1:
         raise PreconditionViolated(f"a/b must exceed -1, got {value}")
-    terms, trace, status, _, _ = _expand("fs", None, None, a, None, b, value)
-    return Expansion("fs", value, None, None, terms, status, trace)
+    return _expand("fs", None, None, a, None, b, value)
 
 
 def pk_greedy(p: Prime, k: int, a, b) -> Expansion:
@@ -239,9 +237,7 @@ def pk_greedy(p: Prime, k: int, a, b) -> Expansion:
     value_ord = a.exp - b.exp
     if k <= -value_ord:
         raise KTooSmall(f"need k > {-value_ord} for this value, got k = {k}")
-    value = a.to_fraction() / b.to_fraction()
-    terms, trace, status, _, _ = _expand("pk", p, k, a, None, b, value)
-    return Expansion("pk", value, p, k, terms, status, trace)
+    return _expand("pk", p, k, a, None, b, a.to_fraction() / b.to_fraction())
 
 
 def adaptive_pk_greedy(p: Prime, k: int, value) -> Expansion:
@@ -250,9 +246,7 @@ def adaptive_pk_greedy(p: Prime, k: int, value) -> Expansion:
     a finite expansion regardless of the requested k.
     """
     a, b = value_operands(value)
-    value = Fraction(a, b)
-    terms, trace, status, _, _ = _expand("adaptive", p, k, PLocal(p, a), None, PLocal(p, b), value)
-    return Expansion("adaptive", value, p, k, terms, status, trace)
+    return _expand("adaptive", p, k, PLocal(p, a), None, PLocal(p, b), Fraction(a, b))
 
 
 def knopfmacher_sylvester(p: Prime, v, max_terms: int = DEFAULT_MAX_TERMS) -> Expansion:
@@ -261,19 +255,10 @@ def knopfmacher_sylvester(p: Prime, v, max_terms: int = DEFAULT_MAX_TERMS) -> Ex
 
     Stops on z = 0 (terminated), on a negative remainder (certified
     non-terminating), or after max_terms reciprocal terms (cap reached).
-    The certificate is sound: every later term is a positive unit fraction,
-    so a negative remainder never returns to zero.
     """
     v = Fraction(v)
     num, den = (PLocal(p, x) for x in v.as_integer_ratio())
-    terms, trace, status, num, den = _expand("knopfmacher", p, None, num, None, den, v, max_terms)
-    certificate = None
-    if status == CAP_REACHED and num.unit < 0:  # a negative tail beats the cap
-        status, certificate = CERTIFIED_NONTERMINATING, num.to_fraction() / den.to_fraction()
-    return Expansion(
-        "knopfmacher", v, p, None, terms, status, trace,
-        initial=True, certificate=certificate,
-    )
+    return _expand("knopfmacher", p, None, num, None, den, v, max_terms)
 
 
 def modified_sylvester(
@@ -300,8 +285,7 @@ def modified_sylvester(
         start_ord = num.exp - den.exp
     if k <= -start_ord:
         raise KTooSmall(f"need k > {-start_ord} for this value, got k = {k}")
-    terms, trace, status, _, _ = _expand("sylvester", p, k, num, y, den, zeta, max_terms)
-    return Expansion("sylvester", zeta, p, k, terms, status, trace)
+    return _expand("sylvester", p, k, num, y, den, zeta, max_terms)
 
 
 def _tail_ord(p, num, y, den, value, floor):
@@ -321,27 +305,30 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
     rational run with a prime shares one ladder of powers of p between its
     steps (valuation._powers). Each step finds the tail's order o
     (_tail_ord) above the floor the growth bound k + 2*ord(z) of the step
-    before puts under it, and k = alg.k(o) (without a prime, the claimed k
-    where alg.takes_k); its term q comes from alg.pick on expand and from
-    e's trace on verify. q steps num to the pick's or the record's r (on
-    verify once one product shows b + r = a*q), else to num*q - den, whose
-    power of p the floor takes out with one exact division on a rational
-    tail with a prime (_floored_difference); y to y*q; and den to den*q
-    unless the tail is zero and no later step reads it. The head, position
-    0 of a Knopfmacher run, steps num to num - den*q. Expand stops on a zero
-    tail, after max_terms reciprocal terms or where the pick ends the run.
+    before puts under it, and k = alg.k(o); its term q comes from alg.pick
+    on expand and from e's trace on verify. q steps num to the pick's or
+    the record's r (on verify once one product shows b + r = a*q), else to
+    num*q - den, whose power of p the floor takes out with one exact
+    division on a rational tail with a prime (_floored_difference); y to
+    y*q; and den to den*q unless the tail is zero and no later step reads
+    it. The head, position 0 of a Knopfmacher run, steps num to num - den*q.
+    Expand stops on a zero tail, after max_terms reciprocal terms or where
+    the pick ends the run.
 
-    Verify checks a step at three points, so that its problems come
-    together and in step order: before the order, its recorded fields, a
-    zero reciprocal term and its division record; before the arithmetic,
-    its ord(tail) and k, a term exponent too far from the order
-    (_exponent_too_far) and its a, b against the pair; after it, its r and
-    remainder against the next num and its term rule. A step-0 record whose
-    a/b is the input seeds the pair. A zero or far term ends the replay
-    before its power of p is built, a run over another prime than p before
-    its first step; later steps get only the field checks. Returns (alg,
-    trace, num, y, den, problems, orders, stop): orders end with the tail
-    the replay stops at, stop is the step it stops before or None."""
+    Verify first checks the run's ring: a prime exactly where the algorithm is
+    not fs, so that the replay's p, once e's, fits it too. Then it checks a
+    step at three points, so that its problems come together and in step
+    order: before the order, its recorded fields, a term outside the ring (a
+    PLocal over p with a prime, an int without), a zero reciprocal term and
+    its division record; before the arithmetic, its ord(tail) and k, a term
+    exponent too far from the order (_exponent_too_far) and its a, b against
+    the pair; after it, its r and remainder against the next num and its
+    term rule. A step-0 record whose a/b is the input seeds the pair. A term
+    outside the ring, a zero or a far term ends the replay before its power
+    of p is built, a ring that does not fit or a run over another prime than
+    p before its first step; later steps get only the field checks. Returns
+    (alg, trace, num, y, den, problems, orders, stop): orders end with the
+    tail the replay stops at, stop is the step it stops before or None."""
     alg = _ALGORITHMS[name](p, k, value)
     power = None if p is None or y is not None else _powers(p)
     expand = e is None
@@ -349,7 +336,9 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
     k_of, pick, rule, heads = alg.k, alg.pick, alg.rule, alg.head
     divisions, remainders = alg.record == "division", alg.record == "remainder"
     start, problems, orders, floor, budget = (num, y, den), [], [], None, None
-    stop = None if expand or e.p == p else 0
+    if not expand and (e.p is None) != (name == "fs"):
+        problems.append(f"p {e.p and int(e.p)} does not fit a {name} run")
+    stop = None if expand or e.p == p and not problems else 0
     d = trace[0].division if trace and stop is None and not heads else None
     seeded = d is not None and d.a * den == d.b * num
     if seeded:
@@ -366,9 +355,13 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
                 problems.append(f"step {i}: division record does not fit a {name} run")
             if (rec.remainder is not None) != remainders:
                 problems.append(f"step {i}: remainder does not fit a {name} run")
-            if rec.tail_ord is not None and e.p is None:
+            if rec.tail_ord is not None and name == "fs":
                 problems.append(f"step {i}: tail_ord does not fit a {name} run")
             if stop is not None:
+                continue
+            if not (q.p == p if isinstance(q, PLocal) else p is None and isinstance(q, int)):
+                problems.append(f"step {i}: term {_tail_text(q)} does not fit a {name} run")
+                stop = i
                 continue
             if not head and not q:
                 problems.append(f"step {i}: term is zero")
@@ -376,11 +369,8 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
                 continue
             if d is not None:
                 problems.extend(_division_record_problems(rec, i))
-            if p is not None and not isinstance(q, PLocal):
-                q = PLocal(p, q)
         o, norm = _tail_ord(p, num, y, den, value, floor)
-        # Without a prime no order gives a k from the run, so none is checked.
-        k = rec.k if p is None and alg.takes_k else k_of(o)
+        k = k_of(o)
         claim = None if o == POS_INF else o
         if expand:
             stepped = pick(i, num, y, den, o, norm, k, power)
@@ -443,12 +433,18 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
     return alg, trace, num, y, den, problems, orders, stop
 
 
-def _expand(name: str, p, k, num, y, den, value, max_terms: "int | None" = None):
-    """(terms, trace, status, num, den) of expanding the tail by algorithm
-    `name`; status is TERMINATED on a zero final tail, else CAP_REACHED."""
-    _, trace, num, y, den, *_ = _walk(name, p, k, num, y, den, value, max_terms=max_terms)
-    status = CAP_REACHED if num or y else TERMINATED
-    return tuple([rec.q for rec in trace]), tuple(trace), status, num, den
+def _expand(name: str, p, k, num, y, den, value, max_terms: "int | None" = None) -> Expansion:
+    """The run of algorithm `name` on the tail: TERMINATED on a zero final
+    tail, else CAP_REACHED, unless the algorithm has an additive head
+    (Knopfmacher's) and its final tail is negative. That certifies
+    non-termination, with the tail as the certificate: every later term is a
+    positive unit fraction, so a negative tail never returns to zero."""
+    alg, trace, num, y, den, *_ = _walk(name, p, k, num, y, den, value, max_terms=max_terms)
+    status, certificate = CAP_REACHED if num or y else TERMINATED, None
+    if alg.head and num.unit < 0:
+        status, certificate = CERTIFIED_NONTERMINATING, num.to_fraction() / den.to_fraction()
+    return Expansion(name, value, p, k, tuple([rec.q for rec in trace]), status, tuple(trace),
+                     alg.head, certificate)
 
 
 class NoJumpCorrespondence(NamedTuple):
@@ -474,14 +470,12 @@ def check_nojump_correspondence(p: Prime, k: int, a: int, b: int) -> NoJumpCorre
     bound = -ord_p(p, value)
     if k > bound:
         raise HypothesisViolated(f"need k <= {bound}, got k = {k}")
-    aa, bb = value_operands(value)
-    scaled = value * Fraction(p) ** k
-    classical = fs_greedy(*value_operands(scaled))
-    terms, trace, status, _, _ = _expand(
-        "pk", p, k, PLocal(p, aa), None, PLocal(p, bb), value, len(classical.terms) + 4)
-    padic = Expansion("pk", value, p, k, terms, status, trace)
-    jumps = tuple(i for i, rec in enumerate(padic.trace) if rec.division.jumped)
     pk = Fraction(p) ** k
+    classical = fs_greedy(*value_operands(value * pk))
+    aa, bb = value_operands(value)
+    padic = _expand("pk", p, k, PLocal(p, aa), None, PLocal(p, bb), value,
+                    len(classical.terms) + 4)
+    jumps = tuple(i for i, rec in enumerate(padic.trace) if rec.division.jumped)
     matches = (
         padic.status == TERMINATED
         and len(padic.terms) == len(classical.terms)
@@ -597,8 +591,8 @@ def _exponent_too_far(q, o, k, num, den, head, budget) -> bool:
 
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
-    """Replay an expansion from its input and check its claims in one walk of
-    its trace (_walk), its algorithm built from its own k as expanding
+    """Replay an expansion from its input and check its claims in one walk
+    of its trace (_walk), its algorithm built from its own k as expanding
     builds it. A step's index is its position, and position 0 of a
     Knopfmacher run is its additive head. Each step's problems come
     together, in step order; its term is checked against its algorithm's
@@ -606,15 +600,16 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     has none yet). The run's claims follow: terms equal to the trace's q
     values, no run k on fs or Knopfmacher, the input as value, the replay's
     prime as p (a quadratic input's own; another prime ends the replay
-    before its first step, so no arithmetic mixes primes), an initial term
-    on Knopfmacher runs only, an exact sum on termination, a status other
-    than terminated only on a nonzero final tail, and a certificate on
-    exactly the certified runs, equal to the final tail (compared by cross-
-    multiplying over Z[1/p], building no Fraction) and negative. Last come
-    strictly increasing orders with the growth bound
-    ord(z_{i+1}) >= k_i + 2*ord(z_i) (orders need a prime). The report's
-    tail_ord values are only compared: each order is found from the floor
-    the growth bound puts under it, which never changes the result.
+    before its first step, as a ring that does not fit the algorithm does,
+    so no arithmetic mixes primes or rings), an initial term on Knopfmacher
+    runs only, an exact sum on termination, a status other than terminated
+    only on a nonzero final tail, and a certificate on exactly the certified
+    runs, equal to the final tail (compared by cross-multiplying over
+    Z[1/p], building no Fraction) and negative. Last come strictly
+    increasing orders with the growth bound ord(z_{i+1}) >= k_i + 2*ord(z_i)
+    (orders need a prime). The report's tail_ord values are only compared:
+    each order is found from the floor the growth bound puts under it, which
+    never changes the result.
     """
     y = None
     if isinstance(value, QuadElement):

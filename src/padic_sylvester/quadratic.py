@@ -42,14 +42,19 @@ from .valuation import PLocal, POS_INF, Prime, _strip, ord_p
 # Hard cap on the width, in base-p digits, of one digit window of a
 # quadratic element; wider requests raise PrecisionExhausted.
 PRECISION_CAP = 1 << 16
+# Trial division stops here, so a radicand with a wide prime factor costs
+# ~2**19 divisions, not its square root.
+_TRIAL_BOUND = 1 << 20
 
 
 def _square_free(n: int) -> tuple[int, int]:
-    """Write n = s*s * D with D squarefree; returns (s, D). Trial division."""
+    """Write n = s*s * D; returns (s, D). Trial division below _TRIAL_BOUND
+    takes out the squares of those factors, and the cofactor left above it
+    stays in D: D is squarefree unless n has a square factor above it."""
     s, free = 1, 1
     m = n
     f = 2
-    while f * f <= m:
+    while f * f <= m and f < _TRIAL_BOUND:
         if m % f == 0:
             e = 0
             while m % f == 0:
@@ -71,7 +76,8 @@ def _is_rational_square(d: Fraction) -> bool:
 
 
 class QuadElement:
-    """x + y*sqrt(D), D a squarefree integer >= 2, with fixed embedding data.
+    """x + y*sqrt(D), D >= 2 not a square and squarefree up to _square_free's
+    bound, with fixed embedding data.
 
     real_sign is +1 or -1 and selects which real root of D the embedding
     psi sends sqrt(D) to; residue is the chosen value of sqrt(D) mod p.
@@ -92,7 +98,7 @@ class QuadElement:
     @classmethod
     def make(cls, x, y, d, real_sign, p: Prime, residue: int) -> "QuadElement":
         """Build x + y*sqrt(d) for rational d > 0, normalizing the field to
-        Q(sqrt(D)) with D squarefree and rewriting y and the residue.
+        Q(sqrt(D)) with D from _square_free and rewriting y and the residue.
 
         real_sign may be +1/-1 or the strings "+"/"-". residue must satisfy
         residue**2 = d (mod p); it pins the p-adic square root of d.

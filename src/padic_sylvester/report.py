@@ -21,7 +21,7 @@ from .expansion import (
     VerificationReport,
 )
 from .quadratic import QuadElement
-from .valuation import _LADDER_FROM, PLocal, POS_INF, Prime
+from .valuation import PLocal, POS_INF, Prime
 
 SCHEMA = 1
 
@@ -47,10 +47,7 @@ def _ord_str(o):
 
 def _power(p: int, e: int) -> int:
     """p**e for e >= 0, or the ValueError str() would raise where its decimal
-    form alone passes the int/str digit limit (0: none), before building it.
-    Below _LADDER_FROM the power is cheap, and str() raises for it."""
-    if e < _LADDER_FROM:
-        return p**e
+    form alone passes the int/str digit limit (0: none), before building it."""
     limit = sys.get_int_max_str_digits()
     if limit and e >= limit / math.log10(p):
         raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion")

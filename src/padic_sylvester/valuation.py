@@ -344,7 +344,7 @@ def _record_holds(a: PLocal, b: PLocal, q: PLocal, r: PLocal, power) -> bool:
     that of b or r plus the other's times p**|e|, which must be unit(a*q):
     bit lengths rule out a wider power before it is built."""
     aq, e = a * q, r.exp - b.exp
-    if abs(e) >= _LADDER_FROM and b and r and abs(e) * (b.p.bit_length() - 1) > 1 + max(
+    if b.unit and r.unit and abs(e) * (b.p.bit_length() - 1) > 1 + max(
             aq.unit.bit_length(), b.unit.bit_length(), r.unit.bit_length()):
         return False
     if not r or e < 0:

@@ -34,12 +34,14 @@ MUTANTS = [
     # Each step's checks, in the step loop.
     M("form-division", "if (d is not None) != divisions:", "if False:"),
     M("form-remainder", "if (rec.remainder is not None) != remainders:", "if False:"),
-    M("form-tail-ord", "if rec.tail_ord is not None and e.p is None:", "if False:"),
+    M("form-tail-ord", 'if rec.tail_ord is not None and name == "fs":', "if False:"),
+    M("ring-term",
+      "if not (q.p == p if isinstance(q, PLocal) else p is None and isinstance(q, int)):",
+      "if False:"),
     M("zero-term", "if not head and not q:", "if False:"),
     M("record-call", "problems.extend(_division_record_problems(rec, i))", "pass"),
     M("tail-ord", "if rec.tail_ord != claim:", "if False:"),
     M("k-rule", "if rec.k != k:", "if False:"),
-    M("k-no-prime", "k = rec.k if p is None and alg.takes_k else k_of(o)", "k = k_of(o)", [CLI]),
     M("far-exponent", "if _exponent_too_far(q, o, k, num, den, head, budget):", "if False:",
       [KERNEL, CLI]),
     M("first-a-b", "seeded = d is not None and d.a * den == d.b * num", "seeded = d is not None"),
@@ -51,16 +53,11 @@ MUTANTS = [
     M("rule-call", "problem = rule and rule(i, a, num, q, rec.k)", "problem = None"),
     # Each algorithm's term rule, beside its pick.
     M("rule-fs", "        if not _below(num, a):", "        if False:"),
-    M("rule-sylvester", "if k is not None and p is not None and not _below(num, a, k):",
+    M("rule-sylvester", "if k is not None and not _below(num, a, k):", "if False:"),
+    M("rule-knopf", "if q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):",
       "if False:"),
-    M("rule-knopf",
-      "if p is not None and q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):",
-      "if False:"),
-    M("rule-sylvester-no-prime", "if k is not None and p is not None and not _below(",
-      "if k is not None and not _below(", [CLI]),
-    M("rule-knopf-no-prime", "if p is not None and q and not (q.exp <= 0",
-      "if q and not (q.exp <= 0", [CLI]),
     # The run's checks.
+    M("ring-prime", 'if not expand and (e.p is None) != (name == "fs"):', "if False:"),
     M("run-terms",
       "if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):",
       "if False:"),
@@ -116,9 +113,8 @@ MUTANTS = [
       file=VAL),
     M("below-low", "return 0 <= r < b", "return r < b", file=VAL),
     M("record-guard",
-      "if abs(e) >= _LADDER_FROM and b and r and abs(e) * (b.p.bit_length() - 1) > 1 + max(",
-      "if False and abs(e) >= _LADDER_FROM and b and r and "
-      "abs(e) * (b.p.bit_length() - 1) > 1 + max(",
+      "if b.unit and r.unit and abs(e) * (b.p.bit_length() - 1) > 1 + max(",
+      "if False and abs(e) * (b.p.bit_length() - 1) > 1 + max(",
       ["tests/test_kernel.py::TestPowerLadder"], file=VAL),
     M("ladder-square", "last_power = last_power * last_power * p ** (e - 2 * last)",
       "last_power = last_power * p ** (e - last)", [KERNEL], file=VAL),

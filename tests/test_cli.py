@@ -99,6 +99,13 @@ class TestExpandCommand:
         assert code == 1
         assert "--p" in err
 
+    def test_pseudoprime_is_not_a_prime_base(self, capsys):
+        # A strong pseudoprime to every witness up to 37.
+        code, _, err = run(capsys, "expand", "--alg", "pk", "--p", "318665857834031151167461",
+                           "--k", "1", "--value", "2/3")
+        assert code == 1
+        assert err.startswith("error: --p: 318665857834031151167461 is not prime")
+
     def test_k_too_small(self, capsys):
         code, _, err = run(capsys, "expand", "--alg", "pk", "--p", "11", "--k", "1",
                            "--value", "5/121")
@@ -318,6 +325,37 @@ class TestUnprintableReport:
         assert done.stderr.count("\n") == 1
 
 
+class TestWideRadicand:
+    """A radicand with a prime factor far above quadratic._TRIAL_BOUND is
+    normalized by trial division below the bound only, so each command that
+    reads it answers at once. Each runs in a subprocess with a timeout."""
+
+    QUAD = ("--sqrt", str(10**30 + 57), "--x", "0", "--y", "1", "--real-sign", "+",
+            "--padic-residue", "3")
+
+    def _timed(self, argv, stdin=None):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "padic_sylvester.cli", *argv],
+                              input=stdin, capture_output=True, text=True, env=env, timeout=10)
+        assert time.perf_counter() - start < 2
+        assert "Traceback" not in done.stderr
+        return done
+
+    def test_expand_digits_and_verify(self):
+        expand = self._timed(("expand", "--alg", "sylvester", "--p", "7", "--k", "1")
+                             + self.QUAD + ("--max-terms", "2", "--output", "json"))
+        assert (expand.returncode, expand.stderr) == (0, "")
+        data = json.loads(expand.stdout)
+        assert data["input"]["d"] == str(10**30 + 57)
+        assert data["verification"]["ok"] and len(data["terms"]) == 2
+        digits = self._timed(("digits", "--p", "7", "--count", "4") + self.QUAD)
+        assert (digits.returncode, digits.stderr) == (0, "")
+        verify = self._timed(("verify", "-"), expand.stdout)
+        assert (verify.returncode, verify.stderr) == (0, "")
+        assert verify.stdout.startswith("verification: ok")
+
+
 class TestDivideCommand:
     def test_first_step(self, capsys):
         code, out, _ = run(capsys, "divide", "--p", "3", "--k", "1", "--value", "473/25")
@@ -424,6 +462,13 @@ class TestCompareCommand:
         code, _, err = run(capsys, "compare", "--p", "3", "--k", "1", "--value", "473/25")
         assert code == 1
 
+    def test_nojump_below_the_order(self, capsys):
+        code, out, _ = run(capsys, "compare", "--which", "nojump", "--p", "3", "--k", "-2",
+                           "--value", "5/7")
+        assert code == 0
+        assert "verdict: holds" in out
+        assert "classical terms: 1/13 + 1/410 + 1/335790" in out
+
 
 PK_473_25 = ("--alg", "pk", "--p", "3", "--k", "1", "--value", "473/25")
 KNOPF_2_5 = ("--alg", "knopf", "--p", "3", "--value", "2/5")
@@ -452,6 +497,28 @@ class TestVerifyCommand:
         path.write_text(out)
         code, out2, _ = run(capsys, "verify", str(path))
         assert code == 0
+
+    DEEP_12 = ("--p", "101", "--k", "1", "--value", "1000000000007/1000000000009")
+
+    # Valid reports verify through the CLI: every algorithm, a knopf run
+    # certified at its term cap, the widest xi report that renders (12
+    # terms) and deep rationals, whose division records (adaptive) and
+    # growth floors (sylvester) the replay takes.
+    @pytest.mark.parametrize("argv", [
+        KNOPF_2_5,
+        ("--alg", "knopf", "--p", "2", "--value", "2/5", "--max-terms", "1"),
+        ("--alg", "fs", "--value", "4/13"),
+        ("--alg", "sylvester", "--p", "7", "--k", "1", "--max-terms", "12") + QUAD_XI,
+        ("--alg", "adaptive") + DEEP_12,
+        ("--alg", "sylvester") + DEEP_12,
+    ], ids=["knopf", "knopf-certified-at-cap", "fs", "sylvester-quad-12", "adaptive-deep",
+            "sylvester-deep"])
+    def test_valid_report_verifies(self, argv):
+        code, out, err = _cli(("expand",) + argv + ("--output", "json"))
+        assert (code, err) == (0, "")
+        code, text, err = _cli(("verify", "-"), out)
+        assert (code, err) == (0, "")
+        assert text.startswith("verification: ok")
 
     def test_fs_terms_greedy_does_not_pick_fail(self):
         # 2/3 = 1/3 + 1/3, but the classical greedy gives 1/2 + 1/6. The
@@ -563,22 +630,31 @@ class TestVerifyCommand:
             0, {"initial": False, "display": "1/2", "q": "2"}),
          "terms[0].q differs from the re-rendered report"),
         # An fs report, which has no prime, relabelled as a run that needs
-        # one: its steps are replayed over Z, with no order to give a k from
-        # the run and no window or p**k bound to check a term against.
+        # one: the missing prime is one problem, and no step is replayed.
         (FS_5_121, lambda d: d.update(algorithm="adaptive", k="1"),
-         "step 0: division record does not fit a adaptive run"),
+         "[p None does not fit a adaptive run]"),
         (FS_5_121, lambda d: d.update(algorithm="knopfmacher"),
-         "step 0: k None is not the knopfmacher k 1"),
+         "[p None does not fit a knopfmacher run]"),
         (FS_5_121, lambda d: (d.update(algorithm="sylvester", k="1"),
                               d["terms"][0].update(q="24"), d["trace"][0].update(q="24", k="1")),
-         "step 0: remainder does not fit a sylvester run"),
+         "[p None does not fit a sylvester run]"),
+        # A deep adaptive record's r one unit off: the record check fails,
+        # so the replay computes r itself.
+        (("--alg", "adaptive") + DEEP_12,
+         lambda d: _bump(d["trace"][1]["division"]["r"], "unit", 1),
+         "step 1: r is not a*q - b"),
+        # A claimed k far above the run's puts the growth floor far above
+        # the next order, which the replay still finds.
+        (("--alg", "sylvester", "--p", "7", "--k", "1", "--max-terms", "12") + QUAD_XI,
+         lambda d: d["trace"][3].update(k="4000000"),
+         "step 3: k 4000000 is not the sylvester k 1"),
     ], ids=["term", "expansion", "jumped", "case", "rbar", "zero-term", "lhs", "a", "q",
             "tail-ord", "first-a", "b", "rbar-bound", "r", "fs-remainder", "index",
             "step-k", "certificate-sign", "certificate-tail", "certificate-status",
             "adaptive-null-k", "status-cap", "status-certified", "display", "value",
             "verification-ok", "no-division", "no-remainder", "fs-tail-ord", "fs-k",
             "knopf-k", "knopf-initial", "int-term-with-prime", "no-prime-adaptive",
-            "no-prime-knopf", "no-prime-sylvester"])
+            "no-prime-knopf", "no-prime-sylvester", "deep-r", "quadratic-far-k"])
     def test_tampered_claim_fails(self, capsys, tmp_path, argv, tamper, problem):
         code, out, _ = run(capsys, "expand", *argv, "--output", "json")
         data = json.loads(out)
@@ -601,8 +677,14 @@ class TestVerifyCommand:
         (PK_473_25, lambda d: d.update(command="divide")),
         # An integer term, the form only fs writes, in a report with a prime.
         (PK_473_25, lambda d: d["trace"][0].update(q="2")),
+        # A zero denominator, which Fraction rejects with ZeroDivisionError.
+        (PK_473_25, lambda d: d["input"].update(value="1/0")),
+        (KNOPF_2_5, lambda d: d.update(certificate="1/0")),
+        (("--alg", "sylvester", "--p", "7", "--k", "1", "--max-terms", "3") + QUAD_XI,
+         lambda d: d["input"].update(y="1/0")),
     ], ids=["null-a", "null-q", "plocal-without-prime", "status", "algorithm", "command",
-            "int-trace-q-with-prime"])
+            "int-trace-q-with-prime", "zero-denominator-value",
+            "zero-denominator-certificate", "zero-denominator-y"])
     def test_malformed_report_exits_1(self, capsys, tmp_path, argv, tamper):
         code, out, _ = run(capsys, "expand", *argv, "--output", "json")
         data = json.loads(out)
@@ -611,7 +693,8 @@ class TestVerifyCommand:
         path.write_text(json.dumps(data))
         code, _, err = run(capsys, "verify", str(path))
         assert code == 1
-        assert "not a valid expand report" in err
+        assert err.startswith("error: report: not a valid expand report (")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, tamper, tail", [
         (PK_473_25, lambda d: None, "158498-bit/158499-bit"),

@@ -494,8 +494,14 @@ class TestVerifyInputClaims:
         (P3, Fraction(473, 25),
          lambda: _pk_473_25()._replace(terms=(PLocal(P3, 3),) + _pk_473_25().terms[1:]),
          ["terms differ from the trace's q values"]),
+        # A run has a prime exactly when its algorithm is not fs.
+        (None, Fraction(473, 25), lambda: _pk_473_25()._replace(p=None),
+         ["p None does not fit a pk run"]),
+        (P3, Fraction(5, 11), lambda: fs_greedy(5, 11)._replace(p=P3),
+         ["p 3 does not fit a fs run"]),
     ], ids=["value", "run-p", "replay-p", "no-replay-p", "knopf-initial", "pk-initial",
-            "quadratic-own-p", "quadratic-p", "fs-with-p", "terms"])
+            "quadratic-own-p", "quadratic-p", "fs-with-p", "terms", "pk-without-prime",
+            "fs-with-prime"])
     def test_claim_is_one_problem(self, p, value, run, problems):
         v = verify_expansion(p, value, run())
         assert v.problems == problems
@@ -508,6 +514,27 @@ class TestVerifyInputClaims:
         v = verify_expansion(p, Fraction(473, 25), _pk_473_25())
         assert v.sum_exact is False
         assert not any("sum" in problem for problem in v.problems)
+
+    @pytest.mark.parametrize("value, run, i, q, problem", [
+        # Step 0's term 2 of 473/25, and its division's q, as an int: equal
+        # in value, but not the Z[1/3] term a pk run carries.
+        (Fraction(473, 25), _pk_473_25, 0, 2, "step 0: term 2 does not fit a pk run"),
+        (Fraction(473, 25), _pk_473_25, 1, PLocal(Prime(5), 3, -1),
+         "step 1: term 3*5^-1 does not fit a pk run"),
+        (Fraction(5, 11), lambda: fs_greedy(5, 11), 1, PLocal(P3, 9),
+         "step 1: term 1*3^2 does not fit a fs run"),
+    ], ids=["int-in-pk", "other-prime-in-pk", "plocal-in-fs"])
+    def test_term_outside_the_ring_ends_the_replay(self, value, run, i, q, problem):
+        # Like a zero term: the replay stops at the step, so the sum is not
+        # confirmed, and no later step's arithmetic mixes rings.
+        e = run()
+        rec = e.trace[i]
+        d = rec.division and rec.division._replace(q=q)
+        bad = e._replace(terms=e.terms[:i] + (q,) + e.terms[i + 1:],
+                         trace=e.trace[:i] + (rec._replace(q=q, division=d),) + e.trace[i + 1:])
+        v = verify_expansion(e.p, value, bad)
+        assert v.problems == [problem]
+        assert v.sum_exact is False and not v.ok
 
 
 class TestVerifyRecordsAndCertificate:

@@ -820,8 +820,8 @@ class TestRenderers:
     def test_power_refuses_what_str_would(self, limit):
         # Around the exponent where p**e passes the int/str digit limit, the
         # renderers of a value with that exponent raise exactly when
-        # str(p**e) would, with str()'s message; from _LADDER_FROM up,
-        # _power raises before it builds the power.
+        # str(p**e) would, with str()'s message; _power raises before it
+        # builds the power.
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(limit)
         try:
@@ -831,8 +831,8 @@ class TestRenderers:
                     try:
                         want = str(p**e)
                     except ValueError:
-                        refuse = [lambda: report._power(p, e)] if e >= _LADDER_FROM else []
-                        for render in refuse + [
+                        for render in [
+                                lambda: report._power(p, e),
                                 lambda: report._plocal_str(PLocal(Prime(p), 1, e)),
                                 lambda: report._plocal_str(PLocal(Prime(p), 1, -e)),
                                 lambda: report.term_display(PLocal(Prime(p), -1, -e)),

@@ -21,6 +21,8 @@ from padic_sylvester import (
     real_floor,
 )
 
+from padic_sylvester.quadratic import _TRIAL_BOUND, _square_free
+
 P7 = Prime(7)
 
 
@@ -266,3 +268,26 @@ class TestQuadDigits:
         s3 = hensel_sqrt(Prime(7), 11, 2, 3)
         expect = [(s3 // 7**i) % 7 for i in range(3)]
         assert list(d.digits) == expect
+
+
+class TestSquareFree:
+    # 1048573 and 1048583 are the primes on either side of 2**20.
+    BELOW, ABOVE = 1048573, 1048583
+
+    def test_bound(self):
+        assert self.BELOW < _TRIAL_BOUND < self.ABOVE
+
+    @pytest.mark.parametrize("n, want", [
+        (12, (2, 3)), (11, (1, 11)), (2 * 3**5 * 7**2, (63, 6)),
+        (BELOW**2 * 3 * 5**3, (5 * BELOW, 15)),
+        # One prime factor above the bound, alone: D is squarefree.
+        (4 * ABOVE * 7, (2, 7 * ABOVE)),
+    ])
+    def test_square_factors_below_the_bound_come_out(self, n, want):
+        assert _square_free(n) == want
+
+    def test_cofactor_above_the_bound_stays_in_d(self):
+        # The square of a prime above the bound is not searched for.
+        assert _square_free(4 * 7 * self.ABOVE**2) == (2, 7 * self.ABOVE**2)
+        u = QuadElement.make(0, 1, 7 * self.ABOVE**2, "+", Prime(3), 1)
+        assert u.D == 7 * self.ABOVE**2
