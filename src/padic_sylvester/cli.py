@@ -168,17 +168,16 @@ def _cmd_digits(ns) -> int:
     count = ns.count
     if count <= 0:
         raise UsageError("--count must be positive")
-    quad = _quad_input(ns, p)
-    if quad is not None:
-        d = quad_digits(quad, count)
-        shown = str(quad)
+    value = _quad_input(ns, p)
+    if value is not None:
+        d = quad_digits(value, count)
     else:
         if ns.value is None:
             raise UsageError("--value is required")
         value = _parse_fraction(ns.value, "--value")
         _check_width(count)
         d = digits_of(p, value, count)
-        shown = report.frac_str(value)
+    shown = str(value)
     _emit(ns, lambda: f"value: {shown}\nstart: {d.start}\n"
                       f"digits: {' '.join(str(c) for c in d.digits)}",
           lambda: {
@@ -232,7 +231,7 @@ def _cmd_compare(ns) -> int:
               "which": "nojump",
               "p": str(int(p)),
               "k": str(k),
-              "value": report.frac_str(value),
+              "value": str(value),
               "verdict": res.verdict,
               "jumps": [str(i) for i in res.jumps],
               "padic": report.expansion_json(res.padic),

@@ -7,7 +7,9 @@ q, r in Z[1/p] with
     b = a*q - r,    0 <= r < a*p**k,    |r|_p <= |a*p**k|_p.
 
 brute_force_divide is an independent enumeration oracle for the same triple
-of conditions.
+of conditions. The rules a replay checks a step by sit here too: the bound
+0 <= r < a*p**k (_below), b + r = a*q (_record_holds), the kinds a record
+holds (_record_misfit) and its own fields (_division_record_problems).
 """
 
 from __future__ import annotations
@@ -57,38 +59,33 @@ def pk_divide(p: Prime, k: int, a, b) -> DivisionStep:
     rbar = -unit(b)*p**(beta-alpha-k) mod unit(a); powers of p are taken mod
     unit(a) through a modular inverse when the exponent is negative. Then
     r = rbar * p**(alpha+k) and q follows from exact cancellation. When
-    k > beta - alpha and rbar = 0, the last step of every terminating run,
-    q is unit(b)/unit(a) * p**(beta-alpha) and no power of p is built.
+    rbar = 0, the last step of every terminating run, q is
+    unit(b)/unit(a) * p**(beta-alpha) and no power of p is built.
     """
     a = PLocal.from_fraction(p, a)
     b = PLocal.from_fraction(p, b)
     if a.unit <= 0:
         raise NonPositiveDivisor(f"divisor must be positive, got {a}")
-    if b.is_zero():
-        zero = PLocal.zero(p)
-        return DivisionStep(p, k, a, b, zero, zero, 0, False, CASE_2)
     return _pk_divide(p, k, a, b, p.__pow__)
 
 
 def _pk_divide(p: Prime, k: int, a: PLocal, b: PLocal, power) -> DivisionStep:
-    """pk_divide on a run's PLocals over p, a > 0 and b != 0, with case 1's
+    """pk_divide on a run's PLocals over p, a > 0, with case 1's
     p**(alpha+k-beta) taken from power: a run's ladder (valuation._powers)
     squares each step's power up from the last one."""
     alpha, ahat = a.exp, a.unit
     beta, bhat = b.exp, b.unit
     rbar = -bhat * pow(p, beta - alpha - k, ahat) % ahat
-    if k > beta - alpha:
-        # rbar = 0 ends a terminating run; num is then bhat, and the run's
-        # widest power of p is never built.
-        num = bhat
-        if rbar:
-            num += rbar * power(alpha + k - beta)
-        case = CASE_1
-        q_exp = beta - alpha
+    case = CASE_1 if bhat and k > beta - alpha else CASE_2
+    if not rbar:
+        # A zero residue (as at every b = 0, and at every terminating run's
+        # last step) gives r = 0 and unit(a) divides unit(b), so q is
+        # unit(b)/unit(a) * p**(beta-alpha) in either case: no power of p.
+        num, q_exp = bhat, beta - alpha
+    elif case == CASE_1:
+        num, q_exp = bhat + rbar * power(alpha + k - beta), beta - alpha
     else:
-        num = rbar + bhat * p ** (beta - alpha - k)
-        case = CASE_2
-        q_exp = k
+        num, q_exp = rbar + bhat * p ** (beta - alpha - k), k
     q_unit, rem = divmod(num, ahat)
     if rem:
         raise RuntimeError("division step did not cancel exactly")
@@ -96,6 +93,17 @@ def _pk_divide(p: Prime, k: int, a: PLocal, b: PLocal, power) -> DivisionStep:
     r = PLocal(p, rbar, alpha + k)
     jumped = rbar != 0 and rbar % p == 0
     return DivisionStep(p, k, a, b, q, r, rbar, jumped, case)
+
+
+def _record_misfit(d: DivisionStep, p) -> "str | None":
+    """The first value of division record d that a replay over p cannot
+    read, named as a problem text names it: a, b, q and r must be PLocals
+    over p and rbar an int. None when all of them fit."""
+    for name in ("a", "b", "q", "r"):
+        x = getattr(d, name)
+        if not (isinstance(x, PLocal) and x.p == p):
+            return f"division {name}"
+    return None if isinstance(d.rbar, int) else "rbar"
 
 
 def _division_record_problems(rec, i: int) -> list[str]:
@@ -121,6 +129,35 @@ def _division_record_problems(rec, i: int) -> list[str]:
     if d.case != (CASE_1 if not b.is_zero() and k > b.exp - a.exp else CASE_2):
         problems.append(f"step {i}: case does not match a, b and k")
     return problems
+
+
+def _record_holds(a: PLocal, b: PLocal, q: PLocal, r: PLocal, power) -> bool:
+    """Whether b + r = a*q, a division record's equation. On a valid record
+    r's exponent is the larger, and its power of p over b comes from power,
+    a run's ladder (valuation._powers). For e = r.exp - b.exp != 0 the
+    sum's unit is that of b or r plus the other's times p**|e|, which must
+    be unit(a*q): bit lengths rule out a wider power before it is built."""
+    aq, e = a * q, r.exp - b.exp
+    if b.unit and r.unit and abs(e) * (b.p.bit_length() - 1) > 1 + max(
+            aq.unit.bit_length(), b.unit.bit_length(), r.unit.bit_length()):
+        return False
+    if not r or e < 0:
+        return b + r == aq
+    return PLocal(b.p, b.unit + r.unit * power(e), b.exp) == aq
+
+
+def _below(r, b, k: int = 0) -> bool:
+    """0 <= r < b*p**k, on integers (k = 0) or on PLocals over one prime.
+    Bit lengths settle a PLocal comparison before it builds a power of p
+    wider than the units at hand."""
+    if not isinstance(r, PLocal):
+        return 0 <= r < b
+    if r.unit <= 0 or b.unit <= 0:
+        return r.unit == 0 < b.unit
+    d, bits = r.exp - b.exp - k, r.p.bit_length() - 1  # p**d >= 2**(d*bits)
+    if d >= 0:
+        return d * bits < b.unit.bit_length() and r.unit * r.p**d < b.unit
+    return -d * bits >= r.unit.bit_length() or r.unit < b.unit * r.p**-d
 
 
 def brute_force_divide(p: Prime, k: int, a, b, budget: int = 10**6) -> DivisionStep:
@@ -150,10 +187,7 @@ def brute_force_divide(p: Prime, k: int, a, b, budget: int = 10**6) -> DivisionS
     j = hits[0]
     r = PLocal(p, j, alpha + k)
     q = (b + r) / a
-    if b.is_zero():
-        case = CASE_2
-    else:
-        case = CASE_1 if k > b.exp - alpha else CASE_2
+    case = CASE_1 if b.unit and k > b.exp - alpha else CASE_2
     return DivisionStep(p, k, a, b, q, r, j, j != 0 and j % p == 0, case)
 
 

@@ -23,10 +23,11 @@ from math import gcd
 from typing import NamedTuple
 
 from .digits import _window
-from .division import DivisionStep, _division_record_problems, _pk_divide, classical_divide
+from .division import (DivisionStep, _below, _division_record_problems, _pk_divide, _record_holds,
+                       _record_misfit, classical_divide)
 from .errors import HypothesisViolated, KTooSmall, PreconditionViolated
 from .quadratic import QuadElement, _surd_ord, _surd_triple, _sylvester_terms
-from .valuation import PLocal, POS_INF, Prime, _below, _powers, _record_holds, _strip, ord_p
+from .valuation import PLocal, POS_INF, Prime, _powers, _strip, ord_p
 
 TERMINATED = "terminated"
 CAP_REACHED = "cap_reached"
@@ -318,17 +319,20 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
     Verify first checks the run's ring: a prime exactly where the algorithm is
     not fs, so that the replay's p, once e's, fits it too. Then it checks a
     step at three points, so that its problems come together and in step
-    order: before the order, its recorded fields, a term outside the ring (a
-    PLocal over p with a prime, an int without), a zero reciprocal term and
-    its division record; before the arithmetic, its ord(tail) and k, a term
-    exponent too far from the order (_exponent_too_far) and its a, b against
-    the pair; after it, its r and remainder against the next num and its
-    term rule. A step-0 record whose a/b is the input seeds the pair. A term
-    outside the ring, a zero or a far term ends the replay before its power
-    of p is built, a ring that does not fit or a run over another prime than
-    p before its first step; later steps get only the field checks. Returns
-    (alg, trace, num, y, den, problems, orders, stop): orders end with the
-    tail the replay stops at, stop is the step it stops before or None."""
+    order: before the order, its recorded fields, what the replay reads of
+    it (a term in the ring, a PLocal over p with a prime and an int
+    without; an int or None as k; a division record that
+    division._record_misfit passes), a zero reciprocal term and its division
+    record; before the arithmetic, its ord(tail) and k, a term exponent too
+    far from the order (_exponent_too_far) and its a, b against the pair;
+    after it, its r and remainder against the next num and its term rule. A
+    step-0 record whose a/b is the input seeds the pair. A value the replay
+    cannot read, a zero or a far term ends the replay before it is read or
+    its power of p is built, a ring that does not fit or a run over another
+    prime than p before its first step; later steps get only the field
+    checks. Returns (alg, trace, num, y, den, problems, orders, stop):
+    orders end with the tail the replay stops at, stop is the step it stops
+    before or None."""
     alg = _ALGORITHMS[name](p, k, value)
     power = None if p is None or y is not None else _powers(p)
     expand = e is None
@@ -339,10 +343,7 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
     if not expand and (e.p is None) != (name == "fs"):
         problems.append(f"p {e.p and int(e.p)} does not fit a {name} run")
     stop = None if expand or e.p == p and not problems else 0
-    d = trace[0].division if trace and stop is None and not heads else None
-    seeded = d is not None and d.a * den == d.b * num
-    if seeded:
-        num, den = d.a, d.b
+    seeded = False
     for i in (count() if expand else range(len(trace))):
         head = heads and i == 0
         if expand:
@@ -359,8 +360,12 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
                 problems.append(f"step {i}: tail_ord does not fit a {name} run")
             if stop is not None:
                 continue
-            if not (q.p == p if isinstance(q, PLocal) else p is None and isinstance(q, int)):
-                problems.append(f"step {i}: term {_tail_text(q)} does not fit a {name} run")
+            fits = q.p == p if isinstance(q, PLocal) else p is None and isinstance(q, int)
+            misfit = (f"term {_tail_text(q)}" if not fits
+                      else "k" if not (rec.k is None or isinstance(rec.k, int))
+                      else d is not None and _record_misfit(d, p))
+            if misfit:
+                problems.append(f"step {i}: {misfit} does not fit a {name} run")
                 stop = i
                 continue
             if not head and not q:
@@ -369,6 +374,8 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
                 continue
             if d is not None:
                 problems.extend(_division_record_problems(rec, i))
+                if i == 0 and not head and d.a * den == d.b * num:
+                    seeded, num, den = True, d.a, d.b  # a/b is the input: it seeds the pair
         o, norm = _tail_ord(p, num, y, den, value, floor)
         k = k_of(o)
         claim = None if o == POS_INF else o

@@ -33,10 +33,6 @@ _EXPAND_FIELDS = {
 }
 
 
-def frac_str(f: Fraction) -> str:
-    return _ratio_str(*Fraction(f).as_integer_ratio())
-
-
 def _ord_str(o):
     if o is None:
         return None
@@ -91,12 +87,6 @@ def term_display(q, initial: bool = False) -> str:
     return _ratio_str(_power(q.p, -q.exp), q.unit)
 
 
-def value_display(value) -> str:
-    if isinstance(value, QuadElement):
-        return str(value)
-    return frac_str(value)
-
-
 def expansion_sum_text(e: Expansion) -> str:
     parts = [
         term_display(q, initial=(e.initial and i == 0))
@@ -106,7 +96,7 @@ def expansion_sum_text(e: Expansion) -> str:
 
 
 def expansion_text(e: Expansion, verification: "VerificationReport | None" = None) -> str:
-    lines = [f"input: {value_display(e.value)}"]
+    lines = [f"input: {e.value}"]
     head = f"algorithm: {e.algorithm}"
     if e.p is not None:
         head += f"  p: {int(e.p)}"
@@ -116,7 +106,7 @@ def expansion_text(e: Expansion, verification: "VerificationReport | None" = Non
     lines.append(f"expansion: {expansion_sum_text(e)}")
     lines.append(f"status: {e.status}")
     if e.certificate is not None:
-        lines.append(f"certificate: remainder {frac_str(e.certificate)} is negative")
+        lines.append(f"certificate: remainder {e.certificate} is negative")
     if e.trace:
         lines.append("trace:")
         for i, rec in enumerate(e.trace):
@@ -208,13 +198,13 @@ def _input_json(value):
     if isinstance(value, QuadElement):
         return {
             "type": "quadratic",
-            "x": frac_str(value.x),
-            "y": frac_str(value.y),
+            "x": str(value.x),
+            "y": str(value.y),
             "d": str(value.D),
             "real_sign": "+" if value.real_sign > 0 else "-",
             "padic_residue": str(value.residue),
         }
-    return {"type": "rational", "value": frac_str(value)}
+    return {"type": "rational", "value": str(value)}
 
 
 def _input_from_json(p: "Prime | None", d):
@@ -234,14 +224,8 @@ def expansion_json(e: Expansion, verification: "VerificationReport | None" = Non
     terms = []
     for i, q in enumerate(e.terms):
         initial = e.initial and i == 0
-        entry = {"initial": initial, "display": term_display(q, initial=initial)}
-        if isinstance(q, PLocal):
-            entry["unit"] = str(q.unit)
-            entry["exp"] = str(q.exp)
-            entry["value"] = _plocal_str(q)
-        else:
-            entry["q"] = str(q)
-        terms.append(entry)
+        terms.append({"initial": initial, "display": term_display(q, initial=initial),
+                      **(_plocal_json(q) if isinstance(q, PLocal) else {"q": str(q)})})
     trace = []
     for i, rec in enumerate(e.trace):
         division = _trace_division_json(rec.division)
@@ -266,7 +250,7 @@ def expansion_json(e: Expansion, verification: "VerificationReport | None" = Non
         "expansion": " + ".join(entry["display"] for entry in terms),
         "terms": terms,
         "status": e.status,
-        "certificate": None if e.certificate is None else frac_str(e.certificate),
+        "certificate": None if e.certificate is None else str(e.certificate),
         "trace": trace,
     }
     if verification is not None:

@@ -336,31 +336,3 @@ class PLocal:
     def __repr__(self) -> str:
         return f"PLocal(p={int(self.p)}, unit={self.unit}, exp={self.exp})"
 
-
-def _record_holds(a: PLocal, b: PLocal, q: PLocal, r: PLocal, power) -> bool:
-    """Whether b + r = a*q, a division record's equation. On a valid record
-    r's exponent is the larger, and its power of p over b comes from power,
-    a run's ladder (_powers). For e = r.exp - b.exp != 0 the sum's unit is
-    that of b or r plus the other's times p**|e|, which must be unit(a*q):
-    bit lengths rule out a wider power before it is built."""
-    aq, e = a * q, r.exp - b.exp
-    if b.unit and r.unit and abs(e) * (b.p.bit_length() - 1) > 1 + max(
-            aq.unit.bit_length(), b.unit.bit_length(), r.unit.bit_length()):
-        return False
-    if not r or e < 0:
-        return b + r == aq
-    return PLocal(b.p, b.unit + r.unit * power(e), b.exp) == aq
-
-
-def _below(r, b, k: int = 0) -> bool:
-    """0 <= r < b*p**k, on integers (k = 0) or on PLocals over one prime.
-    Bit lengths settle a PLocal comparison before it builds a power of p
-    wider than the units at hand."""
-    if not isinstance(r, PLocal):
-        return 0 <= r < b
-    if r.unit <= 0 or b.unit <= 0:
-        return r.unit == 0 < b.unit
-    d, bits = r.exp - b.exp - k, r.p.bit_length() - 1  # p**d >= 2**(d*bits)
-    if d >= 0:
-        return d * bits < b.unit.bit_length() and r.unit * r.p**d < b.unit
-    return -d * bits >= r.unit.bit_length() or r.unit < b.unit * r.p**-d

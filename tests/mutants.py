@@ -25,6 +25,9 @@ MUTANTS = [
     M("record-q", "if d.q != rec.q:", "if False:", file=DIV),
     M("record-rbar-range", "if not 0 <= d.rbar < a.unit:", "if False:", file=DIV),
     M("record-k", "if k is None or d.k != k:", "if False:", file=DIV),
+    # What the replay reads of a record is typed before it reads it.
+    M("record-ring", "if not (isinstance(x, PLocal) and x.p == p):", "if False:", file=DIV),
+    M("record-int", 'return None if isinstance(d.rbar, int) else "rbar"', "return None", file=DIV),
     M("record-rbar-r", "if PLocal(d.p, d.rbar, a.exp + k) != r:", "if False:", file=DIV),
     M("record-jump", "if d.jumped != (not r.is_zero() and r.exp > a.exp + k):", "if False:",
       file=DIV),
@@ -36,15 +39,16 @@ MUTANTS = [
     M("form-remainder", "if (rec.remainder is not None) != remainders:", "if False:"),
     M("form-tail-ord", 'if rec.tail_ord is not None and name == "fs":', "if False:"),
     M("ring-term",
-      "if not (q.p == p if isinstance(q, PLocal) else p is None and isinstance(q, int)):",
-      "if False:"),
+      "fits = q.p == p if isinstance(q, PLocal) else p is None and isinstance(q, int)",
+      "fits = True"),
+    M("int-k", 'else "k" if not (rec.k is None or isinstance(rec.k, int))', 'else "k" if False'),
     M("zero-term", "if not head and not q:", "if False:"),
     M("record-call", "problems.extend(_division_record_problems(rec, i))", "pass"),
     M("tail-ord", "if rec.tail_ord != claim:", "if False:"),
     M("k-rule", "if rec.k != k:", "if False:"),
     M("far-exponent", "if _exponent_too_far(q, o, k, num, den, head, budget):", "if False:",
       [KERNEL, CLI]),
-    M("first-a-b", "seeded = d is not None and d.a * den == d.b * num", "seeded = d is not None"),
+    M("first-a-b", "if i == 0 and not head and d.a * den == d.b * num:", "if i == 0 and not head:"),
     M("chain-a", "if i and d.a != num:", "if False:"),
     M("chain-b", "if i and d.b != den:", "if False:"),
     M("chain-r", "if not head and d is not None and d.r != num:", "if False:"),
@@ -110,12 +114,14 @@ MUTANTS = [
     M("adaptive-k", "lambda o: k if k is None or k > -o else 1 - o", "lambda o: k"),
     M("below-bits", "return d * bits < b.unit.bit_length() and r.unit * r.p**d < b.unit",
       "return r.unit * r.p**d < b.unit", ["tests/test_kernel.py::TestTermRuleComparison"],
-      file=VAL),
-    M("below-low", "return 0 <= r < b", "return r < b", file=VAL),
+      file=DIV),
+    M("below-low", "return 0 <= r < b", "return r < b", file=DIV),
     M("record-guard",
       "if b.unit and r.unit and abs(e) * (b.p.bit_length() - 1) > 1 + max(",
       "if False and abs(e) * (b.p.bit_length() - 1) > 1 + max(",
-      ["tests/test_kernel.py::TestPowerLadder"], file=VAL),
+      ["tests/test_kernel.py::TestPowerLadder"], file=DIV),
+    M("zero-residue", "    if not rbar:\n", "    if False:\n",
+      ["tests/test_cli.py::TestZeroResidue"], file=DIV),
     M("ladder-square", "last_power = last_power * last_power * p ** (e - 2 * last)",
       "last_power = last_power * p ** (e - last)", [KERNEL], file=VAL),
     M("render-guard", "if limit and e >= limit / math.log10(p):", "if False:", [CLI, KERNEL],

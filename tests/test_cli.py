@@ -325,6 +325,18 @@ class TestUnprintableReport:
         assert done.stderr.count("\n") == 1
 
 
+def _timed(argv, stdin=None, limit=2):
+    """The CLI on argv in a subprocess, which must end within limit seconds
+    and without a traceback."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "padic_sylvester.cli", *argv],
+                          input=stdin, capture_output=True, text=True, env=env, timeout=10)
+    assert time.perf_counter() - start < limit
+    assert "Traceback" not in done.stderr
+    return done
+
+
 class TestWideRadicand:
     """A radicand with a prime factor far above quadratic._TRIAL_BOUND is
     normalized by trial division below the bound only, so each command that
@@ -333,25 +345,16 @@ class TestWideRadicand:
     QUAD = ("--sqrt", str(10**30 + 57), "--x", "0", "--y", "1", "--real-sign", "+",
             "--padic-residue", "3")
 
-    def _timed(self, argv, stdin=None):
-        env = dict(os.environ, PYTHONPATH=SRC)
-        start = time.perf_counter()
-        done = subprocess.run([sys.executable, "-m", "padic_sylvester.cli", *argv],
-                              input=stdin, capture_output=True, text=True, env=env, timeout=10)
-        assert time.perf_counter() - start < 2
-        assert "Traceback" not in done.stderr
-        return done
-
     def test_expand_digits_and_verify(self):
-        expand = self._timed(("expand", "--alg", "sylvester", "--p", "7", "--k", "1")
-                             + self.QUAD + ("--max-terms", "2", "--output", "json"))
+        expand = _timed(("expand", "--alg", "sylvester", "--p", "7", "--k", "1")
+                        + self.QUAD + ("--max-terms", "2", "--output", "json"))
         assert (expand.returncode, expand.stderr) == (0, "")
         data = json.loads(expand.stdout)
         assert data["input"]["d"] == str(10**30 + 57)
         assert data["verification"]["ok"] and len(data["terms"]) == 2
-        digits = self._timed(("digits", "--p", "7", "--count", "4") + self.QUAD)
+        digits = _timed(("digits", "--p", "7", "--count", "4") + self.QUAD)
         assert (digits.returncode, digits.stderr) == (0, "")
-        verify = self._timed(("verify", "-"), expand.stdout)
+        verify = _timed(("verify", "-"), expand.stdout)
         assert (verify.returncode, verify.stderr) == (0, "")
         assert verify.stdout.startswith("verification: ok")
 
@@ -406,6 +409,23 @@ class TestDivideCommand:
                     assert f"r: {d['r']}" in lines
                     assert lines[-1].startswith(f"rbar: {d['rbar']}  ")
         assert zero_quotients > 0
+
+
+class TestZeroResidue:
+    """A zero residue gives r = 0 and q = unit(b)/unit(a) * p**(ord(b) -
+    ord(a)) in both cases of the division, with no power of p built, so a
+    far negative k answers at once. Each runs in a subprocess with a
+    timeout."""
+
+    @pytest.mark.parametrize("argv, out, limit", [
+        (("divide", "--p", "3", "--k=-3000000", "--value", "1/2"),
+         "b = a*q - r\n2 = 1 * 2 - 0\nq: 2 (term 1/2)\nr: 0\nrbar: 0  jump: no  case: case2\n", 2),
+        (("compare", "--which", "scaling", "--p", "3", "--k=-1000000", "--a", "1", "--b", "2"),
+         "scaling correspondence: holds\n", 1),
+    ], ids=["divide", "compare-scaling"])
+    def test_far_negative_k_answers_at_once(self, argv, out, limit):
+        done = _timed(argv, limit=limit)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
 
 
 class TestDigitsCommand:

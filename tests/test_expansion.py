@@ -465,6 +465,21 @@ def _pk_473_25():
     return pk_greedy(P3, 1, PLocal(P3, 473), PLocal(P3, 25))
 
 
+def _term(q):
+    """An edit of a step: its term, and its division's q, set to q."""
+    return lambda rec: rec._replace(q=q, division=rec.division and rec.division._replace(q=q))
+
+
+def _record(field, new):
+    """An edit of a step: its division's field set to new(the old value)."""
+    return lambda rec: rec._replace(
+        division=rec.division._replace(**{field: new(getattr(rec.division, field))}))
+
+
+def _over_5(x):
+    return PLocal(Prime(5), x.unit, x.exp)
+
+
 XI = QuadElement.make(0, Fraction(1, 11), 11, "+", P7, 2)
 
 
@@ -515,23 +530,33 @@ class TestVerifyInputClaims:
         assert v.sum_exact is False
         assert not any("sum" in problem for problem in v.problems)
 
-    @pytest.mark.parametrize("value, run, i, q, problem", [
+    @pytest.mark.parametrize("value, run, i, edit, problem", [
         # Step 0's term 2 of 473/25, and its division's q, as an int: equal
         # in value, but not the Z[1/3] term a pk run carries.
-        (Fraction(473, 25), _pk_473_25, 0, 2, "step 0: term 2 does not fit a pk run"),
-        (Fraction(473, 25), _pk_473_25, 1, PLocal(Prime(5), 3, -1),
+        (Fraction(473, 25), _pk_473_25, 0, _term(2), "step 0: term 2 does not fit a pk run"),
+        (Fraction(473, 25), _pk_473_25, 1, _term(PLocal(Prime(5), 3, -1)),
          "step 1: term 3*5^-1 does not fit a pk run"),
-        (Fraction(5, 11), lambda: fs_greedy(5, 11), 1, PLocal(P3, 9),
+        (Fraction(5, 11), lambda: fs_greedy(5, 11), 1, _term(PLocal(P3, 9)),
          "step 1: term 1*3^2 does not fit a fs run"),
-    ], ids=["int-in-pk", "other-prime-in-pk", "plocal-in-fs"])
-    def test_term_outside_the_ring_ends_the_replay(self, value, run, i, q, problem):
+        # A division record's values and a step's k are typed before the
+        # step-0 reseed or the record check reads them.
+        *[(Fraction(473, 25), _pk_473_25, 0, _record(f, _over_5),
+           f"step 0: division {f} does not fit a pk run") for f in "abqr"],
+        *[(Fraction(473, 25), _pk_473_25, i, edit, f"step {i}: {f} does not fit a pk run")
+          for i in (0, 1) for f, edit in (("k", lambda rec: rec._replace(k="1")),
+                                          ("rbar", _record("rbar", lambda x: "1")))],
+        # A step without a record reads its k too: Knopfmacher's floor.
+        (Fraction(473, 25), lambda: knopfmacher_sylvester(P3, Fraction(473, 25), max_terms=3),
+         1, lambda rec: rec._replace(k="1"), "step 1: k does not fit a knopfmacher run"),
+    ], ids=["int-in-pk", "other-prime-in-pk", "plocal-in-fs", "record-a-over-5",
+            "record-b-over-5", "record-q-over-5", "record-r-over-5", "str-k-0", "str-rbar-0",
+            "str-k-1", "str-rbar-1", "str-k-knopf"])
+    def test_term_outside_the_ring_ends_the_replay(self, value, run, i, edit, problem):
         # Like a zero term: the replay stops at the step, so the sum is not
-        # confirmed, and no later step's arithmetic mixes rings.
+        # confirmed, and no later step's arithmetic mixes rings or types.
         e = run()
-        rec = e.trace[i]
-        d = rec.division and rec.division._replace(q=q)
-        bad = e._replace(terms=e.terms[:i] + (q,) + e.terms[i + 1:],
-                         trace=e.trace[:i] + (rec._replace(q=q, division=d),) + e.trace[i + 1:])
+        trace = e.trace[:i] + (edit(e.trace[i]),) + e.trace[i + 1:]
+        bad = e._replace(terms=tuple(rec.q for rec in trace), trace=trace)
         v = verify_expansion(e.p, value, bad)
         assert v.problems == [problem]
         assert v.sum_exact is False and not v.ok

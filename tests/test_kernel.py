@@ -75,7 +75,10 @@ from padic_sylvester.division import (
     CASE_1,
     CASE_2,
     DivisionStep,
+    _below,
+    _division_record_problems,
     _pk_divide,
+    _record_holds,
     classical_divide,
     pk_divide,
 )
@@ -83,12 +86,11 @@ from padic_sylvester.expansion import (
     CERTIFIED_NONTERMINATING,
     DEFAULT_MAX_TERMS,
     _floored_difference,
-    _division_record_problems,
     _replay_tail,
     _tail_ord,
 )
 from padic_sylvester.quadratic import PRECISION_CAP, _surd_floor, _surd_ord, _surd_triple
-from padic_sylvester.valuation import _LADDER_FROM, _below, _powers, _record_holds, _strip
+from padic_sylvester.valuation import _LADDER_FROM, _powers, _strip
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -1393,7 +1395,7 @@ class TestTermRuleComparison:
 
     def test_wide_gaps_build_no_power(self):
         got, seconds = _timed_in_subprocess(
-            "from padic_sylvester.valuation import _below\n"
+            "from padic_sylvester.division import _below\n"
             "p = Prime(101)",
             "[_below(PLocal(p, 5, 10**400), PLocal(p, 7)),"
             " _below(PLocal(p, 5), PLocal(p, 7, 10**400))]")
@@ -1917,7 +1919,8 @@ class TestPowerLadder:
         # A claimed r whose exponent is 10**400 above or below b's cannot
         # make b + r = a*q; the bit lengths say so before p**(10**400).
         got, seconds = _timed_in_subprocess(
-            "from padic_sylvester.valuation import _powers, _record_holds\n"
+            "from padic_sylvester.division import _record_holds\n"
+            "from padic_sylvester.valuation import _powers\n"
             "p = Prime(3)\n"
             "a, b, q = PLocal(p, 473), PLocal(p, 25), PLocal(p, 2)",
             "[_record_holds(a, b, q, PLocal(p, 307, exp), _powers(p))"
