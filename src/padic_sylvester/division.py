@@ -7,9 +7,9 @@ q, r in Z[1/p] with
     b = a*q - r,    0 <= r < a*p**k,    |r|_p <= |a*p**k|_p.
 
 brute_force_divide is an independent enumeration oracle for the same triple
-of conditions. The rules a replay checks a step by sit here too: the bound
-0 <= r < a*p**k (_below), b + r = a*q (_record_holds), the kinds a record
-holds (_record_misfit) and its own fields (_division_record_problems).
+of conditions. The rules a replay checks a typed step by sit here too: the
+bound 0 <= r < a*p**k (_below), b + r = a*q (_record_holds) and a record's
+own fields (_division_record_problems).
 """
 
 from __future__ import annotations
@@ -95,17 +95,6 @@ def _pk_divide(p: Prime, k: int, a: PLocal, b: PLocal, power) -> DivisionStep:
     return DivisionStep(p, k, a, b, q, r, rbar, jumped, case)
 
 
-def _record_misfit(d: DivisionStep, p) -> "str | None":
-    """The first value of division record d that a replay over p cannot
-    read, named as a problem text names it: a, b, q and r must be PLocals
-    over p and rbar an int. None when all of them fit."""
-    for name in ("a", "b", "q", "r"):
-        x = getattr(d, name)
-        if not (isinstance(x, PLocal) and x.p == p):
-            return f"division {name}"
-    return None if isinstance(d.rbar, int) else "rbar"
-
-
 def _division_record_problems(rec, i: int) -> list[str]:
     """Check the division record of step i (an expansion.StepRecord) against
     its own step: its q is the step's term and 0 <= rbar < unit(a); then
@@ -121,8 +110,9 @@ def _division_record_problems(rec, i: int) -> list[str]:
     if k is None or d.k != k:
         problems.append(f"step {i}: division record has k {d.k}, the step has k {k}")
         return problems
-    # r = rbar * p**(ord(a) + k); comparing canonical forms needs no power of p.
-    if PLocal(d.p, d.rbar, a.exp + k) != r:
+    # r = rbar * p**(ord(a) + k); comparing canonical forms needs no power of p,
+    # nor a new PLocal where rbar is r's unit, as it is but at a jump.
+    if (r.unit, r.exp) != (d.rbar, a.exp + k) and PLocal(d.p, d.rbar, a.exp + k) != r:
         problems.append(f"step {i}: rbar {d.rbar} does not match r")
     if d.jumped != (not r.is_zero() and r.exp > a.exp + k):
         problems.append(f"step {i}: jump flag does not match r")

@@ -12,7 +12,8 @@ algorithm's term rule. An algorithm (`_Algorithm`) is the k it gives a step,
 its pick, its rule and the record it carries, defined in one place each: the
 p**k division algorithm (`pk`, `adaptive`, rational `sylvester`), <1/z>_k
 with a real ceiling (quadratic `sylvester`), the window <den/num>_1 after an
-additive head (`knopf`) or classical division (`fs`).
+additive head (`knopf`) or classical division (`fs`). A run handed to
+verify is typed once, by `_misfits`, before the loop or any rule reads it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 from .digits import _window
 from .division import (DivisionStep, _below, _division_record_problems, _pk_divide, _record_holds,
-                       _record_misfit, classical_divide)
+                       classical_divide)
 from .errors import HypothesisViolated, KTooSmall, PreconditionViolated
 from .quadratic import QuadElement, _surd_ord, _surd_triple, _sylvester_terms
 from .valuation import PLocal, POS_INF, Prime, _powers, _strip, ord_p
@@ -299,50 +300,42 @@ def _tail_ord(p, num, y, den, value, floor):
     return (None if p is None else num.exp - den.exp if num.unit else POS_INF), None
 
 
-def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
-    """The one step loop of algorithm `name` with p and k: expand (e None)
-    or verify run e from the tail, an unreduced pair num/den over Z[1/p] (Z
-    without a prime), a quadratic one with y*sqrt(D) riding along. A
-    rational run with a prime shares one ladder of powers of p between its
-    steps (valuation._powers). Each step finds the tail's order o
-    (_tail_ord) above the floor the growth bound k + 2*ord(z) of the step
-    before puts under it, and k = alg.k(o); its term q comes from alg.pick
-    on expand and from e's trace on verify. q steps num to the pick's or
-    the record's r (on verify once one product shows b + r = a*q), else to
-    num*q - den, whose power of p the floor takes out with one exact
-    division on a rational tail with a prime (_floored_difference); y to
-    y*q; and den to den*q unless the tail is zero and no later step reads
-    it. The head, position 0 of a Knopfmacher run, steps num to num - den*q.
-    Expand stops on a zero tail, after max_terms reciprocal terms or where
-    the pick ends the run.
+def _walk(name: str, alg: _Algorithm, p, num, y, den, value, e=None, fit=None, max_terms=None):
+    """The one step loop of algorithm `name` (alg) over p: expand (e None)
+    or verify run e, whose steps fit as `fit` says (_misfits), from the
+    tail, an unreduced pair num/den over Z[1/p] (Z without a prime), a
+    quadratic one with y*sqrt(D) riding along. A rational run with a prime
+    shares one ladder of powers of p between its steps (valuation._powers).
+    Each step finds the tail's order o (_tail_ord) above the floor the
+    growth bound k + 2*ord(z) of the step before puts under it, and
+    k = alg.k(o); its term q comes from alg.pick on expand and from e's
+    trace on verify. q steps num to the pick's or the record's r (on verify
+    once one product shows b + r = a*q), else to num*q - den, whose power
+    of p the floor takes out with one exact division on a rational tail
+    with a prime (_floored_difference); y to y*q; and den to den*q unless
+    the tail is zero and no later step reads it. The head, position 0 of a
+    Knopfmacher run, steps num to num - den*q. Expand stops on a zero tail,
+    after max_terms reciprocal terms or where the pick ends the run.
 
-    Verify first checks the run's ring: a prime exactly where the algorithm is
-    not fs, so that the replay's p, once e's, fits it too. Then it checks a
-    step at three points, so that its problems come together and in step
-    order: before the order, its recorded fields, what the replay reads of
-    it (a term in the ring, a PLocal over p with a prime and an int
-    without; an int or None as k; a division record that
-    division._record_misfit passes), a zero reciprocal term and its division
-    record; before the arithmetic, its ord(tail) and k, a term exponent too
-    far from the order (_exponent_too_far) and its a, b against the pair;
-    after it, its r and remainder against the next num and its term rule. A
-    step-0 record whose a/b is the input seeds the pair. A value the replay
-    cannot read, a zero or a far term ends the replay before it is read or
-    its power of p is built, a ring that does not fit or a run over another
-    prime than p before its first step; later steps get only the field
-    checks. Returns (alg, trace, num, y, den, problems, orders, stop):
-    orders end with the tail the replay stops at, stop is the step it stops
-    before or None."""
-    alg = _ALGORITHMS[name](p, k, value)
+    Verify checks a step at three points, so that its problems come
+    together and in step order: before the order, its fit problems, a zero
+    reciprocal term and its division record (read only where the algorithm
+    carries one); before the arithmetic, its ord(tail) and k, a term
+    exponent too far from the order (_exponent_too_far) and its a, b
+    against the pair; after it, its r and remainder against the next num and
+    its term rule. A step-0 record whose a/b is the input seeds the pair. A
+    misfit, a zero or a far term ends the replay before its value is read or
+    its power of p is built, a run over another prime than p before its
+    first step; later steps list only their forms. Returns (trace, num, y,
+    den, problems, orders, stop): orders end with the tail the replay stops
+    at, stop is the step it stops before or None."""
     power = None if p is None or y is not None else _powers(p)
     expand = e is None
     trace = [] if expand else e.trace
     k_of, pick, rule, heads = alg.k, alg.pick, alg.rule, alg.head
     divisions, remainders = alg.record == "division", alg.record == "remainder"
     start, problems, orders, floor, budget = (num, y, den), [], [], None, None
-    if not expand and (e.p is None) != (name == "fs"):
-        problems.append(f"p {e.p and int(e.p)} does not fit a {name} run")
-    stop = None if expand or e.p == p and not problems else 0
+    stop = None if expand or e.p == p else 0
     seeded = False
     for i in (count() if expand else range(len(trace))):
         head = heads and i == 0
@@ -351,25 +344,15 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
                 break
         else:  # before the order
             rec = trace[i]
-            q, d = rec.q, rec.division
-            if (d is not None) != divisions:
-                problems.append(f"step {i}: division record does not fit a {name} run")
-            if (rec.remainder is not None) != remainders:
-                problems.append(f"step {i}: remainder does not fit a {name} run")
-            if rec.tail_ord is not None and name == "fs":
-                problems.append(f"step {i}: tail_ord does not fit a {name} run")
+            q, d = rec.q, rec.division if divisions else None
+            forms, misfit = fit[i]
+            problems.extend(forms)
             if stop is not None:
                 continue
-            fits = q.p == p if isinstance(q, PLocal) else p is None and isinstance(q, int)
-            misfit = (f"term {_tail_text(q)}" if not fits
-                      else "k" if not (rec.k is None or isinstance(rec.k, int))
-                      else d is not None and _record_misfit(d, p))
-            if misfit:
-                problems.append(f"step {i}: {misfit} does not fit a {name} run")
-                stop = i
-                continue
-            if not head and not q:
-                problems.append(f"step {i}: term is zero")
+            misfit = misfit or not head and not q and f"step {i}: term is zero"
+            if misfit:  # the replay ends before it, listed once
+                if misfit not in forms:
+                    problems.append(misfit)
                 stop = i
                 continue
             if d is not None:
@@ -437,7 +420,7 @@ def _walk(name: str, p, k, num, y, den, value, e=None, max_terms=None):
                 problems.append(problem)
     if not expand and p is not None and len(orders) == (len(trace) if stop is None else stop):
         orders.append(_tail_ord(p, num, y, den, value, floor)[0])
-    return alg, trace, num, y, den, problems, orders, stop
+    return trace, num, y, den, problems, orders, stop
 
 
 def _expand(name: str, p, k, num, y, den, value, max_terms: "int | None" = None) -> Expansion:
@@ -446,7 +429,8 @@ def _expand(name: str, p, k, num, y, den, value, max_terms: "int | None" = None)
     (Knopfmacher's) and its final tail is negative. That certifies
     non-termination, with the tail as the certificate: every later term is a
     positive unit fraction, so a negative tail never returns to zero."""
-    alg, trace, num, y, den, *_ = _walk(name, p, k, num, y, den, value, max_terms=max_terms)
+    alg = _ALGORITHMS[name](p, k, value)
+    trace, num, y, den, *_ = _walk(name, alg, p, num, y, den, value, max_terms=max_terms)
     status, certificate = CAP_REACHED if num or y else TERMINATED, None
     if alg.head and num.unit < 0:
         status, certificate = CERTIFIED_NONTERMINATING, num.to_fraction() / den.to_fraction()
@@ -523,10 +507,9 @@ def _replay_tail(num, y, den, value) -> "Fraction | QuadElement":
 
 
 def _tail_text(tail) -> str:
-    """str(tail), for a replayed value in a problem text: a tail, a
-    remainder or its bound. Where str() would pass the int/str digit limit,
-    the bit lengths of its numerators and denominators, or of a PLocal's
-    unit, stand in for them."""
+    """str(tail), for a value in a problem text (a tail, a term, a remainder
+    or its bound); past the int/str digit limit the bit lengths of its
+    numerators and denominators, or of a PLocal's unit, stand in."""
     try:
         return str(tail)
     except ValueError:
@@ -597,25 +580,91 @@ def _exponent_too_far(q, o, k, num, den, head, budget) -> bool:
     return wide > budget
 
 
+_MAYBE_INT = (int, type(None))
+# The kinds report.expansion_from_json builds for a run's fields (p is None
+# on fs) and a division record's, each named as its problem names it.
+_RUN_KINDS = {"algorithm": str, "value": (Fraction, QuadElement), "p": Prime, "k": _MAYBE_INT,
+              "terms": (tuple, list), "status": str, "trace": (tuple, list),
+              "initial flag": bool, "certificate": (type(None), Fraction)}
+_FS_RUN_KINDS = {**_RUN_KINDS, "p": type(None)}  # an fs run has no prime
+_RECORD_KINDS = {"division p": Prime, "division k": _MAYBE_INT, "division a": PLocal,
+                 "division b": PLocal, "division q": PLocal, "division r": PLocal, "rbar": int,
+                 "jumped": bool, "case": str}
+
+
+def _misfits(e: Expansion, alg: _Algorithm):
+    """The one check of run e's shape, before the replay or any rule reads
+    it: each field must have the kind report.expansion_from_json builds
+    (_RUN_KINDS, _RECORD_KINDS; a step's q a PLocal over p or an int on fs,
+    its k, tail_ord and remainder ints or None), the status be one of the
+    three and each step hold the records alg carries; a record alg does not
+    carry is never read. A misfit is one problem, `<field> does not fit a
+    <name> run`, showing a value only of a kind its field can hold. Returns
+    (run, steps, flag): the run's first misfit, which leaves it unreplayed;
+    per step, the records alg does not carry, listed, and the first misfit
+    or None, which ends the replay there; and an initial flag that does not
+    fit alg, listed among the run's claims."""
+    name, p, trace, fs = e.algorithm, e.p, e.trace, e.algorithm == "fs"
+    carried = (alg.record == "division", alg.record == "remainder", False)
+    kinds = _FS_RUN_KINDS if fs else _RUN_KINDS
+
+    def text(field):
+        return f"{field} does not fit a {name} run"
+
+    def first(values, of):  # the first field of the wrong kind, or None
+        return next((field for (field, kind), x in zip(of.items(), values)
+                     if not isinstance(x, kind) or kind is Prime and x != p
+                     or kind is PLocal and x.p != p), None)
+
+    walked = isinstance(trace, kinds["trace"])  # and of StepRecords, found below
+    steps = [((), None)] * len(trace) if walked else []  # each step fits, until found not to
+    for i, rec in enumerate(trace if walked else ()):
+        if not isinstance(rec, StepRecord):
+            walked, steps = False, []
+            break
+        q, k, o, d, r = rec
+        holds = (d is not None, r is not None, fs and o is not None)
+        misfit = ("term" + (f" {_tail_text(q)}" if isinstance(q, (PLocal, int)) else "")
+                  if not (isinstance(q, int) if fs else isinstance(q, PLocal) and q.p == p)
+                  else "k" if not isinstance(k, _MAYBE_INT)
+                  else "tail_ord" if not isinstance(o, _MAYBE_INT)
+                  else carried[0] and d is not None and (
+                      "division" if not isinstance(d, DivisionStep)
+                      else None if all(map(isinstance, d, _RECORD_KINDS.values()))
+                      and p == d.p == d.a.p == d.b.p == d.q.p == d.r.p  # at once where all fit
+                      else first(d, _RECORD_KINDS))
+                  or ("remainder" if not isinstance(r, _MAYBE_INT) else None))
+        if misfit or holds != carried:
+            steps[i] = ([f"step {i}: {text(form)}" for form, x, y in zip(
+                ("division record", "remainder", "tail_ord"), holds, carried) if x != y],
+                misfit and f"step {i}: {text(misfit)}")
+    misfit = (first(e, kinds) if not all(map(isinstance, e, kinds.values()))
+              else "status" if e.status not in (TERMINATED, CAP_REACHED, CERTIFIED_NONTERMINATING)
+              else None if walked else "trace")
+    run = [text(f"p {p and int(p)}" if misfit == "p" and isinstance(p, (Prime, type(None)))
+                else misfit)] if misfit else []
+    flag = [text(f"initial flag {e.initial}")] if e.initial is (not alg.head) else []  # a bool
+    return run, steps, flag
+
+
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
     """Replay an expansion from its input and check its claims in one walk
     of its trace (_walk), its algorithm built from its own k as expanding
-    builds it. A step's index is its position, and position 0 of a
-    Knopfmacher run is its additive head. Each step's problems come
-    together, in step order; its term is checked against its algorithm's
-    rule, explained where the algorithm is defined (the quadratic ceiling
+    builds it, once _misfits has typed the run: one that does not fit lists
+    its misfits and is not replayed, and only an unknown algorithm raises.
+    A step's index is its position, and position 0 of a Knopfmacher run is
+    its additive head. Each step's problems come together, in step order;
+    its term is checked against its algorithm's rule (the quadratic ceiling
     has none yet). The run's claims follow: terms equal to the trace's q
     values, no run k on fs or Knopfmacher, the input as value, the replay's
     prime as p (a quadratic input's own; another prime ends the replay
-    before its first step, as a ring that does not fit the algorithm does,
-    so no arithmetic mixes primes or rings), an initial term on Knopfmacher
-    runs only, an exact sum on termination, a status other than terminated
-    only on a nonzero final tail, and a certificate on exactly the certified
-    runs, equal to the final tail (compared by cross-multiplying over
-    Z[1/p], building no Fraction) and negative. Last come strictly
-    increasing orders with the growth bound ord(z_{i+1}) >= k_i + 2*ord(z_i)
-    (orders need a prime). The report's tail_ord values are only compared:
-    each order is found from the floor the growth bound puts under it, which
+    before its first step), an initial term on Knopfmacher runs only, an
+    exact sum on termination, a status other than terminated only on a
+    nonzero final tail, and a certificate on exactly the certified runs,
+    equal to the final tail (compared by cross-multiplying over Z[1/p],
+    building no Fraction) and negative. Last come strictly increasing orders
+    with the growth bound ord(z_{i+1}) >= k_i + 2*ord(z_i) (orders need a
+    prime), each order found from the floor that bound puts under it, which
     never changes the result.
     """
     y = None
@@ -629,11 +678,18 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             num, den = -num, -den
         if p is not None:
             num, den = PLocal(p, num), PLocal(p, den)
-    if e.algorithm not in _ALGORITHMS:
-        raise PreconditionViolated(f"no algorithm {e.algorithm!r} to replay")
-    alg, _, num, y, den, problems, orders, stop = _walk(e.algorithm, p, e.k, num, y, den, value, e)
+    name = e.algorithm
+    if not isinstance(name, str) or name not in _ALGORITHMS:
+        raise PreconditionViolated(f"no algorithm {name!r} to replay" if isinstance(name, str)
+                                   else "the run names no algorithm")
+    alg = _ALGORITHMS[name](p, e.k, value)
+    run, steps, flag = _misfits(e, alg)
+    if run:  # not replayed, and none of its claims read
+        return VerificationReport(False, False if e.status == TERMINATED else None, [], None,
+                                  None, run + [f for forms, _ in steps for f in forms] + flag)
+    _, num, y, den, problems, orders, stop = _walk(name, alg, p, num, y, den, value, e, steps)
 
-    if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):
+    if [*e.terms] != [rec.q for rec in e.trace]:
         problems.append("terms differ from the trace's q values")
     if e.k is not None and not alg.takes_k:
         problems.append(f"k {e.k} does not apply to {e.algorithm}")
@@ -641,8 +697,7 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         problems.append(f"value {_tail_text(e.value)} is not the input {_tail_text(value)}")
     if e.p != p:
         problems.append(f"p {e.p and int(e.p)} is not the input's p {p and int(p)}")
-    if e.initial != alg.head:
-        problems.append(f"initial flag {e.initial} does not fit a {e.algorithm} run")
+    problems.extend(flag)
     sum_exact = None
     if e.status == TERMINATED:
         sum_exact = stop is None and not num and not y

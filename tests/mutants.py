@@ -10,8 +10,7 @@ KERNEL = "tests/test_kernel.py"
 CLI = "tests/test_cli.py"
 EXPANSION = "tests/test_expansion.py"
 CHECKS = [EXPANSION, CLI, KERNEL]
-# The lines before the two stops of the replay.
-ZERO = '                problems.append(f"step {i}: term is zero")\n'
+# The line before the far exponent's stop of the replay.
 FAR = '                                    f"the order {o} to be valid")\n'
 
 
@@ -25,24 +24,57 @@ MUTANTS = [
     M("record-q", "if d.q != rec.q:", "if False:", file=DIV),
     M("record-rbar-range", "if not 0 <= d.rbar < a.unit:", "if False:", file=DIV),
     M("record-k", "if k is None or d.k != k:", "if False:", file=DIV),
-    # What the replay reads of a record is typed before it reads it.
-    M("record-ring", "if not (isinstance(x, PLocal) and x.p == p):", "if False:", file=DIV),
-    M("record-int", 'return None if isinstance(d.rbar, int) else "rbar"', "return None", file=DIV),
-    M("record-rbar-r", "if PLocal(d.p, d.rbar, a.exp + k) != r:", "if False:", file=DIV),
+    M("record-rbar-r",
+      "if (r.unit, r.exp) != (d.rbar, a.exp + k) and PLocal(d.p, d.rbar, a.exp + k) != r:",
+      "if False:", file=DIV),
     M("record-jump", "if d.jumped != (not r.is_zero() and r.exp > a.exp + k):", "if False:",
       file=DIV),
     M("record-case",
       "if d.case != (CASE_1 if not b.is_zero() and k > b.exp - a.exp else CASE_2):",
       "if False:", file=DIV),
+    # The one fit check (_misfits): the records a step holds, each kind a
+    # run, a step and a division record hold, and the primes among them.
+    M("form-division", "holds = (d is not None, ", "holds = (carried[0], "),
+    M("form-remainder", "r is not None, fs and o is not None)",
+      "carried[1], fs and o is not None)"),
+    M("form-tail-ord", "fs and o is not None)", "False)"),
+    M("ring-prime", "kinds = _FS_RUN_KINDS if fs else _RUN_KINDS",
+      'kinds = {**_RUN_KINDS, "p": object}'),
+    M("run-kind-value", '"value": (Fraction, QuadElement),', '"value": object,'),
+    M("run-kind-k", '"p": Prime, "k": _MAYBE_INT,', '"p": Prime, "k": object,'),
+    M("run-kind-terms", '"terms": (tuple, list),', '"terms": object,'),
+    M("run-kind-trace", '"trace": (tuple, list),', '"trace": object,'),
+    M("run-kind-trace-entries", "if not isinstance(rec, StepRecord):", "if False:"),
+    M("run-kind-status", 'else "status" if e.status not in',
+      'else "status" if False and e.status in'),
+    M("run-kind-initial", '"initial flag": bool,', '"initial flag": object,'),
+    M("run-kind-certificate", '"certificate": (type(None), Fraction)}', '"certificate": object}'),
+    M("ring-term", "if not (isinstance(q, int) if fs else isinstance(q, PLocal) and q.p == p)",
+      "if False"),
+    M("int-k", 'else "k" if not isinstance(k, _MAYBE_INT)', 'else "k" if False'),
+    M("step-kind-tail-ord", 'else "tail_ord" if not isinstance(o, _MAYBE_INT)',
+      'else "tail_ord" if False'),
+    M("step-kind-remainder", 'or ("remainder" if not isinstance(r, _MAYBE_INT) else None))',
+      "or None)"),
+    M("step-kind-division", '"division" if not isinstance(d, DivisionStep)',
+      '"division" if False'),
+    M("record-kind-p", '_RECORD_KINDS = {"division p": Prime,',
+      '_RECORD_KINDS = {"division p": object,'),
+    M("record-kind-k", '"division k": _MAYBE_INT,', '"division k": object,'),
+    M("record-int", '"rbar": int,', '"rbar": object,'),
+    M("record-kind-jumped", '"jumped": bool,', '"jumped": object,'),
+    M("record-kind-case", '"case": str}', '"case": object}'),
+    M("record-ring", "or kind is PLocal and x.p != p), None)", "), None)"),
+    M("record-ring-at-once", "p == d.p == d.a.p == d.b.p == d.q.p == d.r.p  #", "p == d.p  #"),
+    M("run-not-replayed", "    if run:  # not replayed", "    if False:  # not replayed"),
+    # The replay's use of the fit: a misfit, like a zero term, ends it and
+    # is listed once.
+    M("misfit-once", "if misfit not in forms:", "if True:"),
+    M("misfit-no-stop", "problems.append(misfit)\n                stop = i\n",
+      "problems.append(misfit)\n"),
     # Each step's checks, in the step loop.
-    M("form-division", "if (d is not None) != divisions:", "if False:"),
-    M("form-remainder", "if (rec.remainder is not None) != remainders:", "if False:"),
-    M("form-tail-ord", 'if rec.tail_ord is not None and name == "fs":', "if False:"),
-    M("ring-term",
-      "fits = q.p == p if isinstance(q, PLocal) else p is None and isinstance(q, int)",
-      "fits = True"),
-    M("int-k", 'else "k" if not (rec.k is None or isinstance(rec.k, int))', 'else "k" if False'),
-    M("zero-term", "if not head and not q:", "if False:"),
+    M("zero-term", 'or not head and not q and f"step {i}: term is zero"',
+      'or False and f"step {i}: term is zero"'),
     M("record-call", "problems.extend(_division_record_problems(rec, i))", "pass"),
     M("tail-ord", "if rec.tail_ord != claim:", "if False:"),
     M("k-rule", "if rec.k != k:", "if False:"),
@@ -61,14 +93,11 @@ MUTANTS = [
     M("rule-knopf", "if q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):",
       "if False:"),
     # The run's checks.
-    M("ring-prime", 'if not expand and (e.p is None) != (name == "fs"):', "if False:"),
-    M("run-terms",
-      "if len(e.terms) != len(e.trace) or any(q != rec.q for q, rec in zip(e.terms, e.trace)):",
-      "if False:"),
+    M("run-terms", "if [*e.terms] != [rec.q for rec in e.trace]:", "if False:"),
     M("run-k", "if e.k is not None and not alg.takes_k:", "if False:"),
     M("run-value", "if e.value != value:", "if False:"),
     M("run-p", "if e.p != p:\n", "if False:\n"),
-    M("run-initial", "if e.initial != alg.head:", "if False:"),
+    M("run-initial", "if e.initial is (not alg.head) else []", "if False else []"),
     M("run-sum", "if stop is None and not sum_exact:", "if False:"),
     M("run-status-zero", "if e.status != TERMINATED and stop is None and not num and not y:",
       "if False:"),
@@ -94,7 +123,6 @@ MUTANTS = [
       "if stop is None and (y or num * c.denominator != den * c.numerator):",
       "if stop is None and c != _replay_tail(num, y, den, value):", [EXPANSION]),
     # What the checks lean on.
-    M("zero-term-no-stop", ZERO + "                stop = i\n", ZERO),
     M("far-exponent-no-stop", FAR + "                    stop = i\n", FAR, [KERNEL, CLI],
       timeout=60),
     M("knopf-window-no-low-bound", "0 <= q.unit < p ** (1 - q.exp)", "q.unit < p ** (1 - q.exp)"),

@@ -6,6 +6,7 @@ import pytest
 from padic_sylvester import (
     CAP_REACHED,
     CERTIFIED_NONTERMINATING,
+    DivisionStep,
     HOLDS,
     HOLDS_DESPITE_JUMP,
     HypothesisViolated,
@@ -480,6 +481,19 @@ def _over_5(x):
     return PLocal(Prime(5), x.unit, x.exp)
 
 
+def _adaptive_473_25():
+    return adaptive_pk_greedy(P3, 1, Fraction(473, 25))
+
+
+def _knopf_3_7():
+    return knopfmacher_sylvester(P3, Fraction(3, 7))
+
+
+def _step(field, new):
+    """An edit of a step: its field set to new."""
+    return lambda rec: rec._replace(**{field: new})
+
+
 XI = QuadElement.make(0, Fraction(1, 11), 11, "+", P7, 2)
 
 
@@ -514,9 +528,37 @@ class TestVerifyInputClaims:
          ["p None does not fit a pk run"]),
         (P3, Fraction(5, 11), lambda: fs_greedy(5, 11)._replace(p=P3),
          ["p 3 does not fit a fs run"]),
+        # Each field of a run is typed before anything reads it: a field of
+        # the wrong kind is one problem, shows no value and ends the replay
+        # before its first step, and none of the run's claims is checked.
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(p="x"),
+         ["p does not fit a pk run"]),
+        (P3, Fraction(473, 25), lambda: _adaptive_473_25()._replace(k="1"),
+         ["k does not fit a adaptive run"]),
+        (P3, Fraction(473, 25), lambda: _adaptive_473_25()._replace(k=()),
+         ["k does not fit a adaptive run"]),
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(terms=5),
+         ["terms does not fit a pk run"]),
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(trace=5),
+         ["trace does not fit a pk run"]),
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(trace=None),
+         ["trace does not fit a pk run"]),
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(
+            trace=_pk_473_25().trace[:1] + (5,) + _pk_473_25().trace[2:]),
+         ["trace does not fit a pk run"]),
+        (P3, Fraction(3, 7), lambda: _knopf_3_7()._replace(certificate="x"),
+         ["certificate does not fit a knopfmacher run"]),
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(value="473/25"),
+         ["value does not fit a pk run"]),
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(status="done"),
+         ["status does not fit a pk run"]),
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(initial=0),
+         ["initial flag does not fit a pk run"]),
     ], ids=["value", "run-p", "replay-p", "no-replay-p", "knopf-initial", "pk-initial",
             "quadratic-own-p", "quadratic-p", "fs-with-p", "terms", "pk-without-prime",
-            "fs-with-prime"])
+            "fs-with-prime", "str-p", "adaptive-str-k", "adaptive-tuple-k", "int-terms",
+            "int-trace", "no-trace", "int-in-trace", "str-certificate", "str-value",
+            "unknown-status", "int-initial"])
     def test_claim_is_one_problem(self, p, value, run, problems):
         v = verify_expansion(p, value, run())
         assert v.problems == problems
@@ -548,9 +590,33 @@ class TestVerifyInputClaims:
         # A step without a record reads its k too: Knopfmacher's floor.
         (Fraction(473, 25), lambda: knopfmacher_sylvester(P3, Fraction(473, 25), max_terms=3),
          1, lambda rec: rec._replace(k="1"), "step 1: k does not fit a knopfmacher run"),
+        # A record's own p and k are typed too, so neither is blamed on
+        # another field (p over 5 listed "rbar 165 does not match r").
+        (Fraction(473, 25), _pk_473_25, 1, _record("p", lambda x: "x"),
+         "step 1: division p does not fit a pk run"),
+        (Fraction(473, 25), _pk_473_25, 1, _record("p", lambda x: Prime(5)),
+         "step 1: division p does not fit a pk run"),
+        (Fraction(473, 25), _pk_473_25, 1, _record("k", lambda x: "1"),
+         "step 1: division k does not fit a pk run"),
+        (Fraction(473, 25), _pk_473_25, 1, _record("jumped", lambda x: "no"),
+         "step 1: jumped does not fit a pk run"),
+        (Fraction(473, 25), _pk_473_25, 1, _record("case", lambda x: 1),
+         "step 1: case does not fit a pk run"),
+        (Fraction(473, 25), _pk_473_25, 1, _step("division", 5),
+         "step 1: division does not fit a pk run"),
+        (Fraction(473, 25), _pk_473_25, 1, _step("tail_ord", "1"),
+         "step 1: tail_ord does not fit a pk run"),
+        (Fraction(5, 11), lambda: fs_greedy(5, 11), 1, _step("remainder", "3"),
+         "step 1: remainder does not fit a fs run"),
+        # A remainder a pk run does not carry, of the wrong kind: one problem,
+        # and the replay ends before it compares it.
+        (Fraction(473, 25), _pk_473_25, 1, _step("remainder", "3"),
+         "step 1: remainder does not fit a pk run"),
     ], ids=["int-in-pk", "other-prime-in-pk", "plocal-in-fs", "record-a-over-5",
             "record-b-over-5", "record-q-over-5", "record-r-over-5", "str-k-0", "str-rbar-0",
-            "str-k-1", "str-rbar-1", "str-k-knopf"])
+            "str-k-1", "str-rbar-1", "str-k-knopf", "str-record-p", "record-p-5",
+            "str-record-k", "str-jumped", "int-case", "int-division", "str-tail-ord",
+            "str-fs-remainder", "str-pk-remainder"])
     def test_term_outside_the_ring_ends_the_replay(self, value, run, i, edit, problem):
         # Like a zero term: the replay stops at the step, so the sum is not
         # confirmed, and no later step's arithmetic mixes rings or types.
@@ -560,6 +626,77 @@ class TestVerifyInputClaims:
         v = verify_expansion(e.p, value, bad)
         assert v.problems == [problem]
         assert v.sum_exact is False and not v.ok
+
+
+# Values of many kinds, each set in turn into every field of a run, its
+# steps and its division records.
+_ODD_VALUES = ("x", 1.5, None, [], {}, -1, 10**400)
+_MAYBE_INT = (int, type(None))
+# The kinds report.expansion_from_json builds, as (record, field): kind.
+_PARSED_KINDS = {
+    **{("Expansion", field): kind for field, kind in (
+        ("value", (Fraction, QuadElement)), ("p", Prime), ("k", _MAYBE_INT),
+        ("terms", (tuple, list)), ("status", str), ("trace", (tuple, list)),
+        ("initial", bool), ("certificate", (Fraction, type(None))))},
+    **{("StepRecord", field): kind for field, kind in (
+        ("q", PLocal), ("k", _MAYBE_INT), ("tail_ord", _MAYBE_INT),
+        ("division", (DivisionStep, type(None))), ("remainder", _MAYBE_INT))},
+    **{("DivisionStep", field): kind for field, kind in (
+        ("p", Prime), ("k", _MAYBE_INT), ("a", PLocal), ("b", PLocal), ("q", PLocal),
+        ("r", PLocal), ("rbar", int), ("jumped", bool), ("case", str))},
+}
+
+
+def _field_edits(e):
+    """(record, field, own value, the run with that field set to x) for
+    every field of run e, of its steps and of their division records."""
+    def run_with(i, rec):
+        return e.trace[:i] + (rec,) + e.trace[i + 1:]
+
+    for field in e._fields:
+        yield "Expansion", field, getattr(e, field), lambda x, f=field: e._replace(**{f: x})
+    for i, rec in enumerate(e.trace):
+        for field in rec._fields:
+            yield "StepRecord", field, getattr(rec, field), lambda x, i=i, rec=rec, f=field: (
+                e._replace(trace=run_with(i, rec._replace(**{f: x}))))
+        d = rec.division
+        for field in d._fields if d is not None else ():
+            yield "DivisionStep", field, getattr(d, field), lambda x, i=i, rec=rec, f=field: (
+                e._replace(trace=run_with(i, rec._replace(division=rec.division._replace(
+                    **{f: x})))))
+
+
+class TestVerifyFieldFuzz:
+    """Every field of a run, a step and a division record, set in turn to
+    each of a fixed list of values: verify lists problems and raises
+    nothing but PreconditionViolated for an unknown algorithm, and a value
+    of a kind the report parser never builds is never ok."""
+
+    @pytest.mark.parametrize("p, value, run", [
+        (P3, Fraction(473, 25), _pk_473_25),
+        (P3, Fraction(12, 19), lambda: knopfmacher_sylvester(P3, Fraction(12, 19))),
+        (None, Fraction(5, 11), lambda: fs_greedy(5, 11)),
+    ], ids=["pk", "knopf-certified", "fs"])
+    def test_every_field_of_every_kind(self, p, value, run):
+        e = run()
+        edits = 0
+        for record, field, own, edited in _field_edits(e):
+            for x in _ODD_VALUES:
+                if x == own:
+                    continue
+                edits += 1
+                if field == "algorithm":
+                    with pytest.raises(PreconditionViolated):
+                        verify_expansion(p, value, edited(x))
+                    continue
+                v = verify_expansion(p, value, edited(x))
+                kind = _PARSED_KINDS[record, field]
+                if p is None and (record, field) in {("Expansion", "p"), ("StepRecord", "q")}:
+                    kind = type(None) if field == "p" else int  # fs: no prime, integer terms
+                fits = isinstance(x, kind) and (field != "status" or x in (
+                    TERMINATED, CAP_REACHED, CERTIFIED_NONTERMINATING))
+                assert fits or not v.ok, (record, field, x)
+        assert edits > 100
 
 
 class TestVerifyRecordsAndCertificate:
