@@ -110,9 +110,8 @@ def _division_record_problems(rec, i: int) -> list[str]:
     if k is None or d.k != k:
         problems.append(f"step {i}: division record has k {d.k}, the step has k {k}")
         return problems
-    # r = rbar * p**(ord(a) + k); comparing canonical forms needs no power of p,
-    # nor a new PLocal where rbar is r's unit, as it is but at a jump.
-    if (r.unit, r.exp) != (d.rbar, a.exp + k) and PLocal(d.p, d.rbar, a.exp + k) != r:
+    # r = rbar * p**(ord(a) + k); comparing canonical forms needs no power of p.
+    if PLocal(d.p, d.rbar, a.exp + k) != r:
         problems.append(f"step {i}: rbar {d.rbar} does not match r")
     if d.jumped != (not r.is_zero() and r.exp > a.exp + k):
         problems.append(f"step {i}: jump flag does not match r")

@@ -19,7 +19,7 @@ verify is typed once, by `_misfits`, before the loop or any rule reads it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -300,9 +300,9 @@ def _tail_ord(p, num, y, den, value, floor):
     return (None if p is None else num.exp - den.exp if num.unit else POS_INF), None
 
 
-def _walk(name: str, alg: _Algorithm, p, num, y, den, value, e=None, fit=None, max_terms=None):
-    """The one step loop of algorithm `name` (alg) over p: expand (e None)
-    or verify run e, whose steps fit as `fit` says (_misfits), from the
+def _walk(alg: _Algorithm, p, num, y, den, value, e=None, fit=None, max_terms=None):
+    """The one step loop of algorithm alg over p: expand (e None) or verify
+    run e, each step typed by fit (_misfits) before it is read, from the
     tail, an unreduced pair num/den over Z[1/p] (Z without a prime), a
     quadratic one with y*sqrt(D) riding along. A rational run with a prime
     shares one ladder of powers of p between its steps (valuation._powers).
@@ -318,17 +318,17 @@ def _walk(name: str, alg: _Algorithm, p, num, y, den, value, e=None, fit=None, m
     after max_terms reciprocal terms or where the pick ends the run.
 
     Verify checks a step at three points, so that its problems come
-    together and in step order: before the order, its fit problems, a zero
-    reciprocal term and its division record (read only where the algorithm
-    carries one); before the arithmetic, its ord(tail) and k, a term
-    exponent too far from the order (_exponent_too_far) and its a, b
-    against the pair; after it, its r and remainder against the next num and
-    its term rule. A step-0 record whose a/b is the input seeds the pair. A
-    misfit, a zero or a far term ends the replay before its value is read or
-    its power of p is built, a run over another prime than p before its
-    first step; later steps list only their forms. Returns (trace, num, y,
-    den, problems, orders, stop): orders end with the tail the replay stops
-    at, stop is the step it stops before or None."""
+    together and in step order: before the order, its fit, a zero
+    reciprocal term and the division record alg carries; before the
+    arithmetic, its ord(tail) and k, a term exponent too far from the order
+    (_exponent_too_far) and its a, b against the pair; after it, its r and
+    remainder against the next num and its term rule. A step-0 record whose
+    a/b is the input seeds the pair. A misfit, a zero or a far term ends the
+    replay before its value is read or its power of p is built, a run over
+    another prime than p before its first step; later steps get only fit's
+    forms. Returns (trace, num, y, den, problems, orders, stop): orders end
+    with the tail the replay stops at, stop is the step it stops before or
+    None."""
     power = None if p is None or y is not None else _powers(p)
     expand = e is None
     trace = [] if expand else e.trace
@@ -345,15 +345,12 @@ def _walk(name: str, alg: _Algorithm, p, num, y, den, value, e=None, fit=None, m
         else:  # before the order
             rec = trace[i]
             q, d = rec.q, rec.division if divisions else None
-            forms, misfit = fit[i]
-            problems.extend(forms)
-            if stop is not None:
-                continue
-            misfit = misfit or not head and not q and f"step {i}: term is zero"
-            if misfit:  # the replay ends before it, listed once
-                if misfit not in forms:
-                    problems.append(misfit)
+            if fit(rec, i, problems, stop is None):
+                stop = i  # a misfit, listed: the replay ends before it
+            elif stop is None and not head and not q:
+                problems.append(f"step {i}: term is zero")
                 stop = i
+            if stop is not None:
                 continue
             if d is not None:
                 problems.extend(_division_record_problems(rec, i))
@@ -375,7 +372,7 @@ def _walk(name: str, alg: _Algorithm, p, num, y, den, value, e=None, fit=None, m
                 if rec.tail_ord != claim:
                     problems.append(f"step {i}: tail_ord {rec.tail_ord} is not the order {o}")
             if rec.k != k:
-                problems.append(f"step {i}: k {rec.k} is not the {name} k {k}")
+                problems.append(f"step {i}: k {rec.k} is not the {e.algorithm} k {k}")
             if p is not None and q and q.exp != (o if head else -o):
                 budget = budget or _CLAIM_BITS + sum(  # the units the run spells out
                     u.unit.bit_length() for u in (*start, *e.terms) if isinstance(u, PLocal))
@@ -430,7 +427,7 @@ def _expand(name: str, p, k, num, y, den, value, max_terms: "int | None" = None)
     non-termination, with the tail as the certificate: every later term is a
     positive unit fraction, so a negative tail never returns to zero."""
     alg = _ALGORITHMS[name](p, k, value)
-    trace, num, y, den, *_ = _walk(name, alg, p, num, y, den, value, max_terms=max_terms)
+    trace, num, y, den, *_ = _walk(alg, p, num, y, den, value, max_terms=max_terms)
     status, certificate = CAP_REACHED if num or y else TERMINATED, None
     if alg.head and num.unit < 0:
         status, certificate = CERTIFIED_NONTERMINATING, num.to_fraction() / den.to_fraction()
@@ -519,7 +516,7 @@ def _tail_text(tail) -> str:
         if isinstance(tail, PLocal):
             unit = f"{tail.unit.bit_length()}-bit"
             return unit if tail.exp == 0 else f"{unit}*{int(tail.p)}^{tail.exp}"
-        if isinstance(tail, Fraction):
+        if isinstance(tail, (Fraction, int)):
             return bits(tail)
         return f"({bits(tail.x)}) + ({bits(tail.y)})*sqrt({tail.D})"
 
@@ -581,70 +578,75 @@ def _exponent_too_far(q, o, k, num, den, head, budget) -> bool:
 
 
 _MAYBE_INT = (int, type(None))
-# The kinds report.expansion_from_json builds for a run's fields (p is None
-# on fs) and a division record's, each named as its problem names it.
-_RUN_KINDS = {"algorithm": str, "value": (Fraction, QuadElement), "p": Prime, "k": _MAYBE_INT,
-              "terms": (tuple, list), "status": str, "trace": (tuple, list),
-              "initial flag": bool, "certificate": (type(None), Fraction)}
-_FS_RUN_KINDS = {**_RUN_KINDS, "p": type(None)}  # an fs run has no prime
-_RECORD_KINDS = {"division p": Prime, "division k": _MAYBE_INT, "division a": PLocal,
-                 "division b": PLocal, "division q": PLocal, "division r": PLocal, "rbar": int,
-                 "jumped": bool, "case": str}
+# The kinds report.expansion_from_json builds for a run (p is None on fs) and
+# a division record, field by field, each field named as its problem names it.
+_RUN_KINDS = (("algorithm", str), ("value", (Fraction, QuadElement)), ("p", Prime),
+              ("k", _MAYBE_INT), ("terms", (tuple, list)), ("status", str),
+              ("trace", (tuple, list)), ("initial flag", bool),
+              ("certificate", (type(None), Fraction)))
+_FS_RUN_KINDS = _RUN_KINDS[:2] + (("p", type(None)),) + _RUN_KINDS[3:]
+_RECORD_KINDS = (("division p", Prime), ("division k", _MAYBE_INT), ("division a", PLocal),
+                 ("division b", PLocal), ("division q", PLocal), ("division r", PLocal),
+                 ("rbar", int), ("jumped", bool), ("case", str))
 
 
 def _misfits(e: Expansion, alg: _Algorithm):
-    """The one check of run e's shape, before the replay or any rule reads
-    it: each field must have the kind report.expansion_from_json builds
-    (_RUN_KINDS, _RECORD_KINDS; a step's q a PLocal over p or an int on fs,
-    its k, tail_ord and remainder ints or None), the status be one of the
-    three and each step hold the records alg carries; a record alg does not
-    carry is never read. A misfit is one problem, `<field> does not fit a
-    <name> run`, showing a value only of a kind its field can hold. Returns
-    (run, steps, flag): the run's first misfit, which leaves it unreplayed;
-    per step, the records alg does not carry, listed, and the first misfit
-    or None, which ends the replay there; and an initial flag that does not
-    fit alg, listed among the run's claims."""
+    """The one check of run e's shape, the parser's: the kinds in _RUN_KINDS
+    and, for the records alg carries, _RECORD_KINDS, with a record's p the
+    run's and every PLocal over it; one of the three statuses; a step's q a
+    PLocal over p (an int on fs), its k, tail_ord and remainder ints or None
+    and its division a DivisionStep or None; and on each step the records
+    alg carries. A misfit is one problem, `<field> does not fit a <name>
+    run`, showing a value only of a kind its field can hold. Returns (run,
+    fit, flag): the run's first misfit, its steps' forms and flag, which
+    leave it unreplayed; fit(rec, i, problems, live), which lists step i's
+    forms and, where live, its first misfit, true where that ends the
+    replay; and an initial flag that does not fit alg, a claim."""
     name, p, trace, fs = e.algorithm, e.p, e.trace, e.algorithm == "fs"
     carried = (alg.record == "division", alg.record == "remainder", False)
-    kinds = _FS_RUN_KINDS if fs else _RUN_KINDS
 
     def text(field):
         return f"{field} does not fit a {name} run"
 
-    def first(values, of):  # the first field of the wrong kind, or None
-        return next((field for (field, kind), x in zip(of.items(), values)
-                     if not isinstance(x, kind) or kind is Prime and x != p
-                     or kind is PLocal and x.p != p), None)
+    def first(values, kinds):  # the first field of the wrong kind, or None
+        for (field, kind), x in zip(kinds, values):
+            if not isinstance(x, kind) or kind is PLocal and x.p != p:
+                return field
+        return None
 
-    walked = isinstance(trace, kinds["trace"])  # and of StepRecords, found below
-    steps = [((), None)] * len(trace) if walked else []  # each step fits, until found not to
-    for i, rec in enumerate(trace if walked else ()):
-        if not isinstance(rec, StepRecord):
-            walked, steps = False, []
-            break
+    def fit(rec, i, problems, live):
         q, k, o, d, r = rec
+        misfit = live and (
+            "term" if not isinstance(q, int if fs else PLocal) or not fs and q.p != p
+            else "k" if not isinstance(k, _MAYBE_INT)
+            else "tail_ord" if not isinstance(o, _MAYBE_INT)
+            else "division record" if not isinstance(d, (DivisionStep, type(None)))
+            else "remainder" if not isinstance(r, _MAYBE_INT)
+            else carried[0] and d is not None and (
+                "division p" if d.p != p else first(d, _RECORD_KINDS)))
+        if misfit == "term" and isinstance(q, (PLocal, int)):  # a value a term can be
+            misfit = f"term {_tail_text(q)}"
         holds = (d is not None, r is not None, fs and o is not None)
-        misfit = ("term" + (f" {_tail_text(q)}" if isinstance(q, (PLocal, int)) else "")
-                  if not (isinstance(q, int) if fs else isinstance(q, PLocal) and q.p == p)
-                  else "k" if not isinstance(k, _MAYBE_INT)
-                  else "tail_ord" if not isinstance(o, _MAYBE_INT)
-                  else carried[0] and d is not None and (
-                      "division" if not isinstance(d, DivisionStep)
-                      else None if all(map(isinstance, d, _RECORD_KINDS.values()))
-                      and p == d.p == d.a.p == d.b.p == d.q.p == d.r.p  # at once where all fit
-                      else first(d, _RECORD_KINDS))
-                  or ("remainder" if not isinstance(r, _MAYBE_INT) else None))
         if misfit or holds != carried:
-            steps[i] = ([f"step {i}: {text(form)}" for form, x, y in zip(
-                ("division record", "remainder", "tail_ord"), holds, carried) if x != y],
-                misfit and f"step {i}: {text(misfit)}")
-    misfit = (first(e, kinds) if not all(map(isinstance, e, kinds.values()))
-              else "status" if e.status not in (TERMINATED, CAP_REACHED, CERTIFIED_NONTERMINATING)
-              else None if walked else "trace")
-    run = [text(f"p {p and int(p)}" if misfit == "p" and isinstance(p, (Prime, type(None)))
-                else misfit)] if misfit else []
+            listed = [form for form, x, y in zip(
+                ("division record", "remainder", "tail_ord"), holds, carried) if x != y]
+            if misfit and misfit not in listed:  # a misfit that is a form is listed once
+                listed.append(misfit)
+            problems.extend(f"step {i}: {text(field)}" for field in listed)
+        return bool(misfit)
+
     flag = [text(f"initial flag {e.initial}")] if e.initial is (not alg.head) else []  # a bool
-    return run, steps, flag
+    walkable = isinstance(trace, (tuple, list)) and all(map(isinstance, trace, repeat(StepRecord)))
+    misfit = (first(e, _FS_RUN_KINDS if fs else _RUN_KINDS)
+              or e.status not in (TERMINATED, CAP_REACHED, CERTIFIED_NONTERMINATING) and "status"
+              or not walkable and "trace")
+    if not misfit:
+        return [], fit, flag
+    run = [text(f"p {p and int(p)}" if misfit == "p" and isinstance(p, (Prime, type(None)))
+                else misfit)]
+    for i, rec in enumerate(trace if walkable else ()):
+        fit(rec, i, run, False)
+    return run + flag, fit, flag
 
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
@@ -683,11 +685,11 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         raise PreconditionViolated(f"no algorithm {name!r} to replay" if isinstance(name, str)
                                    else "the run names no algorithm")
     alg = _ALGORITHMS[name](p, e.k, value)
-    run, steps, flag = _misfits(e, alg)
+    run, fit, flag = _misfits(e, alg)
     if run:  # not replayed, and none of its claims read
         return VerificationReport(False, False if e.status == TERMINATED else None, [], None,
-                                  None, run + [f for forms, _ in steps for f in forms] + flag)
-    _, num, y, den, problems, orders, stop = _walk(name, alg, p, num, y, den, value, e, steps)
+                                  None, run)
+    _, num, y, den, problems, orders, stop = _walk(alg, p, num, y, den, value, e, fit)
 
     if [*e.terms] != [rec.q for rec in e.trace]:
         problems.append("terms differ from the trace's q values")

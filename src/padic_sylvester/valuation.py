@@ -312,8 +312,6 @@ class PLocal:
         return None
 
     def __eq__(self, other) -> bool:
-        if self is other:  # a replay compares its records' values with themselves
-            return True
         if isinstance(other, PLocal):
             return self.p == other.p and self.unit == other.unit and self.exp == other.exp
         v = self._cmp_value(other)

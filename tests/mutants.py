@@ -24,9 +24,7 @@ MUTANTS = [
     M("record-q", "if d.q != rec.q:", "if False:", file=DIV),
     M("record-rbar-range", "if not 0 <= d.rbar < a.unit:", "if False:", file=DIV),
     M("record-k", "if k is None or d.k != k:", "if False:", file=DIV),
-    M("record-rbar-r",
-      "if (r.unit, r.exp) != (d.rbar, a.exp + k) and PLocal(d.p, d.rbar, a.exp + k) != r:",
-      "if False:", file=DIV),
+    M("record-rbar-r", "if PLocal(d.p, d.rbar, a.exp + k) != r:", "if False:", file=DIV),
     M("record-jump", "if d.jumped != (not r.is_zero() and r.exp > a.exp + k):", "if False:",
       file=DIV),
     M("record-case",
@@ -38,43 +36,46 @@ MUTANTS = [
     M("form-remainder", "r is not None, fs and o is not None)",
       "carried[1], fs and o is not None)"),
     M("form-tail-ord", "fs and o is not None)", "False)"),
-    M("ring-prime", "kinds = _FS_RUN_KINDS if fs else _RUN_KINDS",
-      'kinds = {**_RUN_KINDS, "p": object}'),
-    M("run-kind-value", '"value": (Fraction, QuadElement),', '"value": object,'),
-    M("run-kind-k", '"p": Prime, "k": _MAYBE_INT,', '"p": Prime, "k": object,'),
-    M("run-kind-terms", '"terms": (tuple, list),', '"terms": object,'),
-    M("run-kind-trace", '"trace": (tuple, list),', '"trace": object,'),
-    M("run-kind-trace-entries", "if not isinstance(rec, StepRecord):", "if False:"),
-    M("run-kind-status", 'else "status" if e.status not in',
-      'else "status" if False and e.status in'),
-    M("run-kind-initial", '"initial flag": bool,', '"initial flag": object,'),
-    M("run-kind-certificate", '"certificate": (type(None), Fraction)}', '"certificate": object}'),
-    M("ring-term", "if not (isinstance(q, int) if fs else isinstance(q, PLocal) and q.p == p)",
-      "if False"),
+    M("ring-prime", "first(e, _FS_RUN_KINDS if fs else _RUN_KINDS)",
+      'first(e, _RUN_KINDS[:2] + (("p", object),) + _RUN_KINDS[3:])'),
+    M("run-kind-value", '("value", (Fraction, QuadElement))', '("value", object)'),
+    M("run-kind-k", '("k", _MAYBE_INT), ("terms"', '("k", object), ("terms"'),
+    M("run-kind-terms", '("terms", (tuple, list))', '("terms", object)'),
+    M("run-kind-trace", "walkable = isinstance(trace, (tuple, list)) and all(",
+      "walkable = all("),
+    M("run-kind-trace-entries", "and all(map(isinstance, trace, repeat(StepRecord)))",
+      "and True"),
+    M("run-kind-status",
+      'or e.status not in (TERMINATED, CAP_REACHED, CERTIFIED_NONTERMINATING) and "status"',
+      'or False and "status"'),
+    M("run-kind-initial", '("initial flag", bool)', '("initial flag", object)'),
+    M("run-kind-certificate", '("certificate", (type(None), Fraction))', '("certificate", object)'),
+    M("ring-term", '"term" if not isinstance(q, int if fs else PLocal) or not fs and q.p != p',
+      '"term" if False'),
+    M("ring-term-prime", "PLocal) or not fs and q.p != p", "PLocal)"),
     M("int-k", 'else "k" if not isinstance(k, _MAYBE_INT)', 'else "k" if False'),
     M("step-kind-tail-ord", 'else "tail_ord" if not isinstance(o, _MAYBE_INT)',
       'else "tail_ord" if False'),
-    M("step-kind-remainder", 'or ("remainder" if not isinstance(r, _MAYBE_INT) else None))',
-      "or None)"),
-    M("step-kind-division", '"division" if not isinstance(d, DivisionStep)',
-      '"division" if False'),
-    M("record-kind-p", '_RECORD_KINDS = {"division p": Prime,',
-      '_RECORD_KINDS = {"division p": object,'),
-    M("record-kind-k", '"division k": _MAYBE_INT,', '"division k": object,'),
-    M("record-int", '"rbar": int,', '"rbar": object,'),
-    M("record-kind-jumped", '"jumped": bool,', '"jumped": object,'),
-    M("record-kind-case", '"case": str}', '"case": object}'),
-    M("record-ring", "or kind is PLocal and x.p != p), None)", "), None)"),
-    M("record-ring-at-once", "p == d.p == d.a.p == d.b.p == d.q.p == d.r.p  #", "p == d.p  #"),
+    M("step-kind-division",
+      'else "division record" if not isinstance(d, (DivisionStep, type(None)))',
+      'else "division record" if False'),
+    M("step-kind-remainder", 'else "remainder" if not isinstance(r, _MAYBE_INT)',
+      'else "remainder" if False'),
+    M("record-prime", '"division p" if d.p != p else', '"division p" if False else'),
+    M("record-kind-p", '(("division p", Prime),', '(("division p", object),'),
+    M("record-kind-k", '("division k", _MAYBE_INT)', '("division k", object)'),
+    M("record-int", '("rbar", int)', '("rbar", object)'),
+    M("record-kind-jumped", '("jumped", bool)', '("jumped", object)'),
+    M("record-kind-case", '("case", str))', '("case", object))'),
+    M("record-ring", "if not isinstance(x, kind) or kind is PLocal and x.p != p:",
+      "if not isinstance(x, kind):"),
     M("run-not-replayed", "    if run:  # not replayed", "    if False:  # not replayed"),
     # The replay's use of the fit: a misfit, like a zero term, ends it and
     # is listed once.
-    M("misfit-once", "if misfit not in forms:", "if True:"),
-    M("misfit-no-stop", "problems.append(misfit)\n                stop = i\n",
-      "problems.append(misfit)\n"),
+    M("misfit-once", "if misfit and misfit not in listed:", "if misfit:"),
+    M("misfit-no-stop", "stop = i  # a misfit, listed", "pass  # a misfit, listed"),
     # Each step's checks, in the step loop.
-    M("zero-term", 'or not head and not q and f"step {i}: term is zero"',
-      'or False and f"step {i}: term is zero"'),
+    M("zero-term", "elif stop is None and not head and not q:", "elif False:"),
     M("record-call", "problems.extend(_division_record_problems(rec, i))", "pass"),
     M("tail-ord", "if rec.tail_ord != claim:", "if False:"),
     M("k-rule", "if rec.k != k:", "if False:"),

@@ -580,6 +580,9 @@ class TestVerifyInputClaims:
          "step 1: term 3*5^-1 does not fit a pk run"),
         (Fraction(5, 11), lambda: fs_greedy(5, 11), 1, _term(PLocal(P3, 9)),
          "step 1: term 1*3^2 does not fit a fs run"),
+        # A term past the int/str digit limit is shown by its bit length.
+        (Fraction(473, 25), _pk_473_25, 1, _term(10**5000),
+         "step 1: term 16610-bit/1-bit does not fit a pk run"),
         # A division record's values and a step's k are typed before the
         # step-0 reseed or the record check reads them.
         *[(Fraction(473, 25), _pk_473_25, 0, _record(f, _over_5),
@@ -596,6 +599,8 @@ class TestVerifyInputClaims:
          "step 1: division p does not fit a pk run"),
         (Fraction(473, 25), _pk_473_25, 1, _record("p", lambda x: Prime(5)),
          "step 1: division p does not fit a pk run"),
+        (Fraction(473, 25), _pk_473_25, 1, _record("p", int),
+         "step 1: division p does not fit a pk run"),
         (Fraction(473, 25), _pk_473_25, 1, _record("k", lambda x: "1"),
          "step 1: division k does not fit a pk run"),
         (Fraction(473, 25), _pk_473_25, 1, _record("jumped", lambda x: "no"),
@@ -603,7 +608,7 @@ class TestVerifyInputClaims:
         (Fraction(473, 25), _pk_473_25, 1, _record("case", lambda x: 1),
          "step 1: case does not fit a pk run"),
         (Fraction(473, 25), _pk_473_25, 1, _step("division", 5),
-         "step 1: division does not fit a pk run"),
+         "step 1: division record does not fit a pk run"),
         (Fraction(473, 25), _pk_473_25, 1, _step("tail_ord", "1"),
          "step 1: tail_ord does not fit a pk run"),
         (Fraction(5, 11), lambda: fs_greedy(5, 11), 1, _step("remainder", "3"),
@@ -612,10 +617,10 @@ class TestVerifyInputClaims:
         # and the replay ends before it compares it.
         (Fraction(473, 25), _pk_473_25, 1, _step("remainder", "3"),
          "step 1: remainder does not fit a pk run"),
-    ], ids=["int-in-pk", "other-prime-in-pk", "plocal-in-fs", "record-a-over-5",
-            "record-b-over-5", "record-q-over-5", "record-r-over-5", "str-k-0", "str-rbar-0",
-            "str-k-1", "str-rbar-1", "str-k-knopf", "str-record-p", "record-p-5",
-            "str-record-k", "str-jumped", "int-case", "int-division", "str-tail-ord",
+    ], ids=["int-in-pk", "other-prime-in-pk", "plocal-in-fs", "huge-int-in-pk",
+            "record-a-over-5", "record-b-over-5", "record-q-over-5", "record-r-over-5",
+            "str-k-0", "str-rbar-0", "str-k-1", "str-rbar-1", "str-k-knopf", "str-record-p",
+            "record-p-5", "int-record-p", "str-record-k", "str-jumped", "int-case", "int-division", "str-tail-ord",
             "str-fs-remainder", "str-pk-remainder"])
     def test_term_outside_the_ring_ends_the_replay(self, value, run, i, edit, problem):
         # Like a zero term: the replay stops at the step, so the sum is not
