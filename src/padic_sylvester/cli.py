@@ -157,7 +157,7 @@ def _cmd_divide(ns) -> int:
     if ns.value is None:
         raise UsageError("--value is required (the fraction a/b; the step divides b by a)")
     value = _parse_fraction(ns.value, "--value")
-    a, b = value_operands(value)
+    a, b = value_operands(value) if value else (0, 1)  # pk_divide rejects a = 0
     step = pk_divide(p, k, a, b)
     _emit(ns, lambda: report.division_text(step), lambda: report.division_json(step))
     return 0
@@ -217,8 +217,7 @@ def _cmd_compare(ns) -> int:
     if ns.value is None:
         raise UsageError("--value is required for --which nojump")
     value = _parse_fraction(ns.value, "--value")
-    a, b = value_operands(value)
-    res = check_nojump_correspondence(p, k, a, b)
+    res = check_nojump_correspondence(p, k, *value.as_integer_ratio())
     _emit(ns, lambda: "\n".join([
               f"verdict: {res.verdict}",
               f"jumps at steps: {', '.join(map(str, res.jumps)) if res.jumps else 'none'}",

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, HypothesisViolated, NonPositiveDivisor
-from .valuation import PLocal, Prime, ord_p
+from .valuation import PLocal, Prime, _tail_text, ord_p
 
 CASE_1 = "case1"
 CASE_2 = "case2"
@@ -106,13 +106,14 @@ def _division_record_problems(rec, i: int) -> list[str]:
     if d.q != rec.q:
         problems.append(f"step {i}: division q differs from the term")
     if not 0 <= d.rbar < a.unit:
-        problems.append(f"step {i}: rbar {d.rbar} is outside [0, unit(a))")
+        problems.append(f"step {i}: rbar {_tail_text(d.rbar)} is outside [0, unit(a))")
     if k is None or d.k != k:
-        problems.append(f"step {i}: division record has k {d.k}, the step has k {k}")
+        problems.append(f"step {i}: division record has k {_tail_text(d.k)}, the step has k "
+                        f"{_tail_text(k)}")
         return problems
     # r = rbar * p**(ord(a) + k); comparing canonical forms needs no power of p.
     if PLocal(d.p, d.rbar, a.exp + k) != r:
-        problems.append(f"step {i}: rbar {d.rbar} does not match r")
+        problems.append(f"step {i}: rbar {_tail_text(d.rbar)} does not match r")
     if d.jumped != (not r.is_zero() and r.exp > a.exp + k):
         problems.append(f"step {i}: jump flag does not match r")
     if d.case != (CASE_1 if not b.is_zero() and k > b.exp - a.exp else CASE_2):

@@ -12,8 +12,9 @@ algorithm's term rule. An algorithm (`_Algorithm`) is the k it gives a step,
 its pick, its rule and the record it carries, defined in one place each: the
 p**k division algorithm (`pk`, `adaptive`, rational `sylvester`), <1/z>_k
 with a real ceiling (quadratic `sylvester`), the window <den/num>_1 after an
-additive head (`knopf`) or classical division (`fs`). A run handed to
-verify is typed once, by `_misfits`, before the loop or any rule reads it.
+additive head (`knopf`) or classical division (`fs`). verify types a run,
+each step and each division record before any rule reads them, by one walk
+of a kinds table apiece (`_misfit`).
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from .division import (DivisionStep, _below, _division_record_problems, _pk_divi
                        classical_divide)
 from .errors import HypothesisViolated, KTooSmall, PreconditionViolated
 from .quadratic import QuadElement, _surd_ord, _surd_triple, _sylvester_terms
-from .valuation import PLocal, POS_INF, Prime, _powers, _strip, ord_p
+from .valuation import PLocal, POS_INF, Prime, _powers, _strip, _tail_text, ord_p
 
 TERMINATED = "terminated"
 CAP_REACHED = "cap_reached"
 CERTIFIED_NONTERMINATING = "certified_nonterminating"
+_STATUSES = (TERMINATED, CAP_REACHED, CERTIFIED_NONTERMINATING)
 
 HOLDS = "holds"
 HOLDS_DESPITE_JUMP = "holds_despite_jump"
@@ -171,7 +173,7 @@ def _knopf_algorithm(p, k, value):
     def rule(i, a, num, q, k):
         # A window <.>_1 has its digits at exponents exp..0, so exp <= 0.
         if q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
-            return f"step {i}: term {q} is outside the window [0, {int(p)})"
+            return f"step {i}: term {_tail_text(q)} is outside the window [0, {int(p)})"
 
     return _Algorithm(lambda o: 1, pick, rule, head=True, takes_k=False)
 
@@ -300,9 +302,9 @@ def _tail_ord(p, num, y, den, value, floor):
     return (None if p is None else num.exp - den.exp if num.unit else POS_INF), None
 
 
-def _walk(alg: _Algorithm, p, num, y, den, value, e=None, fit=None, max_terms=None):
+def _walk(alg: _Algorithm, p, num, y, den, value, e=None, max_terms=None):
     """The one step loop of algorithm alg over p: expand (e None) or verify
-    run e, each step typed by fit (_misfits) before it is read, from the
+    run e, each step typed (_step_misfit) before it is read, from the
     tail, an unreduced pair num/den over Z[1/p] (Z without a prime), a
     quadratic one with y*sqrt(D) riding along. A rational run with a prime
     shares one ladder of powers of p between its steps (valuation._powers).
@@ -318,14 +320,14 @@ def _walk(alg: _Algorithm, p, num, y, den, value, e=None, fit=None, max_terms=No
     after max_terms reciprocal terms or where the pick ends the run.
 
     Verify checks a step at three points, so that its problems come
-    together and in step order: before the order, its fit, a zero
+    together and in step order: before the order, its kinds, a zero
     reciprocal term and the division record alg carries; before the
     arithmetic, its ord(tail) and k, a term exponent too far from the order
     (_exponent_too_far) and its a, b against the pair; after it, its r and
     remainder against the next num and its term rule. A step-0 record whose
     a/b is the input seeds the pair. A misfit, a zero or a far term ends the
     replay before its value is read or its power of p is built, a run over
-    another prime than p before its first step; later steps get only fit's
+    another prime than p before its first step; later steps get only their
     forms. Returns (trace, num, y, den, problems, orders, stop): orders end
     with the tail the replay stops at, stop is the step it stops before or
     None."""
@@ -345,7 +347,7 @@ def _walk(alg: _Algorithm, p, num, y, den, value, e=None, fit=None, max_terms=No
         else:  # before the order
             rec = trace[i]
             q, d = rec.q, rec.division if divisions else None
-            if fit(rec, i, problems, stop is None):
+            if _step_misfit(e, alg, i, rec, problems, stop is None):
                 stop = i  # a misfit, listed: the replay ends before it
             elif stop is None and not head and not q:
                 problems.append(f"step {i}: term is zero")
@@ -370,15 +372,17 @@ def _walk(alg: _Algorithm, p, num, y, den, value, e=None, fit=None, max_terms=No
             if p is not None:
                 orders.append(o)
                 if rec.tail_ord != claim:
-                    problems.append(f"step {i}: tail_ord {rec.tail_ord} is not the order {o}")
+                    problems.append(f"step {i}: tail_ord {_tail_text(rec.tail_ord)} is not "
+                                    f"the order {o}")
             if rec.k != k:
-                problems.append(f"step {i}: k {rec.k} is not the {e.algorithm} k {k}")
+                problems.append(f"step {i}: k {_tail_text(rec.k)} is not the {e.algorithm} k "
+                                f"{_tail_text(k)}")
             if p is not None and q and q.exp != (o if head else -o):
                 budget = budget or _CLAIM_BITS + sum(  # the units the run spells out
                     u.unit.bit_length() for u in (*start, *e.terms) if isinstance(u, PLocal))
                 if _exponent_too_far(q, o, k, num, den, head, budget):
-                    problems.append(f"step {i}: term exponent {q.exp} is too far from "
-                                    f"the order {o} to be valid")
+                    problems.append(f"step {i}: term exponent {_tail_text(q.exp)} is too far "
+                                    f"from the order {o} to be valid")
                     stop = i
                     continue
             r = None
@@ -411,7 +415,7 @@ def _walk(alg: _Algorithm, p, num, y, den, value, e=None, fit=None, max_terms=No
             if not head and d is not None and d.r != num:
                 problems.append(f"step {i}: r is not a*q - b")
             if not head and rec.remainder is not None and rec.remainder != num:
-                problems.append(f"step {i}: remainder {rec.remainder} is not a*q - b")
+                problems.append(f"step {i}: remainder {_tail_text(rec.remainder)} is not a*q - b")
             problem = rule and rule(i, a, num, q, rec.k)
             if problem:
                 problems.append(problem)
@@ -503,24 +507,6 @@ def _replay_tail(num, y, den, value) -> "Fraction | QuadElement":
     return QuadElement(x, frac(y) / frac(den), value.D, value.real_sign, value.p, value.residue)
 
 
-def _tail_text(tail) -> str:
-    """str(tail), for a value in a problem text (a tail, a term, a remainder
-    or its bound); past the int/str digit limit the bit lengths of its
-    numerators and denominators, or of a PLocal's unit, stand in."""
-    try:
-        return str(tail)
-    except ValueError:
-        def bits(x):
-            return f"{x.numerator.bit_length()}-bit/{x.denominator.bit_length()}-bit"
-
-        if isinstance(tail, PLocal):
-            unit = f"{tail.unit.bit_length()}-bit"
-            return unit if tail.exp == 0 else f"{unit}*{int(tail.p)}^{tail.exp}"
-        if isinstance(tail, (Fraction, int)):
-            return bits(tail)
-        return f"({bits(tail.x)}) + ({bits(tail.y)})*sqrt({tail.D})"
-
-
 def _floored_difference(x: PLocal, z: PLocal, floor, den_exp: int, power) -> PLocal:
     """x - z in canonical form, the numerator of a replayed tail (x - z)/den
     with exp(den) = den_exp, where floor is a lower bound for the tail's
@@ -578,86 +564,70 @@ def _exponent_too_far(q, o, k, num, den, head, budget) -> bool:
 
 
 _MAYBE_INT = (int, type(None))
-# The kinds report.expansion_from_json builds for a run (p is None on fs) and
-# a division record, field by field, each field named as its problem names it.
+# The kinds report.expansion_from_json builds for a run (p is None on fs), a
+# step (its term an int on fs) and a division record, field by field, each
+# field named as its problem names it.
 _RUN_KINDS = (("algorithm", str), ("value", (Fraction, QuadElement)), ("p", Prime),
-              ("k", _MAYBE_INT), ("terms", (tuple, list)), ("status", str),
+              ("k", _MAYBE_INT), ("terms", (tuple, list)), ("status", _STATUSES),
               ("trace", (tuple, list)), ("initial flag", bool),
               ("certificate", (type(None), Fraction)))
 _FS_RUN_KINDS = _RUN_KINDS[:2] + (("p", type(None)),) + _RUN_KINDS[3:]
+_STEP_KINDS = (("term", PLocal), ("k", _MAYBE_INT), ("tail_ord", _MAYBE_INT),
+               ("division record", (DivisionStep, type(None))), ("remainder", _MAYBE_INT))
+_FS_STEP_KINDS = (("term", int),) + _STEP_KINDS[1:]
 _RECORD_KINDS = (("division p", Prime), ("division k", _MAYBE_INT), ("division a", PLocal),
                  ("division b", PLocal), ("division q", PLocal), ("division r", PLocal),
                  ("rbar", int), ("jumped", bool), ("case", str))
 
 
-def _misfits(e: Expansion, alg: _Algorithm):
-    """The one check of run e's shape, the parser's: the kinds in _RUN_KINDS
-    and, for the records alg carries, _RECORD_KINDS, with a record's p the
-    run's and every PLocal over it; one of the three statuses; a step's q a
-    PLocal over p (an int on fs), its k, tail_ord and remainder ints or None
-    and its division a DivisionStep or None; and on each step the records
-    alg carries. A misfit is one problem, `<field> does not fit a <name>
-    run`, showing a value only of a kind its field can hold. Returns (run,
-    fit, flag): the run's first misfit, its steps' forms and flag, which
-    leave it unreplayed; fit(rec, i, problems, live), which lists step i's
-    forms and, where live, its first misfit, true where that ends the
-    replay; and an initial flag that does not fit alg, a claim."""
-    name, p, trace, fs = e.algorithm, e.p, e.trace, e.algorithm == "fs"
-    carried = (alg.record == "division", alg.record == "remainder", False)
-
-    def text(field):
-        return f"{field} does not fit a {name} run"
-
-    def first(values, kinds):  # the first field of the wrong kind, or None
-        for (field, kind), x in zip(kinds, values):
-            if not isinstance(x, kind) or kind is PLocal and x.p != p:
+def _misfit(kinds, values, p) -> "str | None":
+    """The field of the first of values that is not of its kind in kinds, a
+    table of (field, kind) pairs, or None. A kind is a class or a tuple of
+    them, where PLocal is one over the run's prime p and Prime is p itself;
+    _STATUSES is one of the statuses."""
+    for (field, kind), x in zip(kinds, values):
+        if kind is _STATUSES:
+            if x not in kind:
                 return field
-        return None
+        elif not isinstance(x, kind) or kind is PLocal and x.p != p or kind is Prime and x != p:
+            return field
+    return None
 
-    def fit(rec, i, problems, live):
-        q, k, o, d, r = rec
-        misfit = live and (
-            "term" if not isinstance(q, int if fs else PLocal) or not fs and q.p != p
-            else "k" if not isinstance(k, _MAYBE_INT)
-            else "tail_ord" if not isinstance(o, _MAYBE_INT)
-            else "division record" if not isinstance(d, (DivisionStep, type(None)))
-            else "remainder" if not isinstance(r, _MAYBE_INT)
-            else carried[0] and d is not None and (
-                "division p" if d.p != p else first(d, _RECORD_KINDS)))
-        if misfit == "term" and isinstance(q, (PLocal, int)):  # a value a term can be
-            misfit = f"term {_tail_text(q)}"
-        holds = (d is not None, r is not None, fs and o is not None)
-        if misfit or holds != carried:
-            listed = [form for form, x, y in zip(
-                ("division record", "remainder", "tail_ord"), holds, carried) if x != y]
-            if misfit and misfit not in listed:  # a misfit that is a form is listed once
-                listed.append(misfit)
-            problems.extend(f"step {i}: {text(field)}" for field in listed)
-        return bool(misfit)
 
-    flag = [text(f"initial flag {e.initial}")] if e.initial is (not alg.head) else []  # a bool
-    walkable = isinstance(trace, (tuple, list)) and all(map(isinstance, trace, repeat(StepRecord)))
-    misfit = (first(e, _FS_RUN_KINDS if fs else _RUN_KINDS)
-              or e.status not in (TERMINATED, CAP_REACHED, CERTIFIED_NONTERMINATING) and "status"
-              or not walkable and "trace")
-    if not misfit:
-        return [], fit, flag
-    run = [text(f"p {p and int(p)}" if misfit == "p" and isinstance(p, (Prime, type(None)))
-                else misfit)]
-    for i, rec in enumerate(trace if walkable else ()):
-        fit(rec, i, run, False)
-    return run + flag, fit, flag
+def _step_misfit(e: Expansion, alg: _Algorithm, i: int, rec: StepRecord, problems: list,
+                 live: bool):
+    """List the forms of step i, rec, of run e, the records it holds that alg
+    does not carry (a tail_ord on fs among them), and, where live, its first
+    misfit (_misfit): its fields by the step table, then those of a division
+    record alg carries. A misfit is `<field> does not fit a <name> run`, a
+    term's value shown where a term can hold it, and one that is also a
+    form is listed once. Returns the misfit, which ends the replay."""
+    q, _, o, d, r = rec
+    divisions, fs = alg.record == "division", alg.record == "remainder"  # fs alone carries r
+    misfit = live and (_misfit(_FS_STEP_KINDS if fs else _STEP_KINDS, rec, e.p)
+                       or divisions and d is not None and _misfit(_RECORD_KINDS, d, e.p))
+    if misfit == "term" and isinstance(q, (PLocal, int)):
+        misfit = f"term {_tail_text(q)}"
+    held, carried = (d is not None, r is not None, fs and o is not None), (divisions, fs, False)
+    if misfit or held != carried:
+        listed = [form for form, x, y in zip(
+            ("division record", "remainder", "tail_ord"), held, carried) if x != y]
+        if misfit and misfit not in listed:
+            listed.append(misfit)
+        problems.extend(f"step {i}: {field} does not fit a {e.algorithm} run" for field in listed)
+    return misfit
 
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
     """Replay an expansion from its input and check its claims in one walk
     of its trace (_walk), its algorithm built from its own k as expanding
-    builds it, once _misfits has typed the run: one that does not fit lists
-    its misfits and is not replayed, and only an unknown algorithm raises.
-    A step's index is its position, and position 0 of a Knopfmacher run is
-    its additive head. Each step's problems come together, in step order;
-    its term is checked against its algorithm's rule (the quadratic ceiling
-    has none yet). The run's claims follow: terms equal to the trace's q
+    builds it, once its fields are typed by _RUN_KINDS (_misfit): a run that
+    does not fit lists its first misfit and its steps' forms and is not
+    replayed. A field of any kind or size is listed, never raised on; only
+    an unknown algorithm raises. A step's index is its position, and
+    position 0 of a Knopfmacher run is its additive head. Each step's
+    problems come together, in step order; its term is checked against its
+    algorithm's rule (the quadratic ceiling has none yet). The run's claims follow: terms equal to the trace's q
     values, no run k on fs or Knopfmacher, the input as value, the replay's
     prime as p (a quadratic input's own; another prime ends the replay
     before its first step), an initial term on Knopfmacher runs only, an
@@ -685,16 +655,26 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         raise PreconditionViolated(f"no algorithm {name!r} to replay" if isinstance(name, str)
                                    else "the run names no algorithm")
     alg = _ALGORITHMS[name](p, e.k, value)
-    run, fit, flag = _misfits(e, alg)
-    if run:  # not replayed, and none of its claims read
+    flag = [f"initial flag {e.initial} does not fit a {name} run"] if (
+        e.initial is (not alg.head)) else []  # a bool
+    trace = e.trace
+    walkable = isinstance(trace, (tuple, list)) and all(map(isinstance, trace, repeat(StepRecord)))
+    misfit = _misfit(_FS_RUN_KINDS if name == "fs" else _RUN_KINDS, e, e.p) or (
+        not walkable and "trace")
+    if misfit:  # not replayed, and none of its claims read
+        if misfit == "p" and isinstance(e.p, (Prime, type(None))):
+            misfit = f"p {e.p and int(e.p)}"
+        problems = [f"{misfit} does not fit a {name} run"]
+        for i, rec in enumerate(trace if walkable else ()):
+            _step_misfit(e, alg, i, rec, problems, False)
         return VerificationReport(False, False if e.status == TERMINATED else None, [], None,
-                                  None, run)
-    _, num, y, den, problems, orders, stop = _walk(alg, p, num, y, den, value, e, fit)
+                                  None, problems + flag)
+    _, num, y, den, problems, orders, stop = _walk(alg, p, num, y, den, value, e)
 
     if [*e.terms] != [rec.q for rec in e.trace]:
         problems.append("terms differ from the trace's q values")
     if e.k is not None and not alg.takes_k:
-        problems.append(f"k {e.k} does not apply to {e.algorithm}")
+        problems.append(f"k {_tail_text(e.k)} does not apply to {e.algorithm}")
     if e.value != value:
         problems.append(f"value {_tail_text(e.value)} is not the input {_tail_text(value)}")
     if e.p != p:
@@ -713,11 +693,11 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         problems.append(f"status {e.status} without a certificate")
     if c is not None:
         if e.status != CERTIFIED_NONTERMINATING:
-            problems.append(f"certificate {c} on a run with status {e.status}")
+            problems.append(f"certificate {_tail_text(c)} on a run with status {e.status}")
         if stop is None and (y or num * c.denominator != den * c.numerator):
-            problems.append(f"certificate {c} is not the final tail")
+            problems.append(f"certificate {_tail_text(c)} is not the final tail")
         if not c < 0:
-            problems.append(f"certificate {c} is not negative")
+            problems.append(f"certificate {_tail_text(c)} is not negative")
 
     strictly_increasing = growth_ok = None
     if orders:
@@ -736,6 +716,7 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
                 problems.append(f"order not increasing at step {i}: {s} -> {nxt}")
             if s != POS_INF and not nxt >= k_i + 2 * s:
                 growth_ok = False
-                problems.append(f"growth bound failed at step {i}: ord {nxt} < {k_i} + 2*{s}")
+                problems.append(f"growth bound failed at step {i}: ord {nxt} < "
+                                f"{_tail_text(k_i)} + 2*{s}")
     return VerificationReport(not problems, sum_exact, orders, strictly_increasing, growth_ok,
                               problems)

@@ -12,14 +12,7 @@ import sys
 from fractions import Fraction
 
 from .division import DivisionStep
-from .expansion import (
-    CAP_REACHED,
-    CERTIFIED_NONTERMINATING,
-    TERMINATED,
-    Expansion,
-    StepRecord,
-    VerificationReport,
-)
+from .expansion import _ALGORITHMS, _STATUSES, Expansion, StepRecord, VerificationReport
 from .quadratic import QuadElement
 from .valuation import PLocal, POS_INF, Prime
 
@@ -28,8 +21,8 @@ SCHEMA = 1
 # The values an expand report's enumerated fields can take.
 _EXPAND_FIELDS = {
     "command": ("expand",),
-    "algorithm": ("fs", "pk", "adaptive", "sylvester", "knopfmacher"),
-    "status": (TERMINATED, CAP_REACHED, CERTIFIED_NONTERMINATING),
+    "algorithm": tuple(_ALGORITHMS),
+    "status": _STATUSES,
 }
 
 

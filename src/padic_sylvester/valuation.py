@@ -336,3 +336,21 @@ class PLocal:
     def __repr__(self) -> str:
         return f"PLocal(p={int(self.p)}, unit={self.unit}, exp={self.exp})"
 
+
+def _tail_text(x) -> str:
+    """str(x), for a claimed or replayed value in a problem text (an int, a
+    Fraction, a PLocal or a QuadElement); past the int/str digit limit the
+    bit lengths of its numerators and denominators, or of a PLocal's unit,
+    stand in."""
+    try:
+        return str(x)
+    except ValueError:
+        def bits(x):
+            return f"{x.numerator.bit_length()}-bit/{x.denominator.bit_length()}-bit"
+
+        if isinstance(x, PLocal):
+            unit = f"{x.unit.bit_length()}-bit"
+            return unit if x.exp == 0 else f"{unit}*{int(x.p)}^{_tail_text(x.exp)}"
+        if isinstance(x, (Fraction, int)):
+            return bits(x)
+        return f"({bits(x.x)}) + ({bits(x.y)})*sqrt({x.D})"

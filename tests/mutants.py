@@ -11,7 +11,7 @@ CLI = "tests/test_cli.py"
 EXPANSION = "tests/test_expansion.py"
 CHECKS = [EXPANSION, CLI, KERNEL]
 # The line before the far exponent's stop of the replay.
-FAR = '                                    f"the order {o} to be valid")\n'
+FAR = '                                    f"from the order {o} to be valid")\n'
 
 
 def M(name, find, replace, tests=CHECKS, file=EXP, survives=None, timeout=None):
@@ -30,14 +30,13 @@ MUTANTS = [
     M("record-case",
       "if d.case != (CASE_1 if not b.is_zero() and k > b.exp - a.exp else CASE_2):",
       "if False:", file=DIV),
-    # The one fit check (_misfits): the records a step holds, each kind a
-    # run, a step and a division record hold, and the primes among them.
-    M("form-division", "holds = (d is not None, ", "holds = (carried[0], "),
-    M("form-remainder", "r is not None, fs and o is not None)",
-      "carried[1], fs and o is not None)"),
-    M("form-tail-ord", "fs and o is not None)", "False)"),
-    M("ring-prime", "first(e, _FS_RUN_KINDS if fs else _RUN_KINDS)",
-      'first(e, _RUN_KINDS[:2] + (("p", object),) + _RUN_KINDS[3:])'),
+    # The one kinds walk (_misfit) over the run, step and record tables:
+    # one mutant per kind a table holds, and the records a step holds.
+    M("form-division", "held, carried = (d is not None, ", "held, carried = (divisions, "),
+    M("form-remainder", "r is not None, fs and o is not None)", "fs, fs and o is not None)"),
+    M("form-tail-ord", "fs and o is not None), (divisions", "False), (divisions"),
+    M("ring-prime", "_misfit(_FS_RUN_KINDS if name == \"fs\" else _RUN_KINDS, e, e.p)",
+      '_misfit(_RUN_KINDS[:2] + (("p", object),) + _RUN_KINDS[3:], e, e.p)'),
     M("run-kind-value", '("value", (Fraction, QuadElement))', '("value", object)'),
     M("run-kind-k", '("k", _MAYBE_INT), ("terms"', '("k", object), ("terms"'),
     M("run-kind-terms", '("terms", (tuple, list))', '("terms", object)'),
@@ -45,35 +44,33 @@ MUTANTS = [
       "walkable = all("),
     M("run-kind-trace-entries", "and all(map(isinstance, trace, repeat(StepRecord)))",
       "and True"),
-    M("run-kind-status",
-      'or e.status not in (TERMINATED, CAP_REACHED, CERTIFIED_NONTERMINATING) and "status"',
-      'or False and "status"'),
+    M("run-kind-status", '("status", _STATUSES)', '("status", object)'),
+    M("walk-statuses", "            if x not in kind:\n", "            if False:\n"),
     M("run-kind-initial", '("initial flag", bool)', '("initial flag", object)'),
     M("run-kind-certificate", '("certificate", (type(None), Fraction))', '("certificate", object)'),
-    M("ring-term", '"term" if not isinstance(q, int if fs else PLocal) or not fs and q.p != p',
-      '"term" if False'),
-    M("ring-term-prime", "PLocal) or not fs and q.p != p", "PLocal)"),
-    M("int-k", 'else "k" if not isinstance(k, _MAYBE_INT)', 'else "k" if False'),
-    M("step-kind-tail-ord", 'else "tail_ord" if not isinstance(o, _MAYBE_INT)',
-      'else "tail_ord" if False'),
-    M("step-kind-division",
-      'else "division record" if not isinstance(d, (DivisionStep, type(None)))',
-      'else "division record" if False'),
-    M("step-kind-remainder", 'else "remainder" if not isinstance(r, _MAYBE_INT)',
-      'else "remainder" if False'),
-    M("record-prime", '"division p" if d.p != p else', '"division p" if False else'),
+    M("ring-term", '(("term", PLocal),', '(("term", object),'),
+    M("ring-term-fs", '(("term", int),)', '(("term", object),)'),
+    M("ring-plocal", " or kind is PLocal and x.p != p or ", " or "),
+    M("int-k", '(("term", PLocal), ("k", _MAYBE_INT)', '(("term", PLocal), ("k", object)'),
+    M("step-kind-tail-ord", '("tail_ord", _MAYBE_INT)', '("tail_ord", object)'),
+    M("step-kind-division", '("division record", (DivisionStep, type(None)))',
+      '("division record", object)'),
+    M("step-kind-remainder", '("remainder", _MAYBE_INT))', '("remainder", object))'),
+    M("record-prime", " or kind is Prime and x != p:", ":"),
     M("record-kind-p", '(("division p", Prime),', '(("division p", object),'),
     M("record-kind-k", '("division k", _MAYBE_INT)', '("division k", object)'),
+    M("record-kind-plocal", '("division a", PLocal)', '("division a", object)'),
     M("record-int", '("rbar", int)', '("rbar", object)'),
     M("record-kind-jumped", '("jumped", bool)', '("jumped", object)'),
     M("record-kind-case", '("case", str))', '("case", object))'),
-    M("record-ring", "if not isinstance(x, kind) or kind is PLocal and x.p != p:",
-      "if not isinstance(x, kind):"),
-    M("run-not-replayed", "    if run:  # not replayed", "    if False:  # not replayed"),
-    # The replay's use of the fit: a misfit, like a zero term, ends it and
+    M("run-not-replayed", "    if misfit:  # not replayed", "    if False:  # not replayed"),
+    # The replay's use of the walk: a misfit, like a zero term, ends it and
     # is listed once.
     M("misfit-once", "if misfit and misfit not in listed:", "if misfit:"),
     M("misfit-no-stop", "stop = i  # a misfit, listed", "pass  # a misfit, listed"),
+    # A claimed value in a problem text goes through the bounded formatter.
+    M("text-str", "rbar {_tail_text(d.rbar)} is outside", "rbar {d.rbar} is outside", [EXPANSION],
+      file=DIV),
     # Each step's checks, in the step loop.
     M("zero-term", "elif stop is None and not head and not q:", "elif False:"),
     M("record-call", "problems.extend(_division_record_problems(rec, i))", "pass"),
@@ -98,7 +95,7 @@ MUTANTS = [
     M("run-k", "if e.k is not None and not alg.takes_k:", "if False:"),
     M("run-value", "if e.value != value:", "if False:"),
     M("run-p", "if e.p != p:\n", "if False:\n"),
-    M("run-initial", "if e.initial is (not alg.head) else []", "if False else []"),
+    M("run-initial", "e.initial is (not alg.head)) else []", "False) else []"),
     M("run-sum", "if stop is None and not sum_exact:", "if False:"),
     M("run-status-zero", "if e.status != TERMINATED and stop is None and not num and not y:",
       "if False:"),

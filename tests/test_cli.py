@@ -382,6 +382,11 @@ class TestDivideCommand:
         assert code == 0
         assert json.loads(out)["q"] == {"unit": "0", "exp": "0", "value": "0"}
 
+    def test_zero_value_is_the_library_rule(self, capsys):
+        # a = 0: pk_divide's own rule, not the expand drivers' "cannot expand zero".
+        code, out, err = run(capsys, "divide", "--p", "3", "--k", "0", "--value", "0")
+        assert (code, out, err) == (1, "", "error: divisor must be positive, got 0\n")
+
     def test_division_conditions_sweep(self, capsys):
         rng = random.Random(1508)
         zero_quotients = 0
@@ -481,6 +486,10 @@ class TestCompareCommand:
     def test_hypothesis(self, capsys):
         code, _, err = run(capsys, "compare", "--p", "3", "--k", "1", "--value", "473/25")
         assert code == 1
+
+    def test_zero_value_is_the_library_rule(self, capsys):
+        code, out, err = run(capsys, "compare", "--p", "3", "--k", "0", "--value", "0")
+        assert (code, out, err) == (1, "", "error: a/b must be positive, got 0\n")
 
     def test_nojump_below_the_order(self, capsys):
         code, out, _ = run(capsys, "compare", "--which", "nojump", "--p", "3", "--k", "-2",

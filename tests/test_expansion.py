@@ -494,6 +494,20 @@ def _step(field, new):
     return lambda rec: rec._replace(**{field: new})
 
 
+def _at(run, i, edit):
+    """run with step i edited, its terms the edited trace's q values."""
+    def edited():
+        e = run()
+        trace = e.trace[:i] + (edit(e.trace[i]),) + e.trace[i + 1:]
+        return e._replace(terms=tuple(rec.q for rec in trace), trace=trace)
+
+    return edited
+
+
+# An int past CPython's 4300-digit int/str limit.
+_WIDE = 10**5000
+
+
 XI = QuadElement.make(0, Fraction(1, 11), 11, "+", P7, 2)
 
 
@@ -583,6 +597,8 @@ class TestVerifyInputClaims:
         # A term past the int/str digit limit is shown by its bit length.
         (Fraction(473, 25), _pk_473_25, 1, _term(10**5000),
          "step 1: term 16610-bit/1-bit does not fit a pk run"),
+        (Fraction(473, 25), _pk_473_25, 1, _term(PLocal(Prime(5), 1, _WIDE)),
+         "step 1: term 1-bit*5^16610-bit/1-bit does not fit a pk run"),
         # A division record's values and a step's k are typed before the
         # step-0 reseed or the record check reads them.
         *[(Fraction(473, 25), _pk_473_25, 0, _record(f, _over_5),
@@ -618,24 +634,59 @@ class TestVerifyInputClaims:
         (Fraction(473, 25), _pk_473_25, 1, _step("remainder", "3"),
          "step 1: remainder does not fit a pk run"),
     ], ids=["int-in-pk", "other-prime-in-pk", "plocal-in-fs", "huge-int-in-pk",
-            "record-a-over-5", "record-b-over-5", "record-q-over-5", "record-r-over-5",
-            "str-k-0", "str-rbar-0", "str-k-1", "str-rbar-1", "str-k-knopf", "str-record-p",
+            "huge-exp-in-pk", "record-a-over-5", "record-b-over-5", "record-q-over-5",
+            "record-r-over-5", "str-k-0", "str-rbar-0", "str-k-1", "str-rbar-1", "str-k-knopf",
+            "str-record-p",
             "record-p-5", "int-record-p", "str-record-k", "str-jumped", "int-case", "int-division", "str-tail-ord",
             "str-fs-remainder", "str-pk-remainder"])
     def test_term_outside_the_ring_ends_the_replay(self, value, run, i, edit, problem):
         # Like a zero term: the replay stops at the step, so the sum is not
         # confirmed, and no later step's arithmetic mixes rings or types.
-        e = run()
-        trace = e.trace[:i] + (edit(e.trace[i]),) + e.trace[i + 1:]
-        bad = e._replace(terms=tuple(rec.q for rec in trace), trace=trace)
-        v = verify_expansion(e.p, value, bad)
+        bad = _at(run, i, edit)()
+        v = verify_expansion(bad.p, value, bad)
         assert v.problems == [problem]
         assert v.sum_exact is False and not v.ok
 
+    @pytest.mark.parametrize("p, value, run, problems", [
+        (P3, Fraction(473, 25), _at(_pk_473_25, 1, _step("k", _WIDE)), [
+            "step 1: division record has k 1, the step has k 16610-bit/1-bit",
+            "step 1: k 16610-bit/1-bit is not the pk k 1",
+            "growth bound failed at step 1: ord 4 < 16610-bit/1-bit + 2*1"]),
+        (P3, Fraction(473, 25), _at(_pk_473_25, 1, _step("tail_ord", _WIDE)),
+         ["step 1: tail_ord 16610-bit/1-bit is not the order 1"]),
+        (P3, Fraction(473, 25), _at(_pk_473_25, 1, _record("rbar", lambda x: _WIDE)),
+         ["step 1: rbar 16610-bit/1-bit is outside [0, unit(a))",
+          "step 1: rbar 16610-bit/1-bit does not match r"]),
+        (P3, Fraction(473, 25), _at(_pk_473_25, 1, _record("k", lambda x: _WIDE)),
+         ["step 1: division record has k 16610-bit/1-bit, the step has k 1"]),
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(k=_WIDE),
+         [f"step {i}: k 1 is not the pk k 16610-bit/1-bit" for i in range(4)]),
+        (None, Fraction(5, 11), _at(lambda: fs_greedy(5, 11), 0, _step("remainder", _WIDE)),
+         ["step 0: remainder 16610-bit/1-bit is not a*q - b"]),
+        (None, Fraction(5, 11), lambda: fs_greedy(5, 11)._replace(certificate=Fraction(_WIDE, 3)),
+         ["certificate 16610-bit/2-bit on a run with status terminated",
+          "certificate 16610-bit/2-bit is not the final tail",
+          "certificate 16610-bit/2-bit is not negative"]),
+        (P3, Fraction(12, 19), _at(lambda: knopfmacher_sylvester(P3, Fraction(12, 19)), 1,
+                                   _term(PLocal(P3, _WIDE + 1, 0))),
+         ["step 1: term 16610-bit is outside the window [0, 3)",
+          "step 2: tail_ord 3 is not the order 0",
+          "certificate -2187/6916 is not the final tail",
+          "order not increasing at step 1: 1 -> 0",
+          "growth bound failed at step 1: ord 0 < 1 + 2*1",
+          "order not increasing at step 2: 0 -> 0",
+          "growth bound failed at step 2: ord 0 < 1 + 2*0"]),
+    ], ids=["pk-step-k", "pk-tail-ord", "pk-rbar", "pk-record-k", "pk-run-k", "fs-remainder",
+            "fs-certificate", "knopf-term"])
+    def test_claim_past_the_digit_limit_shows_its_bits(self, p, value, run, problems):
+        # A claimed int or Fraction too wide for str() is listed by its bit
+        # lengths, in every text that shows a claimed value.
+        assert verify_expansion(p, value, run()).problems == problems
 
-# Values of many kinds, each set in turn into every field of a run, its
-# steps and its division records.
-_ODD_VALUES = ("x", 1.5, None, [], {}, -1, 10**400)
+
+# Values of many kinds and sizes, each set in turn into every field of a
+# run, its steps and its division records.
+_ODD_VALUES = ("x", 1.5, None, [], {}, -1, 10**400, _WIDE)
 _MAYBE_INT = (int, type(None))
 # The kinds report.expansion_from_json builds, as (record, field): kind.
 _PARSED_KINDS = {
@@ -672,16 +723,19 @@ def _field_edits(e):
 
 
 class TestVerifyFieldFuzz:
-    """Every field of a run, a step and a division record, set in turn to
-    each of a fixed list of values: verify lists problems and raises
-    nothing but PreconditionViolated for an unknown algorithm, and a value
-    of a kind the report parser never builds is never ok."""
+    """Every field of a run, a step and a division record of each algorithm,
+    set in turn to each of a fixed list of values, one past the int/str digit
+    limit among them: verify lists problems and raises nothing but
+    PreconditionViolated for an unknown algorithm, and a value of a kind the
+    report parser never builds is never ok."""
 
     @pytest.mark.parametrize("p, value, run", [
         (P3, Fraction(473, 25), _pk_473_25),
+        (P3, Fraction(473, 25), _adaptive_473_25),
+        (P3, Fraction(473, 25), lambda: modified_sylvester(P3, 1, Fraction(473, 25))),
         (P3, Fraction(12, 19), lambda: knopfmacher_sylvester(P3, Fraction(12, 19))),
         (None, Fraction(5, 11), lambda: fs_greedy(5, 11)),
-    ], ids=["pk", "knopf-certified", "fs"])
+    ], ids=["pk", "adaptive", "sylvester", "knopf-certified", "fs"])
     def test_every_field_of_every_kind(self, p, value, run):
         e = run()
         edits = 0
