@@ -4,9 +4,10 @@ Every digit window in the library is one call of `_window`: for p-adic
 units num and den, the first w base-p digits of num/den are those of the
 single integer num * den**-1 mod p**w. The one inverse is `_inv_mod`, a
 Newton iteration over halving widths, and `_read_digits` reads the digits
-off by divmod by p. A rational r = (num/den) * p**start (`valuation._split`)
-opens its window at start; a quadratic element opens its window through
-`quadratic._surd_ratio`. No floating point is used.
+off by divmod by p; a wide reduction is `_mod`. A rational
+r = (num/den) * p**start (`valuation._split`) opens its window at start; a
+quadratic element opens its window through `quadratic._surd_ratio`. No
+floating point is used.
 """
 
 from __future__ import annotations
@@ -88,7 +89,13 @@ def _window(p: Prime, num: int, den: int, width: int, modulus: "int | None" = No
     wider than the window costs one division, not a wide product."""
     if modulus is None:
         modulus = p**width
-    return num % modulus * _inv_mod(p, den, width, modulus) % modulus
+    return _mod(_mod(num, modulus) * _inv_mod(p, den, width, modulus), modulus)
+
+
+def _mod(x: int, m: int) -> int:
+    """x mod m for m > 0, as x % m: CPython 3.12 and later divide wide
+    operands recursively (_pylong) in divmod, while % stays schoolbook."""
+    return divmod(x, m)[1]
 
 
 def _read_digits(p: Prime, n: int, count: int) -> tuple[int, ...]:
@@ -173,7 +180,7 @@ def hensel_sqrt(p: Prime, d, r0: int, m: int) -> int:
     d = Fraction(d)
     modulus = p**m
     dm = _window(p, d.numerator, d.denominator, m, modulus)
-    return dm * _lift_inv_sqrt(p, dm, pow(s, -1, p), 1, m, modulus) % modulus
+    return _mod(dm * _lift_inv_sqrt(p, dm, pow(s, -1, p), 1, m, modulus), modulus)
 
 
 def _lift_inv_sqrt(p: Prime, d: int, r: int, prec: int, m: int, modulus: int) -> int:
@@ -183,7 +190,7 @@ def _lift_inv_sqrt(p: Prime, d: int, r: int, prec: int, m: int, modulus: int) ->
     while prec < m:
         prec = min(2 * prec, m)
         mod = p**prec if prec < m else modulus
-        h = r * ((1 - d * r * r) % mod) % mod
+        h = _mod(r * _mod(1 - d * r * r, mod), mod)
         # Halve h modulo the odd modulus.
         r = (r + (h if h % 2 == 0 else h + mod) // 2) % mod
     return r
@@ -208,7 +215,7 @@ def _inv_mod(p: Prime, a: int, m: int, modulus: int) -> int:
     """
     if modulus.bit_length() <= _NEWTON_FROM_BITS or m == 1:
         return pow(a, -1, modulus)
-    a %= modulus
+    a = _mod(a, modulus)
     h = (m + 1) // 2
     x = _inv_mod(p, a, h, p**h)
-    return x * (2 - a * x) % modulus
+    return _mod(x * (2 - a * x), modulus)

@@ -8,13 +8,16 @@ run are one step loop, `_walk`: a term q steps the tail
 z = (num + y*sqrt(D))/den, y absent on a rational, to
 (num*q - den + y*q*sqrt(D))/(den*q). On expand each term comes from its
 algorithm's pick; on verify from the run's trace, checked against the
-algorithm's term rule. An algorithm (`_Algorithm`) is the k it gives a step,
-its pick, its rule and the record it carries, defined in one place each: the
-p**k division algorithm (`pk`, `adaptive`, rational `sylvester`), <1/z>_k
-with a real ceiling (quadratic `sylvester`), the window <den/num>_1 after an
-additive head (`knopf`) or classical division (`fs`). verify types a run,
-each step and each division record before any rule reads them, by one walk
-of a kinds table apiece (`_misfit`).
+algorithm's term rule. An algorithm is one `_Algorithm` row of
+`_ALGORITHMS`, built at import: the k it gives a step, its pick, its rule,
+the record it carries and the kinds tables of its runs and steps, each
+taking the run's prime and k from the loop. The rows are the p**k division
+algorithm (`pk`, `adaptive`, rational `sylvester`), the window <den/num>_1
+after an additive head (`knopfmacher`) and classical division (`fs`). A
+quadratic `sylvester` run alone builds something per run: its pick, the
+term closure <1/z>_k with a real ceiling that carries the run's root lift
+(`_run_algorithm`). verify types a run, each step and each division record
+before any rule reads them, by one walk of a kinds table apiece (`_misfit`).
 """
 
 from __future__ import annotations
@@ -97,18 +100,35 @@ def value_operands(value) -> tuple[int, int]:
     return (n, d) if n > 0 else (-n, -d)
 
 
+_MAYBE_INT = (int, type(None))
+# The kinds report.expansion_from_json builds for a run (p is None on fs), a
+# step (its term an int on fs) and a division record, field by field, each
+# field named as its problem names it.
+_RUN_KINDS = (("algorithm", str), ("value", (Fraction, QuadElement)), ("p", Prime),
+              ("k", _MAYBE_INT), ("terms", (tuple, list)), ("status", _STATUSES),
+              ("trace", (tuple, list)), ("initial flag", bool),
+              ("certificate", (type(None), Fraction)))
+_STEP_KINDS = (("term", PLocal), ("k", _MAYBE_INT), ("tail_ord", _MAYBE_INT),
+               ("division record", (DivisionStep, type(None))), ("remainder", _MAYBE_INT))
+_RECORD_KINDS = (("division p", Prime), ("division k", _MAYBE_INT), ("division a", PLocal),
+                 ("division b", PLocal), ("division q", PLocal), ("division r", PLocal),
+                 ("rbar", int), ("jumped", bool), ("case", str))
+
+
 class _Algorithm(NamedTuple):
-    """One algorithm's step, for expand and verify alike. k(o): the k it
-    gives a step at tail order o (None on fs, which has no prime). pick(i,
-    num, y, den, o, norm, k, power): expand's (q, r, division) for step i, r
-    the next num where the pick knows it (None: num*q - den), or None to end
-    the run; norm is a quadratic tail's, power a rational run's ladder of
-    powers of p (valuation._powers). rule(i, a, num, q, k): verify's
-    problem, or None, with a term q that stepped numerator a to num at the
-    claimed k. record: the field every step carries ("division", "remainder"
-    or None). head: whether step 0 is an additive head, stepping num to
-    num - den*q. takes_k: whether k comes from the run, so that a run's k
-    applies."""
+    """One algorithm's step, for expand and verify alike, built once at
+    import; _walk hands each function the run's prime p and k. k(k, o): the
+    k it gives a step at tail order o (None on fs, which has no prime).
+    pick(p, i, num, y, den, o, norm, k, power): expand's (q, r, division)
+    for step i, r the next num where the pick knows it (None: num*q - den),
+    or None to end the run; norm is a quadratic tail's, power a rational
+    run's ladder of powers of p (valuation._powers). rule(p, i, a, num, q,
+    k): verify's problem, or None, with a term q that stepped numerator a to
+    num at the claimed k. record: the field every step carries ("division",
+    "remainder" or None). head: whether step 0 is an additive head, stepping
+    num to num - den*q. takes_k: whether k comes from the run, so that a
+    run's k applies. runs, steps: the kinds tables (_misfit) of its run and
+    of each of its steps."""
 
     k: object
     pick: object
@@ -116,92 +136,84 @@ class _Algorithm(NamedTuple):
     record: "str | None" = None
     head: bool = False
     takes_k: bool = True
+    runs: tuple = _RUN_KINDS
+    steps: tuple = _STEP_KINDS
 
 
-def _division_algorithm(p, k_of, record="division", rule=None):
-    """The step q, r = pk_divide(p, k, num, den) with k = k_of(ord(num/den)),
-    recording the division where `record` is set. The run's steps share one
-    ladder of powers of p."""
-
-    def pick(i, num, y, den, o, norm, k, power):
-        d = _pk_divide(p, k, num, den, power)
-        if d.q.is_zero():
-            raise RuntimeError(f"quotient 0 at step {i}; k = {k} is too small here")
-        return d.q, d.r, d
-
-    return _Algorithm(k_of, pick, rule, record)
+def _divide(p, i, num, y, den, o, norm, k, power):
+    """The p**k division's step q, r = pk_divide(p, k, num, den)."""
+    d = _pk_divide(p, k, num, den, power)
+    if d.q.is_zero():
+        raise RuntimeError(f"quotient 0 at step {i}; k = {k} is too small here")
+    return d.q, d.r, d
 
 
-def _sylvester_algorithm(p, k, zeta):
-    """modified_sylvester's step. On a quadratic zeta its term is
-    quadratic._sylvester_terms', with no rule checked yet (the ceiling's
-    real condition would sit beside it). On a rational it is the p**k
-    division's, whose terms the ceiling gives there, recording no division.
-    Its rule: a step's remainder r = a*q - b lies in [0, a*p**k), the p**k
-    division's real bound, which _below shares with fs and settles by bit
-    lengths before it builds a power of p."""
-    if isinstance(zeta, QuadElement):
-        term = _sylvester_terms(zeta, k)
-        return _Algorithm(lambda o: k, lambda i, n, y, m, o, norm, k, power: (
-            term(n, y, m, o, norm), None, None))
-
-    def rule(i, a, num, q, k):
-        if k is not None and not _below(num, a, k):
-            bound = PLocal(p, a.unit, a.exp + k)  # a*p**k
-            return f"step {i}: remainder {_tail_text(num)} is outside [0, {_tail_text(bound)})"
-
-    return _division_algorithm(p, lambda o: k, None, rule)
+def _sylvester_rule(p, i, a, num, q, k):
+    """A rational sylvester step's r = a*q - b lies in [0, a*p**k), the p**k
+    division's real bound (_below settles it by bit lengths first)."""
+    if k is not None and not _below(num, a, k):
+        bound = PLocal(p, a.unit, a.exp + k)  # a*p**k
+        return f"step {i}: remainder {_tail_text(num)} is outside [0, {_tail_text(bound)})"
 
 
-def _knopf_algorithm(p, k, value):
+def _knopf_pick(p, i, num, y, den, o, norm, k, power):
     """Knopfmacher's steps, all with k = 1: the head a_0 = <v>_1, then
     a_n = <1/z_n>_1 until z_n < 0 (den > 0, as every a_n > 0, so the sign
-    is num's). <x>_1 is the window of x's digits from ord(x) through 0.
-
-    Its rule: a term's unit lies in [0, p**(1 - exp)), the window <.>_1 (its
-    value in [0, p)). The growth bound with k = 1 already gives the window's
-    p-adic half, so the term is the window of its tail's reciprocal."""
-
-    def pick(i, num, y, den, o, norm, k, power):
-        if i and num.unit < 0:
-            return None
-        top, bottom, start = (den, num, -o) if i else (num, den, o)  # <1/z>_1 or <z>_1
-        if start >= 1:
-            return PLocal.zero(p), None, None
-        return PLocal(p, _window(p, top.unit, bottom.unit, 1 - start), start), None, None
-
-    def rule(i, a, num, q, k):
-        # A window <.>_1 has its digits at exponents exp..0, so exp <= 0.
-        if q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
-            return f"step {i}: term {_tail_text(q)} is outside the window [0, {int(p)})"
-
-    return _Algorithm(lambda o: 1, pick, rule, head=True, takes_k=False)
+    is num's). <x>_1 is the window of x's digits from ord(x) through 0."""
+    if i and num.unit < 0:
+        return None
+    top, bottom, start = (den, num, -o) if i else (num, den, o)  # <1/z>_1 or <z>_1
+    if start >= 1:
+        return PLocal.zero(p), None, None
+    return PLocal(p, _window(p, top.unit, bottom.unit, 1 - start), start), None, None
 
 
-def _fs_algorithm(p, k, value):
-    """The classical step q, r = classical_divide(num, den) over Z, recording
-    r. Its rule: r = a*q - b lies in [0, a), which makes q the classical
-    greedy term."""
-
-    def rule(i, a, num, q, k):
-        if not _below(num, a):
-            return f"step {i}: remainder {_tail_text(num)} is outside [0, {_tail_text(a)})"
-
-    return _Algorithm(lambda o: None, lambda i, num, y, den, o, norm, k, power: (
-        *classical_divide(num, den), None), rule, "remainder", takes_k=False)
+def _knopf_rule(p, i, a, num, q, k):
+    """A term lies in the window <.>_1: digits at exponents exp..0, so
+    exp <= 0 and its unit in [0, p**(1 - exp)). The growth bound with k = 1
+    gives the window's p-adic half, so the term is <1/z>_1."""
+    if q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):
+        return f"step {i}: term {_tail_text(q)} is outside the window [0, {int(p)})"
 
 
-# Each algorithm from a run's p, k and input. adaptive gives a step at order
-# o the run's k, or the minimal valid k' = 1 - o where k > -o fails (a run
-# claiming no k, none).
+def _fs_rule(p, i, a, num, q, k):
+    """The classical step's r = a*q - b lies in [0, a), which makes q the
+    classical greedy term."""
+    if not _below(num, a):
+        return f"step {i}: remainder {_tail_text(num)} is outside [0, {_tail_text(a)})"
+
+
+# Each algorithm's row. pk, adaptive and rational sylvester step by the p**k
+# division, recording the division on pk and adaptive; sylvester's terms
+# are the ceiling's there. adaptive gives a step at order o the run's k, or
+# the minimal valid k' = 1 - o where k > -o fails (a run claiming no k,
+# none). fs steps by classical division over Z, recording r.
 _ALGORITHMS = {
-    "pk": lambda p, k, value: _division_algorithm(p, lambda o: k),
-    "adaptive": lambda p, k, value: _division_algorithm(
-        p, lambda o: k if k is None or k > -o else 1 - o),
-    "sylvester": _sylvester_algorithm,
-    "knopfmacher": _knopf_algorithm,
-    "fs": _fs_algorithm,
+    "pk": _Algorithm(lambda k, o: k, _divide, record="division"),
+    "adaptive": _Algorithm(lambda k, o: k if k is None or k > -o else 1 - o, _divide,
+                           record="division"),
+    "sylvester": _Algorithm(lambda k, o: k, _divide, _sylvester_rule),
+    "knopfmacher": _Algorithm(lambda k, o: 1, _knopf_pick, _knopf_rule, head=True,
+                              takes_k=False),
+    "fs": _Algorithm(lambda k, o: None, lambda p, i, num, y, den, o, norm, k, power: (
+        *classical_divide(num, den), None), _fs_rule, "remainder", takes_k=False,
+        runs=_RUN_KINDS[:2] + (("p", type(None)),) + _RUN_KINDS[3:],
+        steps=(("term", int),) + _STEP_KINDS[1:]),
 }
+
+
+def _run_algorithm(name: str, k, value) -> _Algorithm:
+    """Algorithm name's row for a run with k on value: _ALGORITHMS[name]
+    itself, except on a quadratic sylvester run. That one picks by the term
+    closure quadratic._sylvester_terms builds for the run, which carries its
+    root lift, and checks no rule yet (the ceiling's real condition would
+    sit beside it)."""
+    alg = _ALGORITHMS[name]
+    if name != "sylvester" or not isinstance(value, QuadElement):
+        return alg
+    term = _sylvester_terms(value, k)
+    return alg._replace(pick=lambda p, i, n, y, m, o, norm, k, power: (
+        term(n, y, m, o, norm), None, None), rule=None)
 
 
 def fs_greedy(a: int, b: int) -> Expansion:
@@ -302,20 +314,20 @@ def _tail_ord(p, num, y, den, value, floor):
     return (None if p is None else num.exp - den.exp if num.unit else POS_INF), None
 
 
-def _walk(alg: _Algorithm, p, num, y, den, value, e=None, max_terms=None):
-    """The one step loop of algorithm alg over p: expand (e None) or verify
-    run e, each step typed (_step_misfit) before it is read, from the
-    tail, an unreduced pair num/den over Z[1/p] (Z without a prime), a
-    quadratic one with y*sqrt(D) riding along. A rational run with a prime
+def _walk(alg: _Algorithm, p, run_k, num, y, den, value, e=None, max_terms=None):
+    """The one step loop of algorithm alg over p with the run's k, run_k:
+    expand (e None) or verify run e, each step typed (_step_misfit) before
+    it is read, from the tail, an unreduced pair num/den over Z[1/p] (Z
+    without a prime), a quadratic one with y*sqrt(D) riding along. A rational run with a prime
     shares one ladder of powers of p between its steps (valuation._powers).
     Each step finds the tail's order o (_tail_ord) above the floor the
     growth bound k + 2*ord(z) of the step before puts under it, and
-    k = alg.k(o); its term q comes from alg.pick on expand and from e's
-    trace on verify. q steps num to the pick's or the record's r (on verify
-    once one product shows b + r = a*q), else to num*q - den, whose power
-    of p the floor takes out with one exact division on a rational tail
-    with a prime (_floored_difference); y to y*q; and den to den*q unless
-    the tail is zero and no later step reads it. The head, position 0 of a
+    k = alg.k(run_k, o); its term q comes from alg.pick on expand and from
+    e's trace on verify. q steps num to the pick's or the record's r (on
+    verify once one product shows b + r = a*q), else to num*q - den, whose
+    power of p the floor takes out with one exact division on a rational
+    tail with a prime (_floored_difference); y to y*q; and den to den*q
+    unless the tail is zero and no later step reads it. The head, position 0 of a
     Knopfmacher run, steps num to num - den*q. Expand stops on a zero tail,
     after max_terms reciprocal terms or where the pick ends the run.
 
@@ -359,10 +371,10 @@ def _walk(alg: _Algorithm, p, num, y, den, value, e=None, max_terms=None):
                 if i == 0 and not head and d.a * den == d.b * num:
                     seeded, num, den = True, d.a, d.b  # a/b is the input: it seeds the pair
         o, norm = _tail_ord(p, num, y, den, value, floor)
-        k = k_of(o)
+        k = k_of(run_k, o)
         claim = None if o == POS_INF else o
         if expand:
-            stepped = pick(i, num, y, den, o, norm, k, power)
+            stepped = pick(p, i, num, y, den, o, norm, k, power)
             if stepped is None:
                 break
             q, r, d = stepped
@@ -416,7 +428,7 @@ def _walk(alg: _Algorithm, p, num, y, den, value, e=None, max_terms=None):
                 problems.append(f"step {i}: r is not a*q - b")
             if not head and rec.remainder is not None and rec.remainder != num:
                 problems.append(f"step {i}: remainder {_tail_text(rec.remainder)} is not a*q - b")
-            problem = rule and rule(i, a, num, q, rec.k)
+            problem = rule and rule(p, i, a, num, q, rec.k)
             if problem:
                 problems.append(problem)
     if not expand and p is not None and len(orders) == (len(trace) if stop is None else stop):
@@ -430,8 +442,8 @@ def _expand(name: str, p, k, num, y, den, value, max_terms: "int | None" = None)
     (Knopfmacher's) and its final tail is negative. That certifies
     non-termination, with the tail as the certificate: every later term is a
     positive unit fraction, so a negative tail never returns to zero."""
-    alg = _ALGORITHMS[name](p, k, value)
-    trace, num, y, den, *_ = _walk(alg, p, num, y, den, value, max_terms=max_terms)
+    alg = _run_algorithm(name, k, value)
+    trace, num, y, den, *_ = _walk(alg, p, k, num, y, den, value, max_terms=max_terms)
     status, certificate = CAP_REACHED if num or y else TERMINATED, None
     if alg.head and num.unit < 0:
         status, certificate = CERTIFIED_NONTERMINATING, num.to_fraction() / den.to_fraction()
@@ -563,23 +575,6 @@ def _exponent_too_far(q, o, k, num, den, head, budget) -> bool:
     return wide > budget
 
 
-_MAYBE_INT = (int, type(None))
-# The kinds report.expansion_from_json builds for a run (p is None on fs), a
-# step (its term an int on fs) and a division record, field by field, each
-# field named as its problem names it.
-_RUN_KINDS = (("algorithm", str), ("value", (Fraction, QuadElement)), ("p", Prime),
-              ("k", _MAYBE_INT), ("terms", (tuple, list)), ("status", _STATUSES),
-              ("trace", (tuple, list)), ("initial flag", bool),
-              ("certificate", (type(None), Fraction)))
-_FS_RUN_KINDS = _RUN_KINDS[:2] + (("p", type(None)),) + _RUN_KINDS[3:]
-_STEP_KINDS = (("term", PLocal), ("k", _MAYBE_INT), ("tail_ord", _MAYBE_INT),
-               ("division record", (DivisionStep, type(None))), ("remainder", _MAYBE_INT))
-_FS_STEP_KINDS = (("term", int),) + _STEP_KINDS[1:]
-_RECORD_KINDS = (("division p", Prime), ("division k", _MAYBE_INT), ("division a", PLocal),
-                 ("division b", PLocal), ("division q", PLocal), ("division r", PLocal),
-                 ("rbar", int), ("jumped", bool), ("case", str))
-
-
 def _misfit(kinds, values, p) -> "str | None":
     """The field of the first of values that is not of its kind in kinds, a
     table of (field, kind) pairs, or None. A kind is a class or a tuple of
@@ -604,7 +599,7 @@ def _step_misfit(e: Expansion, alg: _Algorithm, i: int, rec: StepRecord, problem
     form is listed once. Returns the misfit, which ends the replay."""
     q, _, o, d, r = rec
     divisions, fs = alg.record == "division", alg.record == "remainder"  # fs alone carries r
-    misfit = live and (_misfit(_FS_STEP_KINDS if fs else _STEP_KINDS, rec, e.p)
+    misfit = live and (_misfit(alg.steps, rec, e.p)
                        or divisions and d is not None and _misfit(_RECORD_KINDS, d, e.p))
     if misfit == "term" and isinstance(q, (PLocal, int)):
         misfit = f"term {_tail_text(q)}"
@@ -620,25 +615,25 @@ def _step_misfit(e: Expansion, alg: _Algorithm, i: int, rec: StepRecord, problem
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
     """Replay an expansion from its input and check its claims in one walk
-    of its trace (_walk), its algorithm built from its own k as expanding
-    builds it, once its fields are typed by _RUN_KINDS (_misfit): a run that
-    does not fit lists its first misfit and its steps' forms and is not
-    replayed. A field of any kind or size is listed, never raised on; only
-    an unknown algorithm raises. A step's index is its position, and
-    position 0 of a Knopfmacher run is its additive head. Each step's
-    problems come together, in step order; its term is checked against its
-    algorithm's rule (the quadratic ceiling has none yet). The run's claims follow: terms equal to the trace's q
-    values, no run k on fs or Knopfmacher, the input as value, the replay's
-    prime as p (a quadratic input's own; another prime ends the replay
-    before its first step), an initial term on Knopfmacher runs only, an
-    exact sum on termination, a status other than terminated only on a
-    nonzero final tail, and a certificate on exactly the certified runs,
-    equal to the final tail (compared by cross-multiplying over Z[1/p],
-    building no Fraction) and negative. Last come strictly increasing orders
-    with the growth bound ord(z_{i+1}) >= k_i + 2*ord(z_i) (orders need a
-    prime), each order found from the floor that bound puts under it, which
-    never changes the result.
-    """
+    of its trace (_walk) by its algorithm's row (_run_algorithm), handed the
+    run's own k as expanding hands it the asked one, once its fields are
+    typed by the row's run table (_misfit): a run that does not fit lists
+    its first misfit and its steps' forms and is not replayed. A field of
+    any kind or size is listed, never raised on; only an unknown algorithm
+    raises. A step's index is its position, and position 0 of a Knopfmacher
+    run is its additive head. Each step's problems come together, in step
+    order; its term is checked against its algorithm's rule (the quadratic
+    ceiling has none yet). The run's claims follow: terms equal to the
+    trace's q values, no run k on fs or Knopfmacher, the input as value,
+    the replay's prime as p (a quadratic input's own; another prime ends
+    the replay before its first step), an initial term on Knopfmacher runs
+    only, an exact sum on termination, a status other than terminated only
+    on a nonzero final tail, and a certificate on exactly the certified
+    runs, equal to the final tail (compared by cross-multiplying over
+    Z[1/p], building no Fraction) and negative. Last come strictly
+    increasing orders with the growth bound ord(z_{i+1}) >= k_i + 2*ord(z_i)
+    (orders need a prime), each order found from the floor that bound puts
+    under it, which never changes the result."""
     y = None
     if isinstance(value, QuadElement):
         p = value.p
@@ -654,13 +649,12 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     if not isinstance(name, str) or name not in _ALGORITHMS:
         raise PreconditionViolated(f"no algorithm {name!r} to replay" if isinstance(name, str)
                                    else "the run names no algorithm")
-    alg = _ALGORITHMS[name](p, e.k, value)
+    alg = _run_algorithm(name, e.k, value)
     flag = [f"initial flag {e.initial} does not fit a {name} run"] if (
         e.initial is (not alg.head)) else []  # a bool
     trace = e.trace
     walkable = isinstance(trace, (tuple, list)) and all(map(isinstance, trace, repeat(StepRecord)))
-    misfit = _misfit(_FS_RUN_KINDS if name == "fs" else _RUN_KINDS, e, e.p) or (
-        not walkable and "trace")
+    misfit = _misfit(alg.runs, e, e.p) or (not walkable and "trace")
     if misfit:  # not replayed, and none of its claims read
         if misfit == "p" and isinstance(e.p, (Prime, type(None))):
             misfit = f"p {e.p and int(e.p)}"
@@ -669,7 +663,7 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             _step_misfit(e, alg, i, rec, problems, False)
         return VerificationReport(False, False if e.status == TERMINATED else None, [], None,
                                   None, problems + flag)
-    _, num, y, den, problems, orders, stop = _walk(alg, p, num, y, den, value, e)
+    _, num, y, den, problems, orders, stop = _walk(alg, p, e.k, num, y, den, value, e)
 
     if [*e.terms] != [rec.q for rec in e.trace]:
         problems.append("terms differ from the trace's q values")

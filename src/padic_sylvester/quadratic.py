@@ -28,14 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .digits import (
-    DigitExpansion,
-    _lift_inv_sqrt,
-    _read_digits,
-    _simple_root,
-    _window,
-    hensel_sqrt,
-)
+from .digits import (DigitExpansion, _lift_inv_sqrt, _mod, _read_digits, _simple_root, _window,
+                     hensel_sqrt)
 from .errors import DivByZero, EmbeddingMismatch, EvenPrime, PrecisionExhausted
 from .valuation import PLocal, POS_INF, Prime, _strip, ord_p
 
@@ -385,7 +379,7 @@ def _sylvester_terms(u: QuadElement, k: int):
                 inv_root, prec = pow(_simple_root(p, D, residue), -1, p), 1
             inv_root = _lift_inv_sqrt(p, D, inv_root, prec, w, modulus)
             prec = max(prec, w)
-            root = D * inv_root % modulus
+            root = _mod(D * inv_root, modulus)
         num, den = _surd_ratio(n, y, m, o, norm, root)
         t = _window(p, den, num, w, modulus)
         # The ceiling of psi((1/z - t) / p**k), with 1/z = m*(n - y*sqrt(D))/norm

@@ -35,8 +35,8 @@ MUTANTS = [
     M("form-division", "held, carried = (d is not None, ", "held, carried = (divisions, "),
     M("form-remainder", "r is not None, fs and o is not None)", "fs, fs and o is not None)"),
     M("form-tail-ord", "fs and o is not None), (divisions", "False), (divisions"),
-    M("ring-prime", "_misfit(_FS_RUN_KINDS if name == \"fs\" else _RUN_KINDS, e, e.p)",
-      '_misfit(_RUN_KINDS[:2] + (("p", object),) + _RUN_KINDS[3:], e, e.p)'),
+    M("ring-prime", "_misfit(alg.runs, e, e.p)",
+      '_misfit(alg.runs[:2] + (("p", object),) + alg.runs[3:], e, e.p)'),
     M("run-kind-value", '("value", (Fraction, QuadElement))', '("value", object)'),
     M("run-kind-k", '("k", _MAYBE_INT), ("terms"', '("k", object), ("terms"'),
     M("run-kind-terms", '("terms", (tuple, list))', '("terms", object)'),
@@ -84,9 +84,9 @@ MUTANTS = [
     M("chain-r", "if not head and d is not None and d.r != num:", "if False:"),
     M("chain-remainder", "if not head and rec.remainder is not None and rec.remainder != num:",
       "if False:"),
-    M("rule-call", "problem = rule and rule(i, a, num, q, rec.k)", "problem = None"),
+    M("rule-call", "problem = rule and rule(p, i, a, num, q, rec.k)", "problem = None"),
     # Each algorithm's term rule, beside its pick.
-    M("rule-fs", "        if not _below(num, a):", "        if False:"),
+    M("rule-fs", "    if not _below(num, a):", "    if False:"),
     M("rule-sylvester", "if k is not None and not _below(num, a, k):", "if False:"),
     M("rule-knopf", "if q and not (q.exp <= 0 and 0 <= q.unit < p ** (1 - q.exp)):",
       "if False:"),
@@ -137,7 +137,7 @@ MUTANTS = [
     M("den-product-after-final-term", "if num or y or i + 1 < len(trace):", "if True:",
       [KERNEL]),
     M("den-skip-before-later-steps", "if num or y or i + 1 < len(trace):", "if num or y:"),
-    M("adaptive-k", "lambda o: k if k is None or k > -o else 1 - o", "lambda o: k"),
+    M("adaptive-k", "lambda k, o: k if k is None or k > -o else 1 - o", "lambda k, o: k"),
     M("below-bits", "return d * bits < b.unit.bit_length() and r.unit * r.p**d < b.unit",
       "return r.unit * r.p**d < b.unit", ["tests/test_kernel.py::TestTermRuleComparison"],
       file=DIV),
@@ -152,7 +152,7 @@ MUTANTS = [
       "last_power = last_power * p ** (e - last)", [KERNEL], file=VAL),
     M("render-guard", "if limit and e >= limit / math.log10(p):", "if False:", [CLI, KERNEL],
       file="src/padic_sylvester/report.py"),
-    M("inverse-reduce", "    a %= modulus\n", "", [KERNEL, "tests/test_digits.py"],
+    M("inverse-reduce", "    a = _mod(a, modulus)\n", "", [KERNEL, "tests/test_digits.py"],
       file="src/padic_sylvester/digits.py",
       survives="pow and the next level reduce a anyway, so only the speed changes"),
 ]

@@ -23,6 +23,7 @@ import sys
 import time
 from fractions import Fraction
 import math
+import operator
 from math import ceil, gcd, isqrt
 from pathlib import Path
 from unittest import mock
@@ -1677,6 +1678,58 @@ def small_values(draw, low, high):
     d = draw(st.integers(1, 10**4))
     n = draw(st.integers(low * d + 1, high * d).filter(bool))
     return Fraction(n, d)
+
+
+# CPython 3.12 and later hand divmod to _pylong's recursive division once
+# the divisor passes 300 digits of 30 bits (and the quotient 150 more).
+PYLONG_DIVISOR_BITS = 300 * 30
+
+
+@st.composite
+def reductions(draw):
+    """(x, m): m = p**w, from one digit to past PYLONG_DIVISOR_BITS and on
+    each side of it, and x of either sign up to three times m's width."""
+    p = draw(st.sampled_from([Prime(2), *WINDOW_PRIMES]))
+    bits = draw(st.one_of(st.integers(1, 3000),
+                          st.integers(PYLONG_DIVISOR_BITS - 300, PYLONG_DIVISOR_BITS + 300)))
+    m = p ** max(1, round(bits / math.log2(p)))
+    width = draw(st.integers(0, 3 * m.bit_length()))
+    return draw(st.integers(-(2**width), 2**width)), m
+
+
+class TestModKernel:
+    @PROPERTY
+    @given(reductions())
+    def test_matches_percent(self, case):
+        x, m = case
+        assert digits._mod(x, m) == x % m
+
+    @pytest.mark.parametrize("p", [Prime(2), *WINDOW_PRIMES], ids=int)
+    def test_each_side_of_the_recursive_division(self, p):
+        rng = random.Random(int(p))
+        w = round(PYLONG_DIVISOR_BITS / math.log2(p))
+        for m in (p ** (w - 20), p ** (w + 20)):
+            for bits in (m.bit_length() - 1, 2 * m.bit_length(), 3 * m.bit_length()):
+                x = rng.getrandbits(bits)
+                for y in (x, -x, x + m, -x - m):
+                    assert digits._mod(y, m) == y % m
+
+
+class TestAlgorithmRows:
+    """Each algorithm is one _ALGORITHMS row, built at import: a rational
+    run's expand and verify hand _walk that row itself, building none."""
+
+    def test_rational_runs_walk_the_rows(self, monkeypatch):
+        walked, walk = [], expansion._walk
+        monkeypatch.setattr(expansion, "_walk",
+                            lambda alg, *args, **kw: walked.append(alg) or walk(alg, *args, **kw))
+        p, v = Prime(7), Fraction(355, 113)
+        runs = [pk_greedy(p, 1, 355, 113), adaptive_pk_greedy(p, 1, v), modified_sylvester(p, 1, v),
+                knopfmacher_sylvester(p, v), fs_greedy(355, 113)]
+        for e in runs:
+            assert verify_expansion(None if e.algorithm == "fs" else p, v, e).ok
+        rows = [expansion._ALGORITHMS[e.algorithm] for e in runs] * 2
+        assert len(walked) == len(rows) and all(map(operator.is_, walked, rows))
 
 
 class TestChainDriver:
