@@ -8,8 +8,9 @@ q, r in Z[1/p] with
 
 brute_force_divide is an independent enumeration oracle for the same triple
 of conditions. The rules a replay checks a typed step by sit here too: the
-bound 0 <= r < a*p**k (_below), b + r = a*q (_record_holds) and a record's
-own fields (_division_record_problems).
+bound 0 <= r < a*p**k (_below) and a record's own fields
+(_division_record_problems). A replay compares a record's r with the
+a*q - b it computes itself.
 """
 
 from __future__ import annotations
@@ -119,21 +120,6 @@ def _division_record_problems(rec, i: int) -> list[str]:
     if d.case != (CASE_1 if not b.is_zero() and k > b.exp - a.exp else CASE_2):
         problems.append(f"step {i}: case does not match a, b and k")
     return problems
-
-
-def _record_holds(a: PLocal, b: PLocal, q: PLocal, r: PLocal, power) -> bool:
-    """Whether b + r = a*q, a division record's equation. On a valid record
-    r's exponent is the larger, and its power of p over b comes from power,
-    a run's ladder (valuation._powers). For e = r.exp - b.exp != 0 the
-    sum's unit is that of b or r plus the other's times p**|e|, which must
-    be unit(a*q): bit lengths rule out a wider power before it is built."""
-    aq, e = a * q, r.exp - b.exp
-    if b.unit and r.unit and abs(e) * (b.p.bit_length() - 1) > 1 + max(
-            aq.unit.bit_length(), b.unit.bit_length(), r.unit.bit_length()):
-        return False
-    if not r or e < 0:
-        return b + r == aq
-    return PLocal(b.p, b.unit + r.unit * power(e), b.exp) == aq
 
 
 def _below(r, b, k: int = 0) -> bool:

@@ -28,7 +28,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .digits import _window
-from .division import (DivisionStep, _below, _division_record_problems, _pk_divide, _record_holds,
+from .division import (DivisionStep, _below, _division_record_problems, _pk_divide,
                        classical_divide)
 from .errors import HypothesisViolated, KTooSmall, PreconditionViolated
 from .quadratic import QuadElement, _surd_ord, _surd_triple, _sylvester_terms
@@ -307,9 +307,10 @@ def modified_sylvester(
 def _tail_ord(p, num, y, den, value, floor):
     """(o, norm): the order over Z[1/p] of the tail (num + y*sqrt(D))/den
     (None without a prime) and the norm a quadratic tail's order is read off
-    (None on a rational, whose y is None). floor, a lower bound for o or
-    None, only speeds up finding a quadratic order (_surd_ord)."""
-    if y:
+    (None on a rational, whose y is None, and on a zero tail): a quadratic
+    tail with y = 0 keeps the norm its term reads. floor, a lower bound for
+    o or None, only speeds up finding a quadratic order (_surd_ord)."""
+    if y is not None and (num or y):
         return _surd_ord(num, y, den, value.D, value.residue, floor)
     return (None if p is None else num.exp - den.exp if num.unit else POS_INF), None
 
@@ -323,11 +324,12 @@ def _walk(alg: _Algorithm, p, run_k, num, y, den, value, e=None, max_terms=None)
     Each step finds the tail's order o (_tail_ord) above the floor the
     growth bound k + 2*ord(z) of the step before puts under it, and
     k = alg.k(run_k, o); its term q comes from alg.pick on expand and from
-    e's trace on verify. q steps num to the pick's or the record's r (on
-    verify once one product shows b + r = a*q), else to num*q - den, whose
-    power of p the floor takes out with one exact division on a rational
-    tail with a prime (_floored_difference); y to y*q; and den to den*q
-    unless the tail is zero and no later step reads it. The head, position 0 of a
+    e's trace on verify. q steps num to the pick's r where expand's pick
+    gives one, else to num*q - den, whose power of p the floor takes out
+    with one exact division on a rational tail with a prime
+    (_floored_difference): verify steps every num so and only compares a
+    record's r with it; y to y*q; and den to den*q unless the tail is zero
+    and no later step reads it. The head, position 0 of a
     Knopfmacher run, steps num to num - den*q. Expand stops on a zero tail,
     after max_terms reciprocal terms or where the pick ends the run.
 
@@ -357,7 +359,7 @@ def _walk(alg: _Algorithm, p, run_k, num, y, den, value, e=None, max_terms=None)
             if not head and (not (num or y) or max_terms is not None and i - heads >= max_terms):
                 break
         else:  # before the order
-            rec = trace[i]
+            rec, r = trace[i], None  # verify steps num itself, never to a record's r
             q, d = rec.q, rec.division if divisions else None
             if _step_misfit(e, alg, i, rec, problems, stop is None):
                 stop = i  # a misfit, listed: the replay ends before it
@@ -397,7 +399,6 @@ def _walk(alg: _Algorithm, p, run_k, num, y, den, value, e=None, max_terms=None)
                                     f"from the order {o} to be valid")
                     stop = i
                     continue
-            r = None
             if d is not None and not head:
                 if i == 0 and not seeded:
                     problems.append(f"step {i}: a/b differs from the input")
@@ -405,8 +406,6 @@ def _walk(alg: _Algorithm, p, run_k, num, y, den, value, e=None, max_terms=None)
                     problems.append(f"step {i}: a is not the previous step's r")
                 if i and d.b != den:
                     problems.append(f"step {i}: b is not the previous step's b*q")
-                if power and _record_holds(num, den, q, d.r, power):
-                    r = d.r  # b + r = a*q, so the record's r is a*q - b
         if p is not None:
             floor = None if rec.k is None or o == POS_INF else rec.k + 2 * o
         a = num
@@ -632,8 +631,10 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
     runs, equal to the final tail (compared by cross-multiplying over
     Z[1/p], building no Fraction) and negative. Last come strictly
     increasing orders with the growth bound ord(z_{i+1}) >= k_i + 2*ord(z_i)
-    (orders need a prime), each order found from the floor that bound puts
-    under it, which never changes the result."""
+    (orders need a prime; a step claiming no k_i gets no bound), except
+    after a Knopfmacher head, which need only leave order >= 1, each order
+    found from the floor that bound puts under it, which never changes the
+    result."""
     y = None
     if isinstance(value, QuadElement):
         p = value.p
@@ -698,8 +699,8 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         strictly_increasing = growth_ok = True
         for i in range(len(orders) - 1):
             s, nxt = orders[i], orders[i + 1]
-            k_i = None if alg.head and i == 0 else e.trace[i].k
-            if k_i is None:
+            k_i = e.trace[i].k
+            if alg.head and i == 0:
                 # Additive initial term: only ord >= 1 is promised.
                 if not nxt >= 1:
                     growth_ok = False
@@ -708,7 +709,8 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             if not nxt > s:
                 strictly_increasing = False
                 problems.append(f"order not increasing at step {i}: {s} -> {nxt}")
-            if s != POS_INF and not nxt >= k_i + 2 * s:
+            # A step claiming no k has its k problem listed already.
+            if s != POS_INF and k_i is not None and not nxt >= k_i + 2 * s:
                 growth_ok = False
                 problems.append(f"growth bound failed at step {i}: ord {nxt} < "
                                 f"{_tail_text(k_i)} + 2*{s}")

@@ -108,7 +108,10 @@ MUTANTS = [
     # The growth loop's checks.
     M("growth-initial", "if not nxt >= 1:", "if False:", [KERNEL, CLI]),
     M("growth-increasing", "if not nxt > s:", "if False:", [KERNEL, CLI]),
-    M("growth-bound", "if s != POS_INF and not nxt >= k_i + 2 * s:", "if False:", [KERNEL, CLI]),
+    M("growth-bound", "if s != POS_INF and k_i is not None and not nxt >= k_i + 2 * s:",
+      "if False:", [KERNEL, CLI]),
+    M("growth-head-only", "if alg.head and i == 0:\n", "if k_i is None:\n",
+      [EXPANSION + "::TestVerifyExpansion::test_claimed_null_k_is_no_head"]),
     # The run-wide replay budget and the certificate's cross-multiplication.
     M("budget", "    return wide > budget", "    return False",
       ["tests/test_cli.py::TestVerifyCommand::test_run_wide_budget_fails_at_once"]),
@@ -131,9 +134,10 @@ MUTANTS = [
       "_CLAIM_BITS) // bits:", [KERNEL]),
     M("exponent-slack-case-2", "> max(0, -(k or 0) - o) + (", "> (", [KERNEL]),
     M("exponent-head", "abs(q.exp - o if head else q.exp + o)", "abs(q.exp + o)", [KERNEL, CLI]),
-    M("record-trusted", "if power and _record_holds(num, den, q, d.r, power):", "if power:",
-      [KERNEL]),
     M("head-sign", "num -= den * q", "num = den * q - num"),
+    M("quadratic-zero-y", "if y is not None and (num or y):", "if y:",
+      [EXPANSION + "::TestModifiedSylvester::test_quadratic_with_zero_y_matches_rational",
+       CLI + "::TestVerifyCommand::test_valid_report_verifies"]),
     M("den-product-after-final-term", "if num or y or i + 1 < len(trace):", "if True:",
       [KERNEL]),
     M("den-skip-before-later-steps", "if num or y or i + 1 < len(trace):", "if num or y:"),
@@ -142,10 +146,6 @@ MUTANTS = [
       "return r.unit * r.p**d < b.unit", ["tests/test_kernel.py::TestTermRuleComparison"],
       file=DIV),
     M("below-low", "return 0 <= r < b", "return r < b", file=DIV),
-    M("record-guard",
-      "if b.unit and r.unit and abs(e) * (b.p.bit_length() - 1) > 1 + max(",
-      "if False and abs(e) * (b.p.bit_length() - 1) > 1 + max(",
-      ["tests/test_kernel.py::TestPowerLadder"], file=DIV),
     M("zero-residue", "    if not rbar:\n", "    if False:\n",
       ["tests/test_cli.py::TestZeroResidue"], file=DIV),
     M("ladder-square", "last_power = last_power * last_power * p ** (e - 2 * last)",

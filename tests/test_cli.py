@@ -531,17 +531,19 @@ class TestVerifyCommand:
 
     # Valid reports verify through the CLI: every algorithm, a knopf run
     # certified at its term cap, the widest xi report that renders (12
-    # terms) and deep rationals, whose division records (adaptive) and
-    # growth floors (sylvester) the replay takes.
+    # terms), a quadratic input with y = 0 and deep rationals, whose growth
+    # floors the replay takes.
     @pytest.mark.parametrize("argv", [
         KNOPF_2_5,
         ("--alg", "knopf", "--p", "2", "--value", "2/5", "--max-terms", "1"),
         ("--alg", "fs", "--value", "4/13"),
         ("--alg", "sylvester", "--p", "7", "--k", "1", "--max-terms", "12") + QUAD_XI,
+        ("--alg", "sylvester", "--p", "7", "--k", "1", "--sqrt", "11", "--x", "1", "--y", "0",
+         "--real-sign", "+", "--padic-residue", "2"),
         ("--alg", "adaptive") + DEEP_12,
         ("--alg", "sylvester") + DEEP_12,
-    ], ids=["knopf", "knopf-certified-at-cap", "fs", "sylvester-quad-12", "adaptive-deep",
-            "sylvester-deep"])
+    ], ids=["knopf", "knopf-certified-at-cap", "fs", "sylvester-quad-12", "sylvester-quad-zero-y",
+            "adaptive-deep", "sylvester-deep"])
     def test_valid_report_verifies(self, argv):
         code, out, err = _cli(("expand",) + argv + ("--output", "json"))
         assert (code, err) == (0, "")
@@ -667,8 +669,8 @@ class TestVerifyCommand:
         (FS_5_121, lambda d: (d.update(algorithm="sylvester", k="1"),
                               d["terms"][0].update(q="24"), d["trace"][0].update(q="24", k="1")),
          "[p None does not fit a sylvester run]"),
-        # A deep adaptive record's r one unit off: the record check fails,
-        # so the replay computes r itself.
+        # A deep adaptive record's r one unit off, against the r the replay
+        # computes.
         (("--alg", "adaptive") + DEEP_12,
          lambda d: _bump(d["trace"][1]["division"]["r"], "unit", 1),
          "step 1: r is not a*q - b"),

@@ -248,6 +248,21 @@ class TestModifiedSylvester:
             e2 = pk_greedy(p, k, PLocal(p, a), PLocal(p, b))
             assert term_values(e1) == term_values(e2), (v, p, k)
 
+    @pytest.mark.parametrize("x", [1, Fraction(3, 49), Fraction(-2, 5), Fraction(1000001, 7)])
+    def test_quadratic_with_zero_y_matches_rational(self, x):
+        # x + 0*sqrt(11) is a quadratic element whose tails all have y = 0:
+        # its run has the rational run's terms, and it verifies.
+        u = QuadElement.make(x, 0, 11, "+", P7, 2)
+        for k in (1, 3):
+            if k <= -ord_p(P7, x):
+                with pytest.raises(KTooSmall):
+                    modified_sylvester(P7, k, u)
+                continue
+            e = modified_sylvester(P7, k, u)
+            assert e.terms == modified_sylvester(P7, k, Fraction(x)).terms
+            assert e.status == TERMINATED
+            assert verify_expansion(P7, u, e).ok
+
     def test_k_too_small(self):
         with pytest.raises(KTooSmall):
             modified_sylvester(P11, 1, Fraction(5, 121))
@@ -457,6 +472,33 @@ class TestVerifyExpansion:
             "growth bound failed at step 1: ord 2 < 1 + 2*1",
             "order not increasing at step 2: 2 -> 2",
             "growth bound failed at step 2: ord 2 < 1 + 2*2",
+            "order not increasing at step 3: 2 -> 2",
+            "growth bound failed at step 3: ord 2 < 1 + 2*2",
+        ]
+
+    def test_claimed_null_k_is_no_head(self):
+        # Only a Knopfmacher run's step 0 is an additive head. Another step
+        # claiming k None lists its k problems, keeps its increasing-order
+        # check and skips the growth bound, which needs a k.
+        def null_k(e, i):
+            rec = e.trace[i]
+            rec = rec._replace(k=None, division=rec.division._replace(k=None))
+            return e._replace(trace=e.trace[:i] + (rec,) + e.trace[i + 1:])
+
+        e = adaptive_pk_greedy(P3, -20, Fraction(2, 3**6 * 5))
+        v = verify_expansion(P3, e.value, null_k(e, 0))
+        assert v.problems == ["step 0: division record has k None, the step has k None",
+                              "step 0: k None is not the adaptive k 7"]
+        assert v.strictly_increasing and v.growth_ok
+        e = pk_greedy(P3, 1, PLocal(P3, 473), PLocal(P3, 25))
+        rec = e.trace[1]
+        q = PLocal(P3, rec.q.unit + 3, rec.q.exp)
+        bad = null_k(_at(lambda: e, 1, _term(q))(), 2)
+        assert [prob for prob in verify_expansion(P3, e.value, bad).problems
+                if not prob.startswith("step ")] == [
+            "terminated run does not sum to its input (tail 9/40)",
+            "growth bound failed at step 1: ord 2 < 1 + 2*1",
+            "order not increasing at step 2: 2 -> 2",
             "order not increasing at step 3: 2 -> 2",
             "growth bound failed at step 3: ord 2 < 1 + 2*2",
         ]

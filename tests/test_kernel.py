@@ -79,7 +79,6 @@ from padic_sylvester.division import (
     _below,
     _division_record_problems,
     _pk_divide,
-    _record_holds,
     classical_divide,
     pk_divide,
 )
@@ -1405,10 +1404,9 @@ class TestTermRuleComparison:
 
 
 class TestVerifierDoesNotStrip:
-    """verify_expansion takes each replayed remainder from a checked division
-    record or, without one, its power of p from the growth bound, a capped
-    run's final tail included, so on a valid deep run it never walks the
-    powers of p of a wide integer."""
+    """verify_expansion takes each replayed remainder's power of p from the
+    growth bound, a capped run's final tail included, so on a valid deep run
+    it never walks the powers of p of a wide integer."""
 
     @pytest.mark.parametrize("alg", ["pk", "adaptive", "sylvester", "sylvester-capped"])
     def test_no_wide_strip(self, alg, monkeypatch):
@@ -1954,31 +1952,21 @@ class TestPowerLadder:
                 assert log == ([] if e == last else [e - 2 * last] if 2 * last <= e else [e])
                 last = e
 
-    def test_record_check_matches_plocal_sum(self):
-        # b + r = a*q with r's exponent below, at and above b's, from 0 to
-        # 300 apart, r zero, and sums one unit off.
-        rng = random.Random(16)
-        for p in map(Prime, (2, 3, 101)):
-            power = _powers(p)
-            for _ in range(300):
-                b = PLocal(p, rng.choice((1, -1)) * rng.randrange(1, 10**30), rng.randint(-150, 150))
-                r = PLocal(p, rng.randrange(10**30) * rng.randrange(2), rng.randint(-150, 150))
-                a = PLocal(p, rng.randrange(1, 10**6))
-                for q in (b + r, b + r + 1):
-                    assert _record_holds(a, b, q, r, power) == (b + r == a * q)
-                    assert _record_holds(PLocal(p, 1), b, q, r, power) == (b + r == q)
-
-    def test_record_check_builds_no_power_wider_than_its_units(self):
-        # A claimed r whose exponent is 10**400 above or below b's cannot
-        # make b + r = a*q; the bit lengths say so before p**(10**400).
+    def test_far_record_r_fails_at_once(self):
+        # A division record's r whose exponent is 10**400 above or below b's
+        # is only compared with the replay's a*q - b: it builds no
+        # p**(10**400).
         got, seconds = _timed_in_subprocess(
-            "from padic_sylvester.division import _record_holds\n"
-            "from padic_sylvester.valuation import _powers\n"
+            "from padic_sylvester import pk_greedy, verify_expansion\n"
             "p = Prime(3)\n"
-            "a, b, q = PLocal(p, 473), PLocal(p, 25), PLocal(p, 2)",
-            "[_record_holds(a, b, q, PLocal(p, 307, exp), _powers(p))"
+            "e = pk_greedy(p, 1, 473, 25)\n"
+            "def far(exp):\n"
+            "    d = e.trace[1].division\n"
+            "    rec = e.trace[1]._replace(division=d._replace(r=PLocal(p, d.r.unit, exp)))\n"
+            "    return e._replace(trace=e.trace[:1] + (rec,) + e.trace[2:])",
+            "['step 1: r is not a*q - b' in verify_expansion(p, e.value, far(exp)).problems"
             " for exp in (10**400, -(10**400))]")
-        assert got == [False, False]
+        assert got == [True, True]
         assert seconds < 1
 
     @pytest.mark.parametrize("p", [2, 101])
