@@ -108,7 +108,7 @@ def _division_record_problems(rec, i: int) -> list[str]:
         problems.append(f"step {i}: division q differs from the term")
     if not 0 <= d.rbar < a.unit:
         problems.append(f"step {i}: rbar {_tail_text(d.rbar)} is outside [0, unit(a))")
-    if k is None or d.k != k:
+    if d.k != k:
         problems.append(f"step {i}: division record has k {_tail_text(d.k)}, the step has k "
                         f"{_tail_text(k)}")
         return problems

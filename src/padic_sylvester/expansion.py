@@ -17,7 +17,8 @@ after an additive head (`knopfmacher`) and classical division (`fs`). A
 quadratic `sylvester` run alone builds something per run: its pick, the
 term closure <1/z>_k with a real ceiling that carries the run's root lift
 (`_run_algorithm`). verify types a run, each step and each division record
-before any rule reads them, by one walk of a kinds table apiece (`_misfit`).
+by the kinds its row makes, before any rule reads them, with one walk of a
+kinds table apiece (`_misfit`); a misfit ends the replay where it sits.
 """
 
 from __future__ import annotations
@@ -100,19 +101,24 @@ def value_operands(value) -> tuple[int, int]:
     return (n, d) if n > 0 else (-n, -d)
 
 
-_MAYBE_INT = (int, type(None))
-# The kinds report.expansion_from_json builds for a run (p is None on fs), a
-# step (its term an int on fs) and a division record, field by field, each
-# field named as its problem names it.
+_NONE = type(None)
+# The kinds a pk run, each of its steps and each division record have, field
+# by field, each field named as its problem names it. The other algorithms'
+# tables replace some of these kinds (_ALGORITHMS).
 _RUN_KINDS = (("algorithm", str), ("value", (Fraction, QuadElement)), ("p", Prime),
-              ("k", _MAYBE_INT), ("terms", (tuple, list)), ("status", _STATUSES),
-              ("trace", (tuple, list)), ("initial flag", bool),
-              ("certificate", (type(None), Fraction)))
-_STEP_KINDS = (("term", PLocal), ("k", _MAYBE_INT), ("tail_ord", _MAYBE_INT),
-               ("division record", (DivisionStep, type(None))), ("remainder", _MAYBE_INT))
-_RECORD_KINDS = (("division p", Prime), ("division k", _MAYBE_INT), ("division a", PLocal),
+              ("k", int), ("terms", (tuple, list)), ("status", _STATUSES),
+              ("trace", (tuple, list)), ("initial flag", bool), ("certificate", (_NONE, Fraction)))
+_STEP_KINDS = (("term", PLocal), ("k", int), ("tail_ord", (int, _NONE)),
+               ("division record", DivisionStep), ("remainder", _NONE))
+_RECORD_KINDS = (("division p", Prime), ("division k", int), ("division a", PLocal),
                  ("division b", PLocal), ("division q", PLocal), ("division r", PLocal),
                  ("rbar", int), ("jumped", bool), ("case", str))
+
+
+def _with(kinds, new: dict) -> tuple:
+    """The kinds table kinds with the kind of each field named in new
+    replaced by new[field]."""
+    return tuple((field, new.get(field, kind)) for field, kind in kinds)
 
 
 class _Algorithm(NamedTuple):
@@ -126,16 +132,14 @@ class _Algorithm(NamedTuple):
     k): verify's problem, or None, with a term q that stepped numerator a to
     num at the claimed k. record: the field every step carries ("division",
     "remainder" or None). head: whether step 0 is an additive head, stepping
-    num to num - den*q. takes_k: whether k comes from the run, so that a
-    run's k applies. runs, steps: the kinds tables (_misfit) of its run and
-    of each of its steps."""
+    num to num - den*q. runs, steps: the kinds tables (_misfit) of its run
+    and of each of its steps, exactly the kinds expand gives them."""
 
     k: object
     pick: object
     rule: object = None
     record: "str | None" = None
     head: bool = False
-    takes_k: bool = True
     runs: tuple = _RUN_KINDS
     steps: tuple = _STEP_KINDS
 
@@ -151,7 +155,7 @@ def _divide(p, i, num, y, den, o, norm, k, power):
 def _sylvester_rule(p, i, a, num, q, k):
     """A rational sylvester step's r = a*q - b lies in [0, a*p**k), the p**k
     division's real bound (_below settles it by bit lengths first)."""
-    if k is not None and not _below(num, a, k):
+    if not _below(num, a, k):
         bound = PLocal(p, a.unit, a.exp + k)  # a*p**k
         return f"step {i}: remainder {_tail_text(num)} is outside [0, {_tail_text(bound)})"
 
@@ -186,19 +190,21 @@ def _fs_rule(p, i, a, num, q, k):
 # Each algorithm's row. pk, adaptive and rational sylvester step by the p**k
 # division, recording the division on pk and adaptive; sylvester's terms
 # are the ceiling's there. adaptive gives a step at order o the run's k, or
-# the minimal valid k' = 1 - o where k > -o fails (a run claiming no k,
-# none). fs steps by classical division over Z, recording r.
+# the minimal valid k' = 1 - o where k > -o fails. Knopfmacher's steps all
+# take k = 1, so its run has no k. fs steps by classical division over Z,
+# recording r, with no prime and no k.
+_NO_DIVISION = _with(_STEP_KINDS, {"division record": _NONE})
 _ALGORITHMS = {
     "pk": _Algorithm(lambda k, o: k, _divide, record="division"),
-    "adaptive": _Algorithm(lambda k, o: k if k is None or k > -o else 1 - o, _divide,
-                           record="division"),
-    "sylvester": _Algorithm(lambda k, o: k, _divide, _sylvester_rule),
+    "adaptive": _Algorithm(lambda k, o: k if k > -o else 1 - o, _divide, record="division"),
+    "sylvester": _Algorithm(lambda k, o: k, _divide, _sylvester_rule, steps=_NO_DIVISION),
     "knopfmacher": _Algorithm(lambda k, o: 1, _knopf_pick, _knopf_rule, head=True,
-                              takes_k=False),
+                              runs=_with(_RUN_KINDS, {"k": _NONE}), steps=_NO_DIVISION),
     "fs": _Algorithm(lambda k, o: None, lambda p, i, num, y, den, o, norm, k, power: (
-        *classical_divide(num, den), None), _fs_rule, "remainder", takes_k=False,
-        runs=_RUN_KINDS[:2] + (("p", type(None)),) + _RUN_KINDS[3:],
-        steps=(("term", int),) + _STEP_KINDS[1:]),
+        *classical_divide(num, den), None), _fs_rule, "remainder",
+        runs=_with(_RUN_KINDS, {"p": _NONE, "k": _NONE}),
+        steps=_with(_STEP_KINDS, {"term": int, "k": _NONE, "tail_ord": _NONE,
+                                  "division record": _NONE, "remainder": int})),
 }
 
 
@@ -341,10 +347,9 @@ def _walk(alg: _Algorithm, p, run_k, num, y, den, value, e=None, max_terms=None)
     remainder against the next num and its term rule. A step-0 record whose
     a/b is the input seeds the pair. A misfit, a zero or a far term ends the
     replay before its value is read or its power of p is built, a run over
-    another prime than p before its first step; later steps get only their
-    forms. Returns (trace, num, y, den, problems, orders, stop): orders end
-    with the tail the replay stops at, stop is the step it stops before or
-    None."""
+    another prime than p before its first step. Returns (trace, num, y,
+    den, problems, orders, stop): orders end with the tail the replay stops
+    at, stop is the step it stops before or None."""
     power = None if p is None or y is not None else _powers(p)
     expand = e is None
     trace = [] if expand else e.trace
@@ -353,21 +358,20 @@ def _walk(alg: _Algorithm, p, run_k, num, y, den, value, e=None, max_terms=None)
     start, problems, orders, floor, budget = (num, y, den), [], [], None, None
     stop = None if expand or e.p == p else 0
     seeded = False
-    for i in (count() if expand else range(len(trace))):
+    for i in (count() if expand else range(len(trace) if stop is None else 0)):
         head = heads and i == 0
         if expand:
             if not head and (not (num or y) or max_terms is not None and i - heads >= max_terms):
                 break
         else:  # before the order
             rec, r = trace[i], None  # verify steps num itself, never to a record's r
-            q, d = rec.q, rec.division if divisions else None
-            if _step_misfit(e, alg, i, rec, problems, stop is None):
-                stop = i  # a misfit, listed: the replay ends before it
-            elif stop is None and not head and not q:
-                problems.append(f"step {i}: term is zero")
+            q, d = rec.q, rec.division
+            problem = _step_misfit(e, alg, i, rec) or (
+                not head and not q and f"step {i}: term is zero")
+            if problem:  # the replay ends before the step
+                problems.append(problem)
                 stop = i
-            if stop is not None:
-                continue
+                break
             if d is not None:
                 problems.extend(_division_record_problems(rec, i))
                 if i == 0 and not head and d.a * den == d.b * num:
@@ -398,7 +402,7 @@ def _walk(alg: _Algorithm, p, run_k, num, y, den, value, e=None, max_terms=None)
                     problems.append(f"step {i}: term exponent {_tail_text(q.exp)} is too far "
                                     f"from the order {o} to be valid")
                     stop = i
-                    continue
+                    break
             if d is not None and not head:
                 if i == 0 and not seeded:
                     problems.append(f"step {i}: a/b differs from the input")
@@ -407,7 +411,7 @@ def _walk(alg: _Algorithm, p, run_k, num, y, den, value, e=None, max_terms=None)
                 if i and d.b != den:
                     problems.append(f"step {i}: b is not the previous step's b*q")
         if p is not None:
-            floor = None if rec.k is None or o == POS_INF else rec.k + 2 * o
+            floor = None if o == POS_INF else rec.k + 2 * o
         a = num
         if head:
             num -= den * q
@@ -565,7 +569,7 @@ def _exponent_too_far(q, o, k, num, den, head, budget) -> bool:
     would widen it without limit."""
     o = 0 if o == POS_INF else o
     bits = q.p.bit_length() - 1
-    if abs(q.exp - o if head else q.exp + o) > max(0, -(k or 0) - o) + (
+    if abs(q.exp - o if head else q.exp + o) > max(0, -k - o) + (
             den.unit.bit_length() + _CLAIM_BITS) // bits:
         return True
     x, z = (num, den * q) if head else (num * q, den)  # the step's difference x - z
@@ -588,53 +592,41 @@ def _misfit(kinds, values, p) -> "str | None":
     return None
 
 
-def _step_misfit(e: Expansion, alg: _Algorithm, i: int, rec: StepRecord, problems: list,
-                 live: bool):
-    """List the forms of step i, rec, of run e, the records it holds that alg
-    does not carry (a tail_ord on fs among them), and, where live, its first
-    misfit (_misfit): its fields by the step table, then those of a division
-    record alg carries. A misfit is `<field> does not fit a <name> run`, a
-    term's value shown where a term can hold it, and one that is also a
-    form is listed once. Returns the misfit, which ends the replay."""
-    q, _, o, d, r = rec
-    divisions, fs = alg.record == "division", alg.record == "remainder"  # fs alone carries r
-    misfit = live and (_misfit(alg.steps, rec, e.p)
-                       or divisions and d is not None and _misfit(_RECORD_KINDS, d, e.p))
-    if misfit == "term" and isinstance(q, (PLocal, int)):
-        misfit = f"term {_tail_text(q)}"
-    held, carried = (d is not None, r is not None, fs and o is not None), (divisions, fs, False)
-    if misfit or held != carried:
-        listed = [form for form, x, y in zip(
-            ("division record", "remainder", "tail_ord"), held, carried) if x != y]
-        if misfit and misfit not in listed:
-            listed.append(misfit)
-        problems.extend(f"step {i}: {field} does not fit a {e.algorithm} run" for field in listed)
-    return misfit
+def _step_misfit(e: Expansion, alg: _Algorithm, i: int, rec: StepRecord) -> "str | None":
+    """The problem `step i: <field> does not fit a <name> run` of step i,
+    rec, of run e for its first misfit (_misfit): its fields by alg's step
+    table, then those of the division record that table lets it hold, a
+    term's value shown where a term can hold it; or None."""
+    misfit = _misfit(alg.steps, rec, e.p) or (
+        rec.division is not None and _misfit(_RECORD_KINDS, rec.division, e.p))
+    if misfit == "term" and isinstance(rec.q, (PLocal, int)):
+        misfit = f"term {_tail_text(rec.q)}"
+    if misfit:
+        return f"step {i}: {misfit} does not fit a {e.algorithm} run"
 
 
 def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationReport:
     """Replay an expansion from its input and check its claims in one walk
     of its trace (_walk) by its algorithm's row (_run_algorithm), handed the
     run's own k as expanding hands it the asked one, once its fields are
-    typed by the row's run table (_misfit): a run that does not fit lists
-    its first misfit and its steps' forms and is not replayed. A field of
-    any kind or size is listed, never raised on; only an unknown algorithm
-    raises. A step's index is its position, and position 0 of a Knopfmacher
-    run is its additive head. Each step's problems come together, in step
+    typed by the row's run table (_misfit), and its initial flag set exactly
+    on a Knopfmacher run, whose step 0 is its additive head: a run that does
+    not fit lists its first misfit and is not replayed, and a step that does
+    not fit lists its own and ends the replay. A field of any kind or size
+    is listed, never raised on; only an unknown algorithm raises. A step's
+    index is its position. Each step's problems come together, in step
     order; its term is checked against its algorithm's rule (the quadratic
     ceiling has none yet). The run's claims follow: terms equal to the
-    trace's q values, no run k on fs or Knopfmacher, the input as value,
-    the replay's prime as p (a quadratic input's own; another prime ends
-    the replay before its first step), an initial term on Knopfmacher runs
-    only, an exact sum on termination, a status other than terminated only
+    trace's q values, the input as value, the replay's prime as p (a
+    quadratic input's own; another prime ends the replay before its first
+    step), an exact sum on termination, a status other than terminated only
     on a nonzero final tail, and a certificate on exactly the certified
     runs, equal to the final tail (compared by cross-multiplying over
     Z[1/p], building no Fraction) and negative. Last come strictly
     increasing orders with the growth bound ord(z_{i+1}) >= k_i + 2*ord(z_i)
-    (orders need a prime; a step claiming no k_i gets no bound), except
-    after a Knopfmacher head, which need only leave order >= 1, each order
-    found from the floor that bound puts under it, which never changes the
-    result."""
+    (orders need a prime), except after a Knopfmacher head, which need only
+    leave order >= 1, each order found from the floor that bound puts under
+    it, which never changes the result."""
     y = None
     if isinstance(value, QuadElement):
         p = value.p
@@ -651,30 +643,23 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
         raise PreconditionViolated(f"no algorithm {name!r} to replay" if isinstance(name, str)
                                    else "the run names no algorithm")
     alg = _run_algorithm(name, e.k, value)
-    flag = [f"initial flag {e.initial} does not fit a {name} run"] if (
-        e.initial is (not alg.head)) else []  # a bool
     trace = e.trace
     walkable = isinstance(trace, (tuple, list)) and all(map(isinstance, trace, repeat(StepRecord)))
-    misfit = _misfit(alg.runs, e, e.p) or (not walkable and "trace")
+    misfit = _misfit(alg.runs, e, e.p) or (not walkable and "trace") or (
+        e.initial is not alg.head and f"initial flag {e.initial}")
     if misfit:  # not replayed, and none of its claims read
-        if misfit == "p" and isinstance(e.p, (Prime, type(None))):
+        if misfit == "p" and isinstance(e.p, (Prime, _NONE)):
             misfit = f"p {e.p and int(e.p)}"
-        problems = [f"{misfit} does not fit a {name} run"]
-        for i, rec in enumerate(trace if walkable else ()):
-            _step_misfit(e, alg, i, rec, problems, False)
         return VerificationReport(False, False if e.status == TERMINATED else None, [], None,
-                                  None, problems + flag)
+                                  None, [f"{misfit} does not fit a {name} run"])
     _, num, y, den, problems, orders, stop = _walk(alg, p, e.k, num, y, den, value, e)
 
     if [*e.terms] != [rec.q for rec in e.trace]:
         problems.append("terms differ from the trace's q values")
-    if e.k is not None and not alg.takes_k:
-        problems.append(f"k {_tail_text(e.k)} does not apply to {e.algorithm}")
     if e.value != value:
         problems.append(f"value {_tail_text(e.value)} is not the input {_tail_text(value)}")
     if e.p != p:
         problems.append(f"p {e.p and int(e.p)} is not the input's p {p and int(p)}")
-    problems.extend(flag)
     sum_exact = None
     if e.status == TERMINATED:
         sum_exact = stop is None and not num and not y
@@ -709,8 +694,7 @@ def verify_expansion(p: "Prime | None", value, e: Expansion) -> VerificationRepo
             if not nxt > s:
                 strictly_increasing = False
                 problems.append(f"order not increasing at step {i}: {s} -> {nxt}")
-            # A step claiming no k has its k problem listed already.
-            if s != POS_INF and k_i is not None and not nxt >= k_i + 2 * s:
+            if s != POS_INF and not nxt >= k_i + 2 * s:
                 growth_ok = False
                 problems.append(f"growth bound failed at step {i}: ord {nxt} < "
                                 f"{_tail_text(k_i)} + 2*{s}")

@@ -266,7 +266,7 @@ def expansion_from_json(d: dict):
     p = None if d["p"] is None else Prime(int(d["p"]))
     k = None if d["k"] is None else int(d["k"])
     value = _input_from_json(p, d["input"])
-    initial = d["algorithm"] == "knopfmacher"
+    initial = _ALGORITHMS[d["algorithm"]].head
     terms, trace = [], []
     for entry in d["trace"]:
         rec_k = None if entry["k"] is None else int(entry["k"])

@@ -631,9 +631,11 @@ class TestVerifyCommand:
          "certificate -1 is not the final tail"),
         (PK_473_25, lambda d: d.update(certificate="-1"),
          "certificate -1 on a run with status terminated"),
+        # A run k of the wrong kind for its algorithm is one problem, and no
+        # step is replayed.
         (("--alg", "adaptive", "--p", "11", "--k", "1", "--value", "5/121"),
          lambda d: d.update(k=None),
-         "step 0: k 3 is not the adaptive k None"),
+         "[k does not fit a adaptive run]"),
         (PK_473_25, lambda d: d.update(status="cap_reached"),
          "status cap_reached but the replayed tail is zero"),
         (PK_473_25, lambda d: d.update(status="certified_nonterminating"),
@@ -651,7 +653,7 @@ class TestVerifyCommand:
         (("--alg", "fs", "--value", "5/11"), lambda d: d["trace"][0].update(tail_ord="1"),
          "step 0: tail_ord does not fit a fs run"),
         (("--alg", "fs", "--value", "5/11"), lambda d: d.update(k="1"),
-         "k 1 does not apply to fs"),
+         "[k does not fit a fs run]"),
         (KNOPF_2_5, lambda d: d["trace"][0].update(k="2"),
          "step 0: k 2 is not the knopfmacher k 1"),
         (KNOPF_2_5, lambda d: d["trace"][0].update(initial=False),
@@ -679,13 +681,19 @@ class TestVerifyCommand:
         (("--alg", "sylvester", "--p", "7", "--k", "1", "--max-terms", "12") + QUAD_XI,
          lambda d: d["trace"][3].update(k="4000000"),
          "step 3: k 4000000 is not the sylvester k 1"),
+        # A sylvester run and its steps all claiming no k: the p**k bound
+        # needs one, so the run is not replayed.
+        (("--alg", "sylvester", "--p", "3", "--k", "1", "--value", "473/25"),
+         lambda d: (d.update(k=None), [entry.update(k=None) for entry in d["trace"]]),
+         "[k does not fit a sylvester run]"),
     ], ids=["term", "expansion", "jumped", "case", "rbar", "zero-term", "lhs", "a", "q",
             "tail-ord", "first-a", "b", "rbar-bound", "r", "fs-remainder", "index",
             "step-k", "certificate-sign", "certificate-tail", "certificate-status",
             "adaptive-null-k", "status-cap", "status-certified", "display", "value",
             "verification-ok", "no-division", "no-remainder", "fs-tail-ord", "fs-k",
             "knopf-k", "knopf-initial", "int-term-with-prime", "no-prime-adaptive",
-            "no-prime-knopf", "no-prime-sylvester", "deep-r", "quadratic-far-k"])
+            "no-prime-knopf", "no-prime-sylvester", "deep-r", "quadratic-far-k",
+            "sylvester-null-k"])
     def test_tampered_claim_fails(self, capsys, tmp_path, argv, tamper, problem):
         code, out, _ = run(capsys, "expand", *argv, "--output", "json")
         data = json.loads(out)

@@ -476,32 +476,28 @@ class TestVerifyExpansion:
             "growth bound failed at step 3: ord 2 < 1 + 2*2",
         ]
 
-    def test_claimed_null_k_is_no_head(self):
-        # Only a Knopfmacher run's step 0 is an additive head. Another step
-        # claiming k None lists its k problems, keeps its increasing-order
-        # check and skips the growth bound, which needs a k.
+    def test_claimed_null_k_is_one_misfit(self):
+        # Every step but an fs one takes an int k, a Knopfmacher head's too.
+        # A step claiming k None is one misfit, its record's k unread, and
+        # the replay ends before it: the orders stop at its tail, and no
+        # sum is confirmed.
         def null_k(e, i):
             rec = e.trace[i]
-            rec = rec._replace(k=None, division=rec.division._replace(k=None))
+            rec = rec._replace(k=None, division=rec.division and rec.division._replace(k=None))
             return e._replace(trace=e.trace[:i] + (rec,) + e.trace[i + 1:])
 
         e = adaptive_pk_greedy(P3, -20, Fraction(2, 3**6 * 5))
         v = verify_expansion(P3, e.value, null_k(e, 0))
-        assert v.problems == ["step 0: division record has k None, the step has k None",
-                              "step 0: k None is not the adaptive k 7"]
-        assert v.strictly_increasing and v.growth_ok
+        assert v.problems == ["step 0: k does not fit a adaptive run"]
+        assert v.tail_orders == [-6] and v.sum_exact is False
+        e = knopfmacher_sylvester(P3, Fraction(3, 7))
+        assert verify_expansion(P3, e.value, null_k(e, 0)).problems == [
+            "step 0: k does not fit a knopfmacher run"]
         e = pk_greedy(P3, 1, PLocal(P3, 473), PLocal(P3, 25))
-        rec = e.trace[1]
-        q = PLocal(P3, rec.q.unit + 3, rec.q.exp)
-        bad = null_k(_at(lambda: e, 1, _term(q))(), 2)
-        assert [prob for prob in verify_expansion(P3, e.value, bad).problems
-                if not prob.startswith("step ")] == [
-            "terminated run does not sum to its input (tail 9/40)",
-            "growth bound failed at step 1: ord 2 < 1 + 2*1",
-            "order not increasing at step 2: 2 -> 2",
-            "order not increasing at step 3: 2 -> 2",
-            "growth bound failed at step 3: ord 2 < 1 + 2*2",
-        ]
+        v = verify_expansion(P3, e.value, null_k(e, 2))
+        assert v.problems == ["step 2: k does not fit a pk run"]
+        assert v.tail_orders == verify_expansion(P3, e.value, e).tail_orders[:3]
+        assert v.sum_exact is False and v.strictly_increasing and v.growth_ok
 
 
 def _pk_473_25():
@@ -610,11 +606,25 @@ class TestVerifyInputClaims:
          ["status does not fit a pk run"]),
         (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(initial=0),
          ["initial flag does not fit a pk run"]),
+        # A run has a k exactly on pk, adaptive and sylvester: Knopfmacher's
+        # steps all take k = 1, and fs has none.
+        (P3, Fraction(473, 25), lambda: _pk_473_25()._replace(k=None),
+         ["k does not fit a pk run"]),
+        (P3, Fraction(473, 25), lambda: _adaptive_473_25()._replace(k=None),
+         ["k does not fit a adaptive run"]),
+        (P3, Fraction(473, 25),
+         lambda: modified_sylvester(P3, 1, Fraction(473, 25))._replace(k=None),
+         ["k does not fit a sylvester run"]),
+        (P3, Fraction(3, 7), lambda: _knopf_3_7()._replace(k=1),
+         ["k does not fit a knopfmacher run"]),
+        (None, Fraction(5, 11), lambda: fs_greedy(5, 11)._replace(k=1),
+         ["k does not fit a fs run"]),
     ], ids=["value", "run-p", "replay-p", "no-replay-p", "knopf-initial", "pk-initial",
             "quadratic-own-p", "quadratic-p", "fs-with-p", "terms", "pk-without-prime",
             "fs-with-prime", "str-p", "adaptive-str-k", "adaptive-tuple-k", "int-terms",
             "int-trace", "no-trace", "int-in-trace", "str-certificate", "str-value",
-            "unknown-status", "int-initial"])
+            "unknown-status", "int-initial", "pk-null-k", "adaptive-null-k",
+            "sylvester-null-k", "knopf-int-k", "fs-int-k"])
     def test_claim_is_one_problem(self, p, value, run, problems):
         v = verify_expansion(p, value, run())
         assert v.problems == problems
@@ -675,12 +685,21 @@ class TestVerifyInputClaims:
         # and the replay ends before it compares it.
         (Fraction(473, 25), _pk_473_25, 1, _step("remainder", "3"),
          "step 1: remainder does not fit a pk run"),
+        # A record, a remainder or a k that the algorithm does not make.
+        (Fraction(473, 25), lambda: modified_sylvester(P3, 1, Fraction(473, 25)), 1,
+         _step("division", _pk_473_25().trace[1].division),
+         "step 1: division record does not fit a sylvester run"),
+        (Fraction(473, 25), _pk_473_25, 1, _step("remainder", 3),
+         "step 1: remainder does not fit a pk run"),
+        (Fraction(5, 11), lambda: fs_greedy(5, 11), 1, _step("k", 1),
+         "step 1: k does not fit a fs run"),
     ], ids=["int-in-pk", "other-prime-in-pk", "plocal-in-fs", "huge-int-in-pk",
             "huge-exp-in-pk", "record-a-over-5", "record-b-over-5", "record-q-over-5",
             "record-r-over-5", "str-k-0", "str-rbar-0", "str-k-1", "str-rbar-1", "str-k-knopf",
             "str-record-p",
             "record-p-5", "int-record-p", "str-record-k", "str-jumped", "int-case", "int-division", "str-tail-ord",
-            "str-fs-remainder", "str-pk-remainder"])
+            "str-fs-remainder", "str-pk-remainder", "sylvester-record", "int-pk-remainder",
+            "int-fs-k"])
     def test_term_outside_the_ring_ends_the_replay(self, value, run, i, edit, problem):
         # Like a zero term: the replay stops at the step, so the sum is not
         # confirmed, and no later step's arithmetic mixes rings or types.
